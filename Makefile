@@ -11,8 +11,9 @@
 #                      and its JSON record (BENCH_1.json)
 #   make table4-steady regenerate the steady-state incremental report
 #                      (BENCH_4.json, the vlserver -baseline input)
-#   make fuzz-smoke    short ViewQL fuzz pass (panic hunt over Engine.Apply;
-#                      the committed corpus seeds always run)
+#   make fuzz-smoke    short fuzz passes: ViewQL (panic hunt over
+#                      Engine.Apply; the committed corpus seeds always run)
+#                      and the pane JSON encoder against encoding/json
 
 GO ?= go
 
@@ -34,6 +35,7 @@ race:
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzApply -fuzztime=5s -run='^FuzzApply$$' ./internal/viewql
+	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=5s -run='^FuzzAppendJSON$$' ./internal/render
 
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkTable2Extract -benchtime=1x .

@@ -28,6 +28,7 @@ import (
 	"visualinux/internal/expr"
 	"visualinux/internal/kernelsim"
 	"visualinux/internal/perf"
+	"visualinux/internal/render"
 	"visualinux/internal/target"
 	"visualinux/internal/vchat"
 	"visualinux/internal/vclstdlib"
@@ -405,6 +406,45 @@ func BenchmarkRenderText(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPaneJSON measures pane serialization as the server does it on a
+// cache miss, over the 20 stdlib panes of a procs 5 / churn 4 session:
+// encode appends each pane's JSON into a buffer presized from its previous
+// body, and quote turns each body into the JSON string an SSE event carries.
+func BenchmarkPaneJSON(b *testing.B) {
+	m := core.NewSessionManager(core.ManagerOptions{}, nil)
+	ms, err := m.Create("bench", core.SessionOptions{Kernel: kernelsim.Options{Processes: 5, Churn: 4}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rr, err := ms.Round()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies := make([][]byte, len(rr))
+	for i, r := range rr {
+		bodies[i] = render.AppendJSON(nil, r.Pane.Graph)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j, r := range rr {
+				prev := bodies[j]
+				bodies[j] = render.AppendJSON(make([]byte, 0, len(prev)+len(prev)/8), r.Pane.Graph)
+			}
+		}
+	})
+	b.Run("quote", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, body := range bodies {
+				benchSink = render.AppendJSONString(make([]byte, 0, len(body)+len(body)/4+2), body)
+			}
+		}
+	})
+}
+
+var benchSink []byte
 
 // BenchmarkWorkloadScaling sweeps the workload size for the fastest and the
 // heaviest figure, showing extraction cost scales with state size.

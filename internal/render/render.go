@@ -19,7 +19,7 @@ import (
 // without passing through a trimmed box (trimmed boxes hide their
 // descendants, per the paper's attribute semantics).
 func Visible(g *graph.Graph) map[string]bool {
-	vis := make(map[string]bool)
+	vis := make(map[string]bool, len(g.Boxes))
 	roots := g.Roots
 	if len(roots) == 0 && g.RootID != "" {
 		roots = []string{g.RootID}

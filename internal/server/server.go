@@ -422,11 +422,7 @@ func (s *Server) handlePane(t *tenant, w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	c, _, err := t.serializePane(p, format)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
+	c, _ := t.serializePane(p, format)
 	w.Header().Set("Content-Type", c.ctype)
 	_, _ = w.Write(c.body)
 }

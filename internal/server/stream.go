@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"visualinux/internal/obs"
+	"visualinux/internal/render"
 	"visualinux/internal/stream"
 )
 
@@ -18,9 +18,12 @@ import (
 // client the moment a stop event lands. Change detection keys on the same
 // pane Version + tree epoch the weak ETags use, and the bytes shipped are
 // the same per-pane+format serialization cache entries a GET would
-// return — N clients cost one encode, and a stream frame at epoch E is
-// byte-identical to GET /api/pane at epoch E. Each tenant owns its broker:
-// one session's fan-out never sees another session's clients.
+// return, so a stream frame at epoch E is byte-identical to GET /api/pane
+// at epoch E. The entry also keeps its body quoted once as a JSON string;
+// each client's SSE event copies that quoted body behind the frame's
+// header fields, so N clients cost one encode and one quote, not one
+// envelope encode each. Each tenant owns its broker: one session's
+// fan-out never sees another session's clients.
 
 // pubState is the last (version, epoch) a pane was fanned out at.
 type pubState struct {
@@ -77,9 +80,9 @@ func (s *Server) streamRound(t *tenant, step func() error) error {
 }
 
 // publishLocked diffs every pane against its last published (version,
-// epoch), serializes the changed ones once per format that has at least
-// one subscriber, and hands the frames to the broker. Caller holds the
-// tenant's write lock. Returns the number of frames published.
+// epoch), serializes and quotes the changed ones once per format that has
+// at least one subscriber, and hands the frames to the broker. Caller
+// holds the tenant's write lock. Returns the number of frames published.
 func (t *tenant) publishLocked(tr *obs.Tracer) int {
 	if t.session.Tree == nil || t.broker.ClientCount() == 0 {
 		return 0
@@ -105,13 +108,11 @@ func (t *tenant) publishLocked(tr *obs.Tracer) int {
 		}
 		for _, format := range formats {
 			sp := root.StartChild("fanout.serialize")
-			c, hit, err := t.serializePane(p, format)
+			c, hit := t.serializePane(p, format)
+			quoted := c.quotedBody()
 			sp.TagUint("pane", uint64(p.ID)).Tag("format", format).
 				Tag("cache", map[bool]string{true: "hit", false: "miss"}[hit])
 			sp.End()
-			if err != nil {
-				continue
-			}
 			if o != nil {
 				if hit {
 					o.StreamCacheHits.Inc()
@@ -121,7 +122,7 @@ func (t *tenant) publishLocked(tr *obs.Tracer) int {
 			}
 			frames = append(frames, &stream.Frame{
 				Pane: p.ID, Version: p.Version, Epoch: epoch,
-				ETag: c.etag, Format: format, Body: c.body,
+				ETag: c.etag, Format: format, Body: c.body, Quoted: quoted,
 			})
 		}
 		t.lastPub[p.ID] = pubState{version: p.Version, epoch: epoch}
@@ -167,10 +168,7 @@ func (t *tenant) snapshotFrames(c *stream.Client) []*stream.Frame {
 				continue
 			}
 		}
-		cp, hit, err := t.serializePane(p, c.Format)
-		if err != nil {
-			continue
-		}
+		cp, hit := t.serializePane(p, c.Format)
 		if o != nil {
 			if hit {
 				o.StreamCacheHits.Inc()
@@ -180,7 +178,7 @@ func (t *tenant) snapshotFrames(c *stream.Client) []*stream.Frame {
 		}
 		frames = append(frames, &stream.Frame{
 			Pane: p.ID, Version: p.Version, Epoch: epoch,
-			ETag: cp.etag, Format: c.Format, Body: cp.body,
+			ETag: cp.etag, Format: c.Format, Body: cp.body, Quoted: cp.quotedBody(),
 		})
 	}
 	return frames
@@ -196,6 +194,8 @@ func (s *Server) Broker() *stream.Broker {
 
 // streamEvent is the SSE data payload: the frame header plus the pane body
 // as a JSON string, so the whole event is one line regardless of format.
+// appendStreamEvent writes exactly json.Marshal of this struct without
+// building it; the struct stays as the schema the tests hold it to.
 type streamEvent struct {
 	Seq       uint64 `json:"seq"`
 	Round     uint64 `json:"round"`
@@ -207,6 +207,38 @@ type streamEvent struct {
 	Snapshot  bool   `json:"snapshot,omitempty"`
 	Coalesced bool   `json:"coalesced,omitempty"`
 	Body      string `json:"body"`
+}
+
+// appendStreamEvent appends the SSE pane event for f: the event and id
+// lines, then the streamEvent payload on its data line. The body goes in as
+// the frame's pre-quoted form, so an event costs one copy of it, not an
+// encode per client.
+func appendStreamEvent(dst []byte, f *stream.Frame) []byte {
+	dst = append(dst, "event: pane\nid: "...)
+	dst = strconv.AppendUint(dst, f.Seq, 10)
+	dst = append(dst, "\ndata: {\"seq\":"...)
+	dst = strconv.AppendUint(dst, f.Seq, 10)
+	dst = append(dst, `,"round":`...)
+	dst = strconv.AppendUint(dst, f.Round, 10)
+	dst = append(dst, `,"pane":`...)
+	dst = strconv.AppendInt(dst, int64(f.Pane), 10)
+	dst = append(dst, `,"version":`...)
+	dst = strconv.AppendInt(dst, int64(f.Version), 10)
+	dst = append(dst, `,"epoch":`...)
+	dst = strconv.AppendInt(dst, int64(f.Epoch), 10)
+	dst = append(dst, `,"etag":`...)
+	dst = render.AppendJSONString(dst, f.ETag)
+	dst = append(dst, `,"format":`...)
+	dst = render.AppendJSONString(dst, f.Format)
+	if f.Snapshot {
+		dst = append(dst, `,"snapshot":true`...)
+	}
+	if f.Coalesced {
+		dst = append(dst, `,"coalesced":true`...)
+	}
+	dst = append(dst, `,"body":`...)
+	dst = append(dst, f.Quoted...)
+	return append(dst, "}\n\n"...)
 }
 
 // handleStream serves GET /stream: a Server-Sent Events feed of pane
@@ -261,21 +293,14 @@ func (s *Server) handleStream(t *tenant, w http.ResponseWriter, r *http.Request)
 	fl.Flush()
 
 	ctx := r.Context()
+	var buf []byte // one event at a time, reused for the connection's life
 	for {
 		f, ok := c.Next(ctx)
 		if !ok {
 			return
 		}
-		data, err := json.Marshal(streamEvent{
-			Seq: f.Seq, Round: f.Round, Pane: f.Pane,
-			Version: f.Version, Epoch: f.Epoch, ETag: f.ETag,
-			Format: f.Format, Snapshot: f.Snapshot, Coalesced: f.Coalesced,
-			Body: string(f.Body),
-		})
-		if err != nil {
-			return
-		}
-		if _, err := fmt.Fprintf(w, "event: pane\nid: %d\ndata: %s\n\n", f.Seq, data); err != nil {
+		buf = appendStreamEvent(buf[:0], f)
+		if _, err := w.Write(buf); err != nil {
 			return
 		}
 		fl.Flush()

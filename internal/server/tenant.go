@@ -1,8 +1,7 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -42,8 +41,9 @@ type tenant struct {
 	// the same version/epoch ETag served to clients: an unchanged pane is
 	// neither re-rendered nor re-serialized, it's one buffer write. The
 	// stream plane's fan-out serializes through the same cache, so a GET
-	// and a pushed frame at the same epoch share one encode.
-	paneCache map[string]*cachedPane
+	// and a pushed frame at the same epoch share one encode, and every
+	// stream client of a format shares the entry's once-quoted body.
+	paneCache map[paneKey]*cachedPane
 
 	// broker fans pane deltas out to /stream subscribers; lastPub tracks
 	// the (version, epoch) each pane was last published at, and round
@@ -59,11 +59,33 @@ type tenant struct {
 	renderStall func(paneID int, format string)
 }
 
-// cachedPane is one serialized pane representation.
+// paneKey names one pane+format entry of the serialization cache.
+type paneKey struct {
+	pane   int
+	format string
+}
+
+// cachedPane is one serialized pane representation. Entries are replaced,
+// never mutated, when the pane moves on, so body and quoted stay valid for
+// any frame still queued to a stream client.
 type cachedPane struct {
 	etag  string
 	ctype string
 	body  []byte
+
+	quoteOnce sync.Once
+	quoted    []byte
+}
+
+// quotedBody returns body as a JSON string literal, the form an SSE event
+// carries. It is quoted on first use and kept beside the body, so the
+// stream clients of a (pane, version, epoch, format) share one quote.
+func (c *cachedPane) quotedBody() []byte {
+	c.quoteOnce.Do(func() {
+		// Quoting a compact JSON body escapes every '"': about a quarter more.
+		c.quoted = render.AppendJSONString(make([]byte, 0, len(c.body)+len(c.body)/4+2), c.body)
+	})
+	return c.quoted
 }
 
 func newTenant(id string, sess *core.Session, ms *core.ManagedSession) *tenant {
@@ -71,7 +93,7 @@ func newTenant(id string, sess *core.Session, ms *core.ManagedSession) *tenant {
 		id:        id,
 		session:   sess,
 		ms:        ms,
-		paneCache: make(map[string]*cachedPane),
+		paneCache: make(map[paneKey]*cachedPane),
 		broker:    stream.NewBroker(sess.Obs, 0),
 		lastPub:   make(map[int]pubState),
 	}
@@ -98,14 +120,14 @@ func (t *tenant) touch() {
 // format, from the per-pane+format cache when the (version, epoch) ETag
 // still matches, rendering and caching otherwise. The caller must hold
 // t.mu (read or write). The bool reports a cache hit.
-func (t *tenant) serializePane(p *panes.Pane, format string) (*cachedPane, bool, error) {
+func (t *tenant) serializePane(p *panes.Pane, format string) (*cachedPane, bool) {
 	etag := t.paneETag(p, format)
-	key := fmt.Sprintf("%d.%s", p.ID, format)
+	key := paneKey{p.ID, format}
 	t.cacheMu.Lock()
 	c := t.paneCache[key]
 	t.cacheMu.Unlock()
 	if c != nil && c.etag == etag {
-		return c, true, nil
+		return c, true
 	}
 	if t.renderStall != nil {
 		t.renderStall(p.ID, format)
@@ -122,18 +144,20 @@ func (t *tenant) serializePane(p *panes.Pane, format string) (*cachedPane, bool,
 		body = []byte(render.DOT(p.Graph))
 	default:
 		ctype = "application/json"
-		j, err := json.MarshalIndent(render.ToJSON(p.Graph), "", "  ")
-		if err != nil {
-			return nil, false, err
+		// Presize from the stale entry: a pane's next version is about as
+		// large as its last, so the encode appends without regrowing.
+		var buf []byte
+		if c != nil {
+			buf = make([]byte, 0, len(c.body)+len(c.body)/8)
 		}
-		body = append(j, '\n')
+		body = render.AppendJSON(buf, p.Graph)
 	}
 	c = &cachedPane{etag: etag, ctype: ctype, body: body}
 	t.cacheMu.Lock()
 	t.paneCache[key] = c
 	t.cacheMu.Unlock()
 	t.session.Obs.ObserveStage("render", time.Since(t0))
-	return c, false, nil
+	return c, false
 }
 
 // clearPaneCache drops every cached serialization — required after an
@@ -142,7 +166,7 @@ func (t *tenant) serializePane(p *panes.Pane, format string) (*cachedPane, bool,
 // different content. Caller holds t.mu's write lock.
 func (t *tenant) clearPaneCache() {
 	t.cacheMu.Lock()
-	t.paneCache = make(map[string]*cachedPane)
+	t.paneCache = make(map[paneKey]*cachedPane)
 	t.cacheMu.Unlock()
 	t.lastPub = make(map[int]pubState)
 }
@@ -151,5 +175,16 @@ func (t *tenant) clearPaneCache() {
 // the poll path (ETag / If-None-Match) and the stream plane (frame
 // identity + change detection). Caller holds t.mu.
 func (t *tenant) paneETag(p *panes.Pane, format string) string {
-	return fmt.Sprintf(`W/"p%d.v%d.e%d.%s"`, p.ID, p.Version, t.session.Tree.Epoch(), format)
+	// Appended by hand, one allocation: every GET and every fan-out
+	// diff computes it, 304s included.
+	b := make([]byte, 0, 48)
+	b = append(b, `W/"p`...)
+	b = strconv.AppendInt(b, int64(p.ID), 10)
+	b = append(b, ".v"...)
+	b = strconv.AppendInt(b, int64(p.Version), 10)
+	b = append(b, ".e"...)
+	b = strconv.AppendInt(b, int64(t.session.Tree.Epoch()), 10)
+	b = append(b, '.')
+	b = append(b, format...)
+	return string(append(b, '"'))
 }

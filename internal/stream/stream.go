@@ -18,8 +18,9 @@
 // keyed so connection churn cannot grow the registry), sent / dropped /
 // coalesced frame counters, and a Health snapshot the /debug/stream
 // surface and the vchat stream diagnosis answer from. The bytes inside a
-// Frame come from the server's per-pane serialization cache — the broker
-// only moves pointers, so N clients cost one encode.
+// Frame, the body and its quoted form, come from the server's per-pane
+// serialization cache — the broker only moves pointers, so N clients cost
+// one encode and one quote.
 package stream
 
 import (
@@ -63,6 +64,9 @@ type Frame struct {
 	// Body is the serialized pane — byte-identical to what GET
 	// /api/pane?id=N&format=F returns at the same version/epoch.
 	Body []byte `json:"-"`
+	// Quoted is Body as a JSON string literal, quoted once by the publisher
+	// and shared read-only by every client the frame reaches.
+	Quoted []byte `json:"-"`
 
 	published time.Time
 }

@@ -251,6 +251,7 @@ func (r *runState) iterList(head expr.Value, line int, hint elemHint) ([]expr.Va
 	if err != nil {
 		return nil, errf(line, "List: %v", err)
 	}
+	loop := loopCheck{tort: cur, power: 1}
 	for cur != hd && cur != 0 {
 		if len(out) >= r.in.MaxElems {
 			r.notef(line, "List truncated at %d elements", r.in.MaxElems)
@@ -265,6 +266,12 @@ func (r *runState) iterList(head expr.Value, line int, hint elemHint) ([]expr.Va
 		cur, err = target.ReadU64(tgt, cur)
 		if err != nil {
 			return nil, errf(line, "List: %v", err)
+		}
+		if loop.closed(cur) {
+			var entry uint64
+			out, entry = loop.unwind(out)
+			r.notef(line, "List cycle at %#x", entry)
+			break
 		}
 	}
 	return out, nil
@@ -283,6 +290,7 @@ func (r *runState) iterHList(head expr.Value, line int, hint elemHint) ([]expr.V
 	if err != nil {
 		return nil, errf(line, "HList: %v", err)
 	}
+	loop := loopCheck{tort: cur, power: 1}
 	for cur != 0 {
 		if len(out) >= r.in.MaxElems {
 			r.notef(line, "HList truncated at %d elements", r.in.MaxElems)
@@ -294,8 +302,52 @@ func (r *runState) iterHList(head expr.Value, line int, hint elemHint) ([]expr.V
 		if err != nil {
 			return nil, errf(line, "HList: %v", err)
 		}
+		if loop.closed(cur) {
+			var entry uint64
+			out, entry = loop.unwind(out)
+			r.notef(line, "HList cycle at %#x", entry)
+			break
+		}
 	}
 	return out, nil
+}
+
+// loopCheck is Brent's cycle detection for a pointer walk. A walk over
+// corrupt memory can loop without ever coming back to its head; a visited
+// set would find that too, but would cost an allocation per walk on every
+// healthy list. Brent keeps one node (the tortoise) and moves it up to the
+// walk's current node each time the steps taken since the last move reach
+// the next power of two, so a loop is found within a few laps of entering it.
+type loopCheck struct {
+	tort  uint64 // a node the walk has reached
+	power int    // steps after which the tortoise moves up
+	lam   int    // steps since it last moved; the loop length once closed
+}
+
+// closed takes the walk's next node and reports whether the walk has come
+// back to a node it already yielded.
+func (c *loopCheck) closed(next uint64) bool {
+	c.lam++
+	if next == c.tort {
+		return true
+	}
+	if c.lam == c.power {
+		c.tort, c.power, c.lam = next, c.power*2, 0
+	}
+	return false
+}
+
+// unwind cuts a closed walk back to the nodes it yielded before its first
+// repeat, so every node of the loop is plotted once, and returns the node
+// the loop re-enters at.
+func (c *loopCheck) unwind(out []expr.Value) ([]expr.Value, uint64) {
+	for i := 0; i+c.lam < len(out); i++ {
+		if out[i].Bits == out[i+c.lam].Bits {
+			out = out[:i+c.lam]
+			break
+		}
+	}
+	return out, out[len(out)-c.lam].Bits
 }
 
 // iterRBTree in-order walks an rb_root / rb_root_cached / rb_node*.

@@ -1,0 +1,120 @@
+package viewcl_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"visualinux/internal/expr"
+	"visualinux/internal/graph"
+	"visualinux/internal/kernelsim"
+	"visualinux/internal/render"
+	"visualinux/internal/viewcl"
+)
+
+// cycleProgram plots one list_head list of tasks and one hlist of timers.
+const cycleProgram = `
+define T as Box<task_struct> [
+    Text pid
+]
+define Timer as Box<timer_list> [
+    Text expires
+]
+
+tasks = ${&cycle_tasks}
+lst = List(@tasks).forEach |node| {
+    yield T<task_struct.tasks>(@node)
+}
+timers = ${&cycle_timers}
+hl = HList(@timers).forEach |node| {
+    yield Timer<timer_list.entry>(@node)
+}
+plot @lst
+plot @hl
+`
+
+// A next pointer that loops back past the head must not run the walk to
+// MaxElems: both engines stop when the walk revisits a node, plot each node
+// of the loop once, and note where the loop closes. The corruption is a
+// self-loop (the second node links to itself), a two-node loop (the third
+// node links back to the second) or a loop through every node that skips
+// the head (the third node links back to the first).
+func TestListCycleBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		from, to int // node from's next is overwritten to point at node to
+		want     int // nodes plotted: those before the loop, plus the loop
+	}{
+		{"self-loop", 1, 1, 2},
+		{"two-node loop", 2, 1, 3},
+		{"loop past the head", 2, 0, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := kernelsim.NewBuilder()
+			head := b.Alloc("list_head")
+			b.InitList(head.Addr)
+			b.Symbol("cycle_tasks", head)
+			hhead := b.Alloc("hlist_head")
+			b.Symbol("cycle_timers", hhead)
+			var tasks, timers []uint64
+			for i := 0; i < 3; i++ {
+				task := b.Alloc("task_struct")
+				task.Set("pid", uint64(100+i))
+				b.ListAddTail(head.Addr, task.FieldAddr("tasks"))
+				tasks = append(tasks, task.FieldAddr("tasks"))
+				timer := b.Alloc("timer_list")
+				timer.Set("expires", uint64(1000+i))
+				b.HListAddHead(hhead.Addr, timer.FieldAddr("entry"))
+				timers = append([]uint64{timer.FieldAddr("entry")}, timers...) // walk order
+			}
+			b.Mem.WriteU64(tasks[tc.from], tasks[tc.to])   // list_head.next
+			b.Mem.WriteU64(timers[tc.from], timers[tc.to]) // hlist_node.next
+
+			notes := []string{
+				fmt.Sprintf("List cycle at %#x", tasks[tc.to]),
+				fmt.Sprintf("HList cycle at %#x", timers[tc.to]),
+			}
+			var texts []string
+			for _, interpret := range []bool{false, true} {
+				env := expr.NewEnv(b.Tgt)
+				kernelsim.RegisterHelpers(env)
+				in := viewcl.New(env)
+				in.Interpret = interpret
+				res, err := in.RunSource("cycle", cycleProgram)
+				if err != nil {
+					t.Fatalf("interpret=%v: %v", interpret, err)
+				}
+				var issues []string
+				for _, e := range res.Errors {
+					issues = append(issues, e.Error())
+				}
+				joined := strings.Join(issues, "\n")
+				for _, note := range notes {
+					if !strings.Contains(joined, note) {
+						t.Errorf("interpret=%v: issues %q lack %q", interpret, issues, note)
+					}
+				}
+				if strings.Contains(joined, "truncated") {
+					t.Errorf("interpret=%v: loop reported as truncation: %q", interpret, issues)
+				}
+				for _, typ := range []string{"task_struct", "timer_list"} {
+					if got := len(res.Graph.ByType(typ)); got != tc.want {
+						t.Errorf("interpret=%v: %d %s boxes, want %d", interpret, got, typ, tc.want)
+					}
+				}
+				for _, bx := range res.Graph.All() {
+					for _, it := range bx.CurrentView().Items {
+						if it.Kind == graph.ItemContainer && len(it.Elems) != tc.want {
+							t.Errorf("interpret=%v: container %s holds %d elements, want %d",
+								interpret, bx.ID, len(it.Elems), tc.want)
+						}
+					}
+				}
+				texts = append(texts, render.Text(res.Graph))
+			}
+			if texts[0] != texts[1] {
+				t.Errorf("engines diverge on the looping lists:\n--- compiled ---\n%s\n--- interpreted ---\n%s", texts[0], texts[1])
+			}
+		})
+	}
+}
