@@ -11,9 +11,9 @@
 #                      and its JSON record (BENCH_1.json)
 #   make table4-steady regenerate the steady-state incremental report
 #                      (BENCH_4.json, the vlserver -baseline input)
-#   make fuzz-smoke    short fuzz passes: ViewQL (panic hunt over
-#                      Engine.Apply; the committed corpus seeds always run)
-#                      and the pane JSON encoder against encoding/json
+#   make fuzz-smoke    every Fuzz* target in the module (found with
+#                      `go test -list`), 5 s each; committed corpus seeds
+#                      always run
 
 GO ?= go
 
@@ -34,8 +34,12 @@ race:
 	$(GO) test -race ./...
 
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzApply -fuzztime=5s -run='^FuzzApply$$' ./internal/viewql
-	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=5s -run='^FuzzAppendJSON$$' ./internal/render
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for fz in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$fz"; \
+			$(GO) test -fuzz="^$$fz\$$" -fuzztime=5s -run="^$$fz\$$" $$pkg; \
+		done; \
+	done
 
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkTable2Extract -benchtime=1x .

@@ -44,6 +44,8 @@ type benchRecord struct {
 	BytesRead      uint64  `json:"bytes_read"`
 	Transactions   uint64  `json:"transactions"`
 	KGDBMs         float64 `json:"kgdb_ms"`
+	LinkMs         float64 `json:"link_ms"` // modeled share of kgdb_ms (exact)
+	CPUMs          float64 `json:"cpu_ms"`  // wall share of kgdb_ms
 	KGDBUncachedMs float64 `json:"kgdb_uncached_ms"`
 	CacheSpeedup   float64 `json:"cache_speedup"`
 }
@@ -61,7 +63,8 @@ func main() {
 	churn := flag.Int("churn", 0, "age the state through N live-transition rounds before measuring")
 	flag.Parse()
 
-	model := target.LatencyModel{PerRead: *perRead, PerByte: *perByte, PerContinuation: *perCont, Sleep: *sleep}
+	model := target.LatencyModel{PerRead: *perRead, PerByte: *perByte, PerContinuation: *perCont,
+		PerHashCheck: target.DefaultKGDB.PerHashCheck, Sleep: *sleep}
 	opts := kernelsim.Options{Processes: *procs, Churn: *churn}
 
 	uncached, err := perf.Table4Uncached(opts, model)
@@ -154,6 +157,8 @@ func main() {
 				BytesRead:      uint64(p.KGDB.KBytes * 1024),
 				Transactions:   p.KGDB.Transactions,
 				KGDBMs:         p.KGDB.TotalMS,
+				LinkMs:         p.KGDB.LinkMS,
+				CPUMs:          p.KGDB.CPUMS,
 				KGDBUncachedMs: u.KGDB.TotalMS,
 				CacheSpeedup:   speedup,
 			}

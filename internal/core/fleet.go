@@ -114,8 +114,13 @@ func (f *Fleet) Query(q FleetQuery) (*FleetResult, error) {
 		go func(i int, id string) {
 			defer wg.Done()
 			f.guarded(id, func() {
-				DefaultPool().Run("session:"+id, 1, 1, func(int) {
-					results[i] = f.queryOne(id, q)
+				ms, ok := f.Mgr.Attach(id)
+				if !ok {
+					results[i] = TargetResult{Target: id, Err: "no such session"}
+					return
+				}
+				DefaultPool().Run(ms.Session.poolKey(), 1, 1, func(int) {
+					results[i] = f.queryOne(ms, q)
 				})
 			})
 		}(i, id)
@@ -149,13 +154,8 @@ func (f *Fleet) guarded(id string, fn func()) {
 
 // queryOne runs the program against one session's figure pane. The caller
 // holds the session guard.
-func (f *Fleet) queryOne(id string, q FleetQuery) TargetResult {
-	tr := TargetResult{Target: id}
-	ms, ok := f.Mgr.Attach(id)
-	if !ok {
-		tr.Err = "no such session"
-		return tr
-	}
+func (f *Fleet) queryOne(ms *ManagedSession, q FleetQuery) TargetResult {
+	tr := TargetResult{Target: ms.ID}
 	tr.Source = string(ms.Source)
 	paneID, ok := ms.Extractor.PaneFor(q.Figure)
 	if !ok {
@@ -186,7 +186,7 @@ func (f *Fleet) queryOne(id string, q FleetQuery) TargetResult {
 	refs := eng.Set(set)
 	tr.Refs = make([]viewql.Ref, len(refs))
 	for i, r := range refs {
-		r.Target = id
+		r.Target = ms.ID
 		tr.Refs[i] = r
 	}
 	tr.Count = len(tr.Refs)

@@ -337,7 +337,7 @@ func (ms *ManagedSession) Rounds() int64 { return ms.rounds.Load() }
 func (ms *ManagedSession) Round() ([]RoundResult, error) {
 	var out []RoundResult
 	var err error
-	DefaultPool().Run("session:"+ms.ID, 1, 1, func(int) {
+	DefaultPool().Run(ms.Session.poolKey(), 1, 1, func(int) {
 		t0 := time.Now()
 		out, err = ms.Extractor.Round()
 		if ms.mgr != nil && ms.mgr.Tenants != nil {

@@ -17,12 +17,13 @@ import (
 // task): workers are a fixed population and a task waiting for pool
 // capacity would deadlock under full load.
 type Pool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[string][]func()
-	ring   []string // keys with pending work, round-robin order
-	next   int      // ring cursor: next key to serve
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queues  map[string][]func()
+	ring    []string // keys with pending work, round-robin order
+	next    int      // ring cursor: next key to serve
+	closed  bool
+	workers int // the fixed worker population
 }
 
 // NewPool starts a pool with the given number of workers (<= 0 means
@@ -31,7 +32,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{queues: make(map[string][]func())}
+	p := &Pool{queues: make(map[string][]func()), workers: workers}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < workers; i++ {
 		go p.worker()

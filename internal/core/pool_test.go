@@ -4,6 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"visualinux/internal/vclstdlib"
 )
 
 // TestPoolRoundRobinFairness queues one session's whole backlog before a
@@ -110,5 +113,87 @@ func TestPoolSubmitAfterClose(t *testing.T) {
 	p.Submit("x", func() { ran = true })
 	if !ran {
 		t.Fatal("task submitted after Close did not run")
+	}
+}
+
+// queuedKeys parks every DefaultPool worker, runs fn in the background, and
+// returns the pool keys fn's work queued under (the parking key excluded)
+// once fn has queued something; then it releases the workers and waits for
+// fn to finish.
+func queuedKeys(t *testing.T, fn func()) []string {
+	t.Helper()
+	p := DefaultPool()
+	const park = "test:park"
+	release := make(chan struct{})
+	var started sync.WaitGroup
+	started.Add(p.workers)
+	for i := 0; i < p.workers; i++ {
+		p.Submit(park, func() {
+			started.Done()
+			<-release
+		})
+	}
+	started.Wait()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	var keys []string
+	for deadline := time.Now().Add(10 * time.Second); len(keys) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("nothing queued on the pool")
+		}
+		p.mu.Lock()
+		for _, k := range p.ring {
+			if k != park {
+				keys = append(keys, k)
+			}
+		}
+		p.mu.Unlock()
+	}
+	close(release)
+	<-done
+	return keys
+}
+
+// TestManagedSessionOnePoolKey pins one pool identity per session: a
+// managed round, a figure extraction into the session and a fleet query
+// over it all queue under the session's own key, so the pool's round-robin
+// sees one tenant, not two.
+func TestManagedSessionOnePoolKey(t *testing.T) {
+	m := NewSessionManager(ManagerOptions{}, nil)
+	ms, err := m.Create("solo", tinySession())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, ok := vclstdlib.FigureByID("7-1")
+	if !ok {
+		t.Fatal("no figure 7-1")
+	}
+	figs := []vclstdlib.Figure{fig}
+	fleet := &Fleet{Mgr: m}
+	want := ms.Session.poolKey()
+	for name, fn := range map[string]func(){
+		"Round": func() {
+			if _, err := ms.Round(); err != nil {
+				t.Error(err)
+			}
+		},
+		"ExtractFiguresInto": func() {
+			if _, err := ExtractFiguresInto(ms.Session, ms.Kernel, figs, 1); err != nil {
+				t.Error(err)
+			}
+		},
+		"Fleet.Query": func() {
+			if _, err := fleet.Query(FleetQuery{Figure: "7-1", Query: "tasks = SELECT task_struct FROM *"}); err != nil {
+				t.Error(err)
+			}
+		},
+	} {
+		if keys := queuedKeys(t, fn); len(keys) != 1 || keys[0] != want {
+			t.Errorf("%s queued under %q, want only %q", name, keys, want)
+		}
 	}
 }

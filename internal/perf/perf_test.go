@@ -98,9 +98,10 @@ func TestSnapshotCacheSpeedup(t *testing.T) {
 
 // TestTable4MatchesBaseline gates the cached KGDB column against the
 // committed BENCH_1.json (what `perfbench -json` writes). The link traffic is
-// deterministic, so every figure's objects, transactions and bytes must match
-// exactly; kgdb_ms adds the extraction's wall time to the modeled link time,
-// and the 25% + 50 ms slack is for that wall share only.
+// deterministic, so every figure's objects, transactions, bytes and modeled
+// link time (link_ms) must match exactly; kgdb_ms adds the extraction's wall
+// time (cpu_ms) to link_ms, and the 25% + 50 ms slack is for that wall share
+// only.
 func TestTable4MatchesBaseline(t *testing.T) {
 	blob, err := os.ReadFile("../../BENCH_1.json")
 	if err != nil {
@@ -112,6 +113,7 @@ func TestTable4MatchesBaseline(t *testing.T) {
 		BytesRead    uint64  `json:"bytes_read"`
 		Transactions uint64  `json:"transactions"`
 		KGDBMs       float64 `json:"kgdb_ms"`
+		LinkMS       float64 `json:"link_ms"`
 	}
 	if err := json.Unmarshal(blob, &base); err != nil {
 		t.Fatal(err)
@@ -130,6 +132,10 @@ func TestTable4MatchesBaseline(t *testing.T) {
 			t.Errorf("%s: objects/txns/bytes %d/%d/%.0f, BENCH_1.json %s %d/%d/%d (regenerate with `make table4` if intended)",
 				p.FigureID, got.Objects, got.Transactions, got.KBytes*1024,
 				b.Figure, b.Objects, b.Transactions, b.BytesRead)
+		}
+		if got.LinkMS != b.LinkMS {
+			t.Errorf("%s: modeled link %v ms, BENCH_1.json %v ms (regenerate with `make table4` if intended)",
+				p.FigureID, got.LinkMS, b.LinkMS)
 		}
 		if limit := b.KGDBMs*1.25 + 50; got.TotalMS > limit {
 			t.Errorf("%s: kgdb %.1f ms, over BENCH_1.json's %.1f ms + 25%% + 50 ms", p.FigureID, got.TotalMS, b.KGDBMs)

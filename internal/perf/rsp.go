@@ -51,9 +51,9 @@ func (r *RSPSession) MeasureFigureRSP(fig vclstdlib.Figure) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	elapsed := time.Since(t0)
+	wall := time.Since(t0)
 	reads1, bytes1, txns1 := r.Client.Stats().Totals()
-	return makeRow(fig.ID, p.Graph.Stats.Objects, reads1-reads0, txns1-txns0, bytes1-bytes0, elapsed), nil
+	return makeRow(fig.ID, p.Graph.Stats.Objects, reads1-reads0, txns1-txns0, bytes1-bytes0, wall, 0), nil
 }
 
 // Table4RSP measures every figure over the RSP wire.

@@ -64,7 +64,7 @@ func MeasureSteadyState(opts kernelsim.Options, model target.LatencyModel, witho
 	var base target.Target = target.WithLatency(k.Target(), model)
 	lt := base.(*target.Latency)
 	if withoutJournal {
-		base = hashOnlyTarget{base}
+		base = hashOnlyTarget{target.Layer{Target: base}}
 	}
 	figs := vclstdlib.Figures()
 	x := core.NewIncrementalExtractor(k, base, figs, nil)
@@ -140,24 +140,15 @@ func MeasureSteadyState(opts kernelsim.Options, model target.LatencyModel, witho
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// hashOnlyTarget hides the DirtyTracker capability of the chain below while
-// keeping everything else (including PageHasher), modeling a stub that
-// never advertised the dirty-ranges annex.
+// hashOnlyTarget refuses the DirtyTracker capability of the chain below,
+// modeling a stub that never advertised the dirty-ranges annex; content
+// hashes and everything else are still found below it.
 type hashOnlyTarget struct {
-	target.Target
+	target.Layer
 }
 
-// Under exposes the chain for tracer attachment — but deliberately NOT via
-// interface probing of the embedded field: type assertions on
-// hashOnlyTarget itself see only Target's method set plus what's declared
-// here, which is exactly the point.
-func (h hashOnlyTarget) Under() target.Target { return h.Target }
+// DirtySince refuses DirtyTracker: no journal, so revalidation falls back
+// to content hashes.
+func (hashOnlyTarget) DirtySince(uint64) ([]target.Range, uint64, bool) { return nil, 0, false }
 
-func (h hashOnlyTarget) HashBlocks(addr, size uint64) ([]uint64, bool) {
-	return target.HashBlocks(h.Target, addr, size)
-}
-
-var (
-	_ target.PageHasher = hashOnlyTarget{}
-	_ target.Underlier  = hashOnlyTarget{}
-)
+var _ target.DirtyTracker = hashOnlyTarget{}

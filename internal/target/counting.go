@@ -1,74 +1,44 @@
 package target
 
-import "visualinux/internal/ctypes"
-
 // Counted forwards reads to an underlying target while keeping its own
 // Stats. The Table 4 harness wraps the shared kernel target once per
 // measurement, so concurrent extraction workers each get an isolated
 // counter instead of racing to diff one shared Stats.
+//
+// Counted declares only what it counts: reads and stub-side metadata round
+// trips. Every other capability of the chain is found below it (Find).
 type Counted struct {
-	under Target
+	Layer
 	stats Stats
 }
 
 // WithStats returns a view of t with a fresh, independent Stats.
-func WithStats(t Target) *Counted { return &Counted{under: t} }
+func WithStats(t Target) *Counted { return &Counted{Layer: Layer{t}} }
 
 // ReadMemory implements Target.
 func (c *Counted) ReadMemory(addr uint64, buf []byte) error {
 	c.stats.CountRead(len(buf))
-	return c.under.ReadMemory(addr, buf)
+	return c.Target.ReadMemory(addr, buf)
 }
 
-// Prefetch implements Prefetcher when the underlying target does.
-func (c *Counted) Prefetch(addr, size uint64) {
-	if p, ok := c.under.(Prefetcher); ok {
-		p.Prefetch(addr, size)
-	}
-}
-
-// PrefetchRanges implements BatchPrefetcher when the underlying target does.
-func (c *Counted) PrefetchRanges(ranges []Range) {
-	if bp, ok := c.under.(BatchPrefetcher); ok {
-		bp.PrefetchRanges(ranges)
-	}
-}
-
-// ClipMapped implements RangeProber when the underlying target does.
-func (c *Counted) ClipMapped(addr, size uint64) ([]Range, bool) {
-	return ClipMapped(c.under, addr, size)
-}
-
-// HashBlocks implements PageHasher when the underlying target does. A
-// served hash query is one stub-side metadata round trip.
+// HashBlocks implements PageHasher when the chain below does. A served hash
+// query is one stub-side metadata round trip.
 func (c *Counted) HashBlocks(addr, size uint64) ([]uint64, bool) {
-	hashes, ok := HashBlocks(c.under, addr, size)
+	hashes, ok := HashBlocks(c.Target, addr, size)
 	if ok {
 		c.stats.HashChecks.Add(1)
 	}
 	return hashes, ok
 }
 
-// DirtySince implements DirtyTracker when the underlying target does.
+// DirtySince implements DirtyTracker when the chain below does.
 func (c *Counted) DirtySince(mark uint64) ([]Range, uint64, bool) {
-	ranges, next, ok := DirtySince(c.under, mark)
+	ranges, next, ok := DirtySince(c.Target, mark)
 	if ok {
 		c.stats.HashChecks.Add(1)
 	}
 	return ranges, next, ok
 }
-
-// Under returns the wrapped target.
-func (c *Counted) Under() Target { return c.under }
-
-// LookupSymbol implements Target.
-func (c *Counted) LookupSymbol(name string) (Symbol, bool) { return c.under.LookupSymbol(name) }
-
-// SymbolAt implements Target.
-func (c *Counted) SymbolAt(addr uint64) (string, bool) { return c.under.SymbolAt(addr) }
-
-// Types implements Target.
-func (c *Counted) Types() *ctypes.Registry { return c.under.Types() }
 
 // Stats implements Target.
 func (c *Counted) Stats() *Stats { return &c.stats }

@@ -65,19 +65,19 @@ type DirtyTracker interface {
 	DirtySince(mark uint64) (ranges []Range, next uint64, ok bool)
 }
 
-// HashBlocks asks t (or, for wrappers that forward it, the chain under t)
-// for stub-side block hashes. ok=false when nothing in the chain hashes.
+// HashBlocks asks t's chain for stub-side block hashes. ok=false when
+// nothing in the chain hashes.
 func HashBlocks(t Target, addr, size uint64) ([]uint64, bool) {
-	if h, ok := t.(PageHasher); ok {
+	if h, ok := Find[PageHasher](t); ok {
 		return h.HashBlocks(addr, size)
 	}
 	return nil, false
 }
 
-// DirtySince asks t for the write journal since mark. ok=false when nothing
-// in the chain tracks writes or history was lost.
+// DirtySince asks t's chain for the write journal since mark. ok=false when
+// nothing in the chain tracks writes or history was lost.
 func DirtySince(t Target, mark uint64) ([]Range, uint64, bool) {
-	if d, ok := t.(DirtyTracker); ok {
+	if d, ok := Find[DirtyTracker](t); ok {
 		return d.DirtySince(mark)
 	}
 	return nil, 0, false

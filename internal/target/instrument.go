@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"visualinux/internal/ctypes"
 	"visualinux/internal/obs"
 )
 
@@ -22,8 +21,12 @@ import (
 //
 // The tracer is held in an atomic pointer: extraction runs swap it in and
 // out while other sessions over the same chain keep reading.
+//
+// The tap declares only what it observes: link reads and hash queries.
+// Everything else — prefetch, the memory map, the write journal, zero-copy
+// pages — is found below it (Find) and never crosses the link it watches.
 type Instrumented struct {
-	under  Target
+	Layer
 	stats  Stats
 	o      *obs.Observer
 	tracer atomic.Pointer[obs.Tracer]
@@ -42,7 +45,7 @@ type Instrumented struct {
 // (e.g. {"cache", "miss"} under a snapshot) are stamped on every
 // transaction span.
 func Instrument(t Target, o *obs.Observer, tags ...obs.Tag) *Instrumented {
-	in := &Instrumented{under: t, o: o, tags: tags}
+	in := &Instrumented{Layer: Layer{t}, o: o, tags: tags}
 	if v, ok := t.(interface{ VirtualElapsed() time.Duration }); ok {
 		in.virtual = v
 	}
@@ -68,12 +71,12 @@ func (in *Instrumented) ReadMemory(addr uint64, buf []byte) error {
 	tr := in.tracer.Load()
 	if tr == nil {
 		if in.o == nil {
-			return in.under.ReadMemory(addr, buf)
+			return in.Target.ReadMemory(addr, buf)
 		}
 		// Metrics-only path: histogram the transaction without a span.
 		t0 := time.Now()
 		v0 := in.virtualNow()
-		err := in.under.ReadMemory(addr, buf)
+		err := in.Target.ReadMemory(addr, buf)
 		d := time.Since(t0) + in.virtualNow() - v0
 		in.readHist.Observe(float64(d.Nanoseconds()) / 1e6)
 		return err
@@ -86,7 +89,7 @@ func (in *Instrumented) ReadMemory(addr uint64, buf []byte) error {
 	}
 	t0 := time.Now()
 	v0 := in.virtualNow()
-	err := in.under.ReadMemory(addr, buf)
+	err := in.Target.ReadMemory(addr, buf)
 	modeled := in.virtualNow() - v0
 	if modeled > 0 {
 		sp.TagUint("model_ns", uint64(modeled))
@@ -107,61 +110,15 @@ func (in *Instrumented) virtualNow() time.Duration {
 	return in.virtual.VirtualElapsed()
 }
 
-// Prefetch implements Prefetcher when the underlying target does.
-func (in *Instrumented) Prefetch(addr, size uint64) {
-	if p, ok := in.under.(Prefetcher); ok {
-		p.Prefetch(addr, size)
-	}
-}
-
-// PrefetchRanges implements BatchPrefetcher when the underlying target does.
-func (in *Instrumented) PrefetchRanges(ranges []Range) {
-	if bp, ok := in.under.(BatchPrefetcher); ok {
-		bp.PrefetchRanges(ranges)
-	}
-}
-
-// ClipMapped implements RangeProber when the underlying target does.
-func (in *Instrumented) ClipMapped(addr, size uint64) ([]Range, bool) {
-	return ClipMapped(in.under, addr, size)
-}
-
-// HashBlocks implements PageHasher when the underlying target does.
+// HashBlocks implements PageHasher when the chain below does, counting each
+// served query as one stub-side metadata round trip.
 func (in *Instrumented) HashBlocks(addr, size uint64) ([]uint64, bool) {
-	hashes, ok := HashBlocks(in.under, addr, size)
+	hashes, ok := HashBlocks(in.Target, addr, size)
 	if ok {
 		in.stats.HashChecks.Add(1)
 	}
 	return hashes, ok
 }
-
-// DirtySince implements DirtyTracker when the underlying target does.
-func (in *Instrumented) DirtySince(mark uint64) ([]Range, uint64, bool) {
-	return DirtySince(in.under, mark)
-}
-
-// PageData implements PageProvider when the underlying target does. Aliased
-// pages never cross the (modeled) link, so this intentionally bypasses the
-// link counters — zero-copy fills are free by construction, and counting them
-// as transactions would misstate link traffic.
-func (in *Instrumented) PageData(addr uint64) ([]byte, bool) {
-	if pp, ok := in.under.(PageProvider); ok {
-		return pp.PageData(addr)
-	}
-	return nil, false
-}
-
-// Under returns the wrapped target.
-func (in *Instrumented) Under() Target { return in.under }
-
-// LookupSymbol implements Target.
-func (in *Instrumented) LookupSymbol(name string) (Symbol, bool) { return in.under.LookupSymbol(name) }
-
-// SymbolAt implements Target.
-func (in *Instrumented) SymbolAt(addr uint64) (string, bool) { return in.under.SymbolAt(addr) }
-
-// Types implements Target.
-func (in *Instrumented) Types() *ctypes.Registry { return in.under.Types() }
 
 // Stats implements Target.
 func (in *Instrumented) Stats() *Stats { return &in.stats }
@@ -170,12 +127,6 @@ var (
 	_ Target            = (*Instrumented)(nil)
 	_ obs.TracerCarrier = (*Instrumented)(nil)
 )
-
-// Underlier is implemented by every target wrapper in this package,
-// exposing the next layer down so chain walkers can find a specific layer.
-type Underlier interface {
-	Under() Target
-}
 
 // AttachTracer walks t's wrapper chain and attaches tr to every
 // obs.TracerCarrier found (nil detaches). It reports whether any carrier

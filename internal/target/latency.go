@@ -3,8 +3,6 @@ package target
 import (
 	"sync/atomic"
 	"time"
-
-	"visualinux/internal/ctypes"
 )
 
 // LatencyModel prices one read transaction on a slow debug link. The paper
@@ -58,8 +56,12 @@ var DefaultKGDB = LatencyModel{
 // reaches it is one modeled transaction; the accumulated cost is read back
 // with VirtualElapsed. Layer a Snapshot on top and cache hits never get
 // here — that is exactly the coalescing win Table 4's KGDB column shows.
+//
+// Latency declares only what it prices or refuses: reads, hash and journal
+// queries, and zero-copy pages (refused). The memory map, symbols and types
+// are local metadata, found below it at no link cost.
 type Latency struct {
-	under   Target
+	Layer
 	model   LatencyModel
 	stats   Stats
 	virtual atomic.Int64 // accumulated modeled nanoseconds
@@ -67,25 +69,19 @@ type Latency struct {
 
 // WithLatency wraps t with the given cost model.
 func WithLatency(t Target, model LatencyModel) *Latency {
-	return &Latency{under: t, model: model}
+	return &Latency{Layer: Layer{t}, model: model}
 }
 
 // ReadMemory implements Target, charging the model per transaction.
 func (l *Latency) ReadMemory(addr uint64, buf []byte) error {
 	l.stats.CountRead(len(buf))
 	l.charge(l.model.Cost(len(buf)))
-	return l.under.ReadMemory(addr, buf)
+	return l.Target.ReadMemory(addr, buf)
 }
 
-// Under returns the wrapped target.
-func (l *Latency) Under() Target { return l.under }
-
-// ClipMapped implements RangeProber when the underlying target does. The
-// memory map is metadata (DWARF-side, not guest reads), so no latency is
-// charged.
-func (l *Latency) ClipMapped(addr, size uint64) ([]Range, bool) {
-	return ClipMapped(l.under, addr, size)
-}
+// PageData refuses PageProvider: a modeled serial link has no same-process
+// pages, so every cache fill above it must pay the link.
+func (l *Latency) PageData(uint64) ([]byte, bool) { return nil, false }
 
 // charge accounts one modeled cost on the virtual clock (or the wall
 // clock in Sleep mode).
@@ -97,10 +93,10 @@ func (l *Latency) charge(cost time.Duration) {
 	}
 }
 
-// HashBlocks implements PageHasher when the underlying target does, charging
-// the metadata round trip plus the wire cost of the returned hashes.
+// HashBlocks implements PageHasher when the chain below does, charging the
+// metadata round trip plus the wire cost of the returned hashes.
 func (l *Latency) HashBlocks(addr, size uint64) ([]uint64, bool) {
-	hashes, ok := HashBlocks(l.under, addr, size)
+	hashes, ok := HashBlocks(l.Target, addr, size)
 	if ok {
 		l.stats.HashChecks.Add(1)
 		l.charge(l.model.PerHashCheck + time.Duration(len(hashes)*8)*l.model.PerByte)
@@ -108,11 +104,11 @@ func (l *Latency) HashBlocks(addr, size uint64) ([]uint64, bool) {
 	return hashes, ok
 }
 
-// DirtySince implements DirtyTracker when the underlying target does. One
-// cheap metadata round trip: the journal lives on the stub side and its
-// reply is a handful of ranges.
+// DirtySince implements DirtyTracker when the chain below does. One cheap
+// metadata round trip: the journal lives on the stub side and its reply is a
+// handful of ranges.
 func (l *Latency) DirtySince(mark uint64) ([]Range, uint64, bool) {
-	d, have := l.under.(DirtyTracker)
+	d, have := Find[DirtyTracker](l.Target)
 	if !have {
 		return nil, 0, false
 	}
@@ -130,18 +126,11 @@ func (l *Latency) VirtualElapsed() time.Duration {
 // ResetVirtual zeroes the virtual clock (between measurements).
 func (l *Latency) ResetVirtual() { l.virtual.Store(0) }
 
-// LookupSymbol implements Target (symbols are local, like vmlinux DWARF —
-// no link traffic).
-func (l *Latency) LookupSymbol(name string) (Symbol, bool) { return l.under.LookupSymbol(name) }
-
-// SymbolAt implements Target.
-func (l *Latency) SymbolAt(addr uint64) (string, bool) { return l.under.SymbolAt(addr) }
-
-// Types implements Target.
-func (l *Latency) Types() *ctypes.Registry { return l.under.Types() }
-
 // Stats implements Target: the counters of transactions that actually
 // crossed the modeled link.
 func (l *Latency) Stats() *Stats { return &l.stats }
 
-var _ Target = (*Latency)(nil)
+var (
+	_ Target       = (*Latency)(nil)
+	_ PageProvider = (*Latency)(nil)
+)

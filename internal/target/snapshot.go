@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"visualinux/internal/ctypes"
 	"visualinux/internal/obs"
 )
 
@@ -72,7 +71,7 @@ func (p *spage) unalias() {
 // A Snapshot is safe for concurrent readers (parallel pane extraction over
 // one stop event).
 type Snapshot struct {
-	under Target
+	Layer
 	stats Stats
 
 	// provider is the chain's zero-copy capability, resolved once: non-nil
@@ -124,8 +123,8 @@ type Snapshot struct {
 // writes, the journal cursor is armed here — before anything is cached — so
 // the first Advance can promote pages the journal proves untouched.
 func NewSnapshot(t Target) *Snapshot {
-	s := &Snapshot{under: t, pages: make(map[uint64]*spage), gen: 1}
-	if pp, ok := t.(PageProvider); ok {
+	s := &Snapshot{Layer: Layer{t}, pages: make(map[uint64]*spage), gen: 1}
+	if pp, ok := Find[PageProvider](t); ok {
 		s.provider = pp
 	}
 	if _, next, ok := DirtySince(t, ^uint64(0)); ok {
@@ -133,9 +132,6 @@ func NewSnapshot(t Target) *Snapshot {
 	}
 	return s
 }
-
-// Under returns the wrapped target (e.g. to read its link-level stats).
-func (s *Snapshot) Under() Target { return s.under }
 
 // Instrument mirrors the snapshot's cache events into the observer's
 // shared counters (hit/miss/fill/invalidation series plus the derived
@@ -191,7 +187,7 @@ func (s *Snapshot) Advance() {
 
 	var dirty []Range
 	if s.dirtyOK {
-		ranges, next, ok := DirtySince(s.under, s.dirtyMark)
+		ranges, next, ok := DirtySince(s.Target, s.dirtyMark)
 		if ok {
 			dirty, s.dirtyMark = ranges, next
 		} else {
@@ -202,7 +198,7 @@ func (s *Snapshot) Advance() {
 		// Journal unavailable or history lost: leave every page stale for
 		// hash revalidation, and re-arm the cursor so the NEXT stop can use
 		// the fast path again.
-		if _, next, ok := DirtySince(s.under, ^uint64(0)); ok {
+		if _, next, ok := DirtySince(s.Target, ^uint64(0)); ok {
 			s.dirtyMark, s.dirtyOK = next, true
 		}
 		return
@@ -341,7 +337,7 @@ func (s *Snapshot) ReadMemory(addr uint64, buf []byte) error {
 		// A page in the range is unreadable. Degrade to a direct read of
 		// exactly the requested range so error semantics match the
 		// underlying target (partial ranges fail there too).
-		return s.under.ReadMemory(addr, buf)
+		return s.Target.ReadMemory(addr, buf)
 	}
 	s.mu.RLock()
 	resident := true
@@ -356,7 +352,7 @@ func (s *Snapshot) ReadMemory(addr uint64, buf []byte) error {
 	}
 	s.mu.RUnlock()
 	if !resident {
-		return s.under.ReadMemory(addr, buf)
+		return s.Target.ReadMemory(addr, buf)
 	}
 	return nil
 }
@@ -578,7 +574,7 @@ func (s *Snapshot) refetchBlocksLocked(base uint64, p *spage, bits uint16) {
 		off := uint64(i) * SubPage
 		n := uint64(j-i+1) * SubPage
 		tmp := (*scratch)[:n]
-		if err := s.under.ReadMemory(base+off, tmp); err != nil {
+		if err := s.Target.ReadMemory(base+off, tmp); err != nil {
 			delete(s.pages, base)
 			return
 		}
@@ -609,7 +605,7 @@ func (s *Snapshot) revalidateRunLocked(base, end uint64) {
 	sp.TagHex("base", base)
 	sp.TagUint("pages", size/PageSize)
 	defer sp.End()
-	hashes, ok := HashBlocks(s.under, base, size)
+	hashes, ok := HashBlocks(s.Target, base, size)
 	if !ok || len(hashes) != int(size/SubPage) {
 		for pb := base; ; pb += PageSize {
 			s.refetchPageLocked(pb)
@@ -652,7 +648,7 @@ func (s *Snapshot) refetchPageLocked(pb uint64) {
 	scratch := pageScratch.Get().(*[]byte)
 	defer pageScratch.Put(scratch)
 	tmp := *scratch
-	if err := s.under.ReadMemory(pb, tmp); err != nil {
+	if err := s.Target.ReadMemory(pb, tmp); err != nil {
 		delete(s.pages, pb)
 		return
 	}
@@ -703,7 +699,7 @@ func (s *Snapshot) fillLocked(first, last uint64) error {
 // anyway.
 func (s *Snapshot) fillRun(base, end uint64) error {
 	size := end - base + PageSize
-	if clipped, ok := ClipMapped(s.under, base, size); ok {
+	if clipped, ok := ClipMapped(s.Target, base, size); ok {
 		var firstErr error
 		covered := uint64(0)
 		for _, r := range clipped {
@@ -800,7 +796,7 @@ func (s *Snapshot) readRun(base, size uint64) error {
 // Caller holds s.mu.
 func (s *Snapshot) copyRun(base, size uint64) error {
 	run := make([]byte, size)
-	if err := s.under.ReadMemory(base, run); err != nil {
+	if err := s.Target.ReadMemory(base, run); err != nil {
 		return err
 	}
 	s.mFills.Inc()
@@ -816,23 +812,9 @@ func (s *Snapshot) copyRun(base, size uint64) error {
 	return nil
 }
 
-// LookupSymbol implements Target.
-func (s *Snapshot) LookupSymbol(name string) (Symbol, bool) { return s.under.LookupSymbol(name) }
-
-// SymbolAt implements Target.
-func (s *Snapshot) SymbolAt(addr uint64) (string, bool) { return s.under.SymbolAt(addr) }
-
-// Types implements Target.
-func (s *Snapshot) Types() *ctypes.Registry { return s.under.Types() }
-
 // Stats implements Target: logical reads as the extraction issued them
 // (the underlying target's Stats count what actually crossed the link).
 func (s *Snapshot) Stats() *Stats { return &s.stats }
-
-// ClipMapped implements RangeProber when the underlying chain does.
-func (s *Snapshot) ClipMapped(addr, size uint64) ([]Range, bool) {
-	return ClipMapped(s.under, addr, size)
-}
 
 var (
 	_ Target            = (*Snapshot)(nil)

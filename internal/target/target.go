@@ -94,6 +94,40 @@ type Target interface {
 	Stats() *Stats
 }
 
+// Underlier is implemented by every target wrapper, exposing the next layer
+// down so chain walkers (Find, AttachTracer) can see past it.
+type Underlier interface {
+	Under() Target
+}
+
+// Layer is embedded by target wrappers: it holds the wrapped target, passes
+// symbols and types straight through, and is the wrapper's Underlier.
+type Layer struct{ Target }
+
+// Under returns the wrapped target.
+func (l Layer) Under() Target { return l.Target }
+
+// Find returns the first layer of t's wrapper chain — t itself, then each
+// Under() in turn — that declares capability C. This is the one way a
+// capability is looked up: a wrapper declares a capability only when it
+// changes it (counts it, prices it or refuses it), and every other layer is
+// seen through, so nothing needs hand-forwarding and nothing is dropped by
+// a wrapper that forgot to.
+func Find[C any](t Target) (C, bool) {
+	for t != nil {
+		if c, ok := t.(C); ok {
+			return c, true
+		}
+		u, ok := t.(Underlier)
+		if !ok {
+			break
+		}
+		t = u.Under()
+	}
+	var zero C
+	return zero, false
+}
+
 // Prefetcher is implemented by targets that can pull a memory range close
 // (into a cache) ahead of fine-grained reads. Prefetch is advisory: errors
 // are swallowed and the range may be partially unavailable.
@@ -156,9 +190,10 @@ type RangeProber interface {
 	ClipMapped(addr, size uint64) (ranges []Range, ok bool)
 }
 
-// ClipMapped probes t's memory map when it has one. See RangeProber.
+// ClipMapped probes the memory map of t's chain when it has one. See
+// RangeProber.
 func ClipMapped(t Target, addr, size uint64) ([]Range, bool) {
-	if p, ok := t.(RangeProber); ok {
+	if p, ok := Find[RangeProber](t); ok {
 		return p.ClipMapped(addr, size)
 	}
 	return nil, false
@@ -171,10 +206,11 @@ func ClipMapped(t Target, addr, size uint64) ([]Range, bool) {
 // must read a copy through ReadMemory instead.
 //
 // This is a zero-copy capability, not a read: callers may alias the returned
-// slice indefinitely and must never write through it. Link-modeling wrappers
-// (Latency, the RSP client) deliberately do NOT forward it — a modeled serial
-// link has no same-process pages to share, and forwarding would let cache
-// fills skip the per-byte cost the paper measures.
+// slice indefinitely and must never write through it. A link-modeling
+// wrapper refuses it (Latency.PageData always answers ok=false) and the RSP
+// client never declares it — a modeled or real serial link has no
+// same-process pages to share, and reaching the sim's pages through it would
+// let cache fills skip the per-byte cost the paper measures.
 type PageProvider interface {
 	PageData(addr uint64) (data []byte, ok bool)
 }
@@ -206,7 +242,7 @@ func PrefetchBatch(t Target, ranges []Range) {
 	if len(rs) == 0 {
 		return
 	}
-	if bp, ok := t.(BatchPrefetcher); ok {
+	if bp, ok := Find[BatchPrefetcher](t); ok {
 		bp.PrefetchRanges(rs)
 		return
 	}
@@ -233,7 +269,7 @@ func Prefetch(t Target, addr, size uint64) {
 	if addr+size < addr {
 		size = -addr // clamp a wrapping range (poisoned pointer) at the top
 	}
-	if p, ok := t.(Prefetcher); ok {
+	if p, ok := Find[Prefetcher](t); ok {
 		p.Prefetch(addr, size)
 	}
 }

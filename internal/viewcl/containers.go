@@ -456,6 +456,9 @@ func (r *runState) iterArray(args []expr.Value, line int) ([]expr.Value, error) 
 	return out, nil
 }
 
+// xaChunkShift is XA_CHUNK_SHIFT: each xa_node level consumes 6 index bits.
+const xaChunkShift = 6
+
 // iterXArray walks an xarray in index order, yielding non-NULL entries as
 // void* values (value entries stay tagged; callers untag via xa_to_value).
 func (r *runState) iterXArray(xa expr.Value, line int) ([]expr.Value, error) {
@@ -481,11 +484,20 @@ func (r *runState) iterXArray(xa expr.Value, line int) ([]expr.Value, error) {
 	nodeT := r.in.Env.Types().MustLookup("xa_node")
 	slotsF, _ := nodeT.FieldByName("slots")
 	shiftF, _ := nodeT.FieldByName("shift")
-	var walk func(nodeAddr uint64) error
-	walk = func(nodeAddr uint64) error {
+	// The kernel's invariant: a child node's shift is exactly its parent's
+	// minus XA_CHUNK_SHIFT. Descending only while it holds bounds the walk's
+	// depth by the root's shift, so a slot pointing back at its own node, or
+	// any longer loop, stops at the first node that breaks it.
+	var corrupt uint64
+	var walk func(nodeAddr uint64, parentShift int) error
+	walk = func(nodeAddr uint64, parentShift int) error {
 		shift, err := target.ReadU8(tgt, nodeAddr+shiftF.Offset)
 		if err != nil {
 			return err
+		}
+		if parentShift >= 0 && int(shift) != parentShift-xaChunkShift {
+			corrupt = nodeAddr
+			return nil
 		}
 		nslots := slotsF.Type.Strip().Count
 		for i := uint64(0); i < nslots; i++ {
@@ -500,7 +512,7 @@ func (r *runState) iterXArray(xa expr.Value, line int) ([]expr.Value, error) {
 				return nil
 			}
 			if shift > 0 && e&3 == 2 && e > 4096 {
-				if err := walk(e - 2); err != nil {
+				if err := walk(e-2, int(shift)); err != nil || corrupt != 0 {
 					return err
 				}
 				continue
@@ -509,8 +521,11 @@ func (r *runState) iterXArray(xa expr.Value, line int) ([]expr.Value, error) {
 		}
 		return nil
 	}
-	if err := walk(head - 2); err != nil {
+	if err := walk(head-2, -1); err != nil {
 		return nil, errf(line, "XArray: %v", err)
+	}
+	if corrupt != 0 {
+		r.notef(line, "XArray cycle or corrupt shift at %#x", corrupt)
 	}
 	return out, nil
 }

@@ -118,3 +118,92 @@ func TestListCycleBounded(t *testing.T) {
 		})
 	}
 }
+
+// xaProgram plots the pages an xarray holds.
+const xaProgram = `
+define P as Box<page> [
+    Text index
+]
+root = Box [
+    Container pages: XArray(${&cycle_xa}).forEach |e| {
+        yield P(@e)
+    }
+]
+plot @root
+`
+
+// An xa_node slot that leads back up the tree must not recurse without end:
+// both engines plot the pages reached before the bad link, stop there, and
+// note the node whose shift breaks the parent-minus-XA_CHUNK_SHIFT
+// invariant. The corruption is a self-slot (the root's second slot points
+// at the root), a two-node loop (the root's child points back at the root),
+// or a bare self-slot (the root's only slot is itself, so no element ever
+// reaches MaxElems to stop the descent).
+func TestXArrayCycleBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		rootShift uint64
+		pages     int
+	}{
+		{"self-slot", 6, 2},
+		{"two-node loop", 12, 2},
+		{"bare self-slot", 6, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := kernelsim.NewBuilder()
+			xa := b.Alloc("xarray")
+			b.Symbol("cycle_xa", xa)
+			slot := func(node kernelsim.Obj, i, v uint64) {
+				b.Mem.WriteU64(node.FieldAddr("slots")+i*8, v)
+			}
+			leaf := b.Alloc("xa_node")
+			for i := 0; i < tc.pages; i++ {
+				pg := b.Alloc("page")
+				pg.Set("index", uint64(i))
+				slot(leaf, uint64(i), pg.Addr)
+			}
+			root := b.Alloc("xa_node")
+			root.Set("shift", tc.rootShift)
+			parent := root // the node whose last slot loops back to root
+			if tc.rootShift > 6 {
+				parent = b.Alloc("xa_node")
+				parent.Set("shift", 6)
+				slot(root, 0, kernelsim.XaMkInternal(parent.Addr))
+			}
+			next := uint64(0)
+			if tc.pages > 0 {
+				slot(parent, 0, kernelsim.XaMkInternal(leaf.Addr))
+				next++
+			}
+			slot(parent, next, kernelsim.XaMkInternal(root.Addr))
+			xa.Set("xa_head", kernelsim.XaMkInternal(root.Addr))
+
+			note := fmt.Sprintf("XArray cycle or corrupt shift at %#x", root.Addr)
+			var texts []string
+			for _, interpret := range []bool{false, true} {
+				env := expr.NewEnv(b.Tgt)
+				kernelsim.RegisterHelpers(env)
+				in := viewcl.New(env)
+				in.Interpret = interpret
+				res, err := in.RunSource("xa-cycle", xaProgram)
+				if err != nil {
+					t.Fatalf("interpret=%v: %v", interpret, err)
+				}
+				var issues []string
+				for _, e := range res.Errors {
+					issues = append(issues, e.Error())
+				}
+				if joined := strings.Join(issues, "\n"); !strings.Contains(joined, note) {
+					t.Errorf("interpret=%v: issues %q lack %q", interpret, issues, note)
+				}
+				if got := len(res.Graph.ByType("page")); got != tc.pages {
+					t.Errorf("interpret=%v: %d page boxes, want %d", interpret, got, tc.pages)
+				}
+				texts = append(texts, render.Text(res.Graph))
+			}
+			if texts[0] != texts[1] {
+				t.Errorf("engines diverge on the looping xarray:\n--- compiled ---\n%s\n--- interpreted ---\n%s", texts[0], texts[1])
+			}
+		})
+	}
+}

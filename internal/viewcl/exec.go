@@ -214,7 +214,7 @@ func (in *Interp) runCompiled(cp *compiledProgram) (*Result, error) {
 	run.exec = e
 	run.curFrame = nil
 	if in.Memo != nil {
-		e.rec = recorder{under: in.Env.Target, run: run}
+		e.rec = recorder{Layer: target.Layer{Target: in.Env.Target}, run: run}
 		run.rec = &e.rec
 		if run.pages == nil {
 			run.pages = make(map[uint64]bool)

@@ -203,7 +203,7 @@ func (in *Interp) runAST(prog *Program) (*Result, error) {
 		memo: make(map[memoKey]string),
 	}
 	if in.Memo != nil {
-		run.rec = &recorder{under: in.Env.Target, run: run}
+		run.rec = &recorder{Layer: target.Layer{Target: in.Env.Target}, run: run}
 		run.pages = make(map[uint64]bool)
 	}
 	if in.Obs != nil {

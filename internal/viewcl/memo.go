@@ -3,7 +3,6 @@ package viewcl
 import (
 	"sync"
 
-	"visualinux/internal/ctypes"
 	"visualinux/internal/graph"
 	"visualinux/internal/target"
 )
@@ -92,17 +91,7 @@ type Memo struct {
 // sits anywhere in base's wrapper chain.
 func NewMemo(base target.Target) *Memo {
 	m := &Memo{base: base, entries: make(map[memoKey]*memoEntry)}
-	for t := base; t != nil; {
-		if v, ok := t.(GenValidator); ok {
-			m.val = v
-			break
-		}
-		u, ok := t.(target.Underlier)
-		if !ok {
-			break
-		}
-		t = u.Under()
-	}
+	m.val, _ = target.Find[GenValidator](base)
 	return m
 }
 
@@ -206,51 +195,18 @@ func (m *Memo) noteReuse() {
 
 // recorder wraps the extraction target during a memoizing run, mirroring
 // every successful read into the innermost recording frame and the
-// run-level page set. It forwards the full optional-capability surface —
-// losing Prefetcher/BatchPrefetcher/RangeProber here would silently
-// disable the coalesced fill paths the cold-run numbers depend on.
+// run-level page set. It declares nothing else: prefetch, the memory map and
+// every other capability are found below it (target.Find), so the coalesced
+// fill paths the cold-run numbers depend on stay reachable.
 type recorder struct {
-	under target.Target
-	run   *runState
+	target.Layer
+	run *runState
 }
 
 func (t *recorder) ReadMemory(addr uint64, buf []byte) error {
-	err := t.under.ReadMemory(addr, buf)
+	err := t.Target.ReadMemory(addr, buf)
 	if err == nil && len(buf) > 0 {
 		t.run.recordRead(addr, buf)
 	}
 	return err
 }
-
-func (t *recorder) LookupSymbol(name string) (target.Symbol, bool) { return t.under.LookupSymbol(name) }
-func (t *recorder) SymbolAt(addr uint64) (string, bool)            { return t.under.SymbolAt(addr) }
-func (t *recorder) Types() *ctypes.Registry                        { return t.under.Types() }
-func (t *recorder) Stats() *target.Stats                           { return t.under.Stats() }
-
-// Under exposes the wrapped chain so AttachTracer and capability probes
-// (GenValidator discovery, PageHasher/DirtyTracker helpers) walk through.
-func (t *recorder) Under() target.Target { return t.under }
-
-func (t *recorder) Prefetch(addr, size uint64) {
-	if p, ok := t.under.(target.Prefetcher); ok {
-		p.Prefetch(addr, size)
-	}
-}
-
-func (t *recorder) PrefetchRanges(ranges []target.Range) {
-	if bp, ok := t.under.(target.BatchPrefetcher); ok {
-		bp.PrefetchRanges(ranges)
-	}
-}
-
-func (t *recorder) ClipMapped(addr, size uint64) ([]target.Range, bool) {
-	return target.ClipMapped(t.under, addr, size)
-}
-
-var (
-	_ target.Target          = (*recorder)(nil)
-	_ target.Underlier       = (*recorder)(nil)
-	_ target.Prefetcher      = (*recorder)(nil)
-	_ target.BatchPrefetcher = (*recorder)(nil)
-	_ target.RangeProber     = (*recorder)(nil)
-)
