@@ -194,20 +194,20 @@ func (r *Runner) vtrace(fields []string) {
 			r.printf("usage: vtrace [pane]\n")
 			return
 		}
-		tr, ok := r.Session.Trace(id)
+		rec, ok := r.Session.Obs.Traces.Last(id)
 		if !ok {
 			r.printf("no trace for pane %d (only plots are traced)\n", id)
 			return
 		}
-		r.printf("pane %d:\n%s", id, tr.FormatTree())
+		r.printf("pane %d:\n%s", id, rec.Trace.FormatTree())
 		return
 	}
-	id, tr, ok := r.Session.LastTrace()
+	rec, ok := r.Session.Obs.Traces.Latest()
 	if !ok {
 		r.printf("no extractions traced yet; vplot first\n")
 		return
 	}
-	r.printf("pane %d:\n%s", id, tr.FormatTree())
+	r.printf("pane %d:\n%s", rec.Pane, rec.Trace.FormatTree())
 }
 
 func (r *Runner) vchat(rest string) {

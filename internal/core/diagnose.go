@@ -69,20 +69,11 @@ func (s *Session) baselineFor(figure string) (float64, bool) {
 	return ms, ok
 }
 
-// Figure reports the figure/extraction name a pane was plotted from.
-func (s *Session) Figure(paneID int) (string, bool) {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	f, ok := s.figures[paneID]
-	return f, ok
-}
-
 // observations packages the session's retained data for the vchat
 // diagnosis layer.
 func (s *Session) observations() vchat.Observations {
 	return vchat.Observations{
 		Obs:      s.Obs,
-		Figure:   s.Figure,
 		Baseline: s.baselineFor,
 		Stream:   s.StreamHealth,
 	}
@@ -120,6 +111,16 @@ func (s *Session) DiagnoseStream() (*vchat.StreamReport, error) {
 	return s.observations().StreamLag()
 }
 
+// latestPane is the pane of the session's most recent traced extraction,
+// 0 when there is none.
+func (s *Session) latestPane() int {
+	if s.Obs == nil {
+		return 0
+	}
+	rec, _ := s.Obs.Traces.Latest()
+	return rec.Pane
+}
+
 // VChat answer kinds.
 const (
 	AnswerViewQL    = "viewql"    // out is a synthesized ViewQL program (already applied)
@@ -141,9 +142,7 @@ func (s *Session) VChatAnswer(paneID int, text string) (kind, out string, err er
 	case vchat.IntentDiagnosePane:
 		s.log("vchat " + text)
 		if target == 0 {
-			s.traceMu.Lock()
-			target = s.lastTrace
-			s.traceMu.Unlock()
+			target = s.latestPane()
 		}
 		if target == 0 {
 			return AnswerDiagnosis, "", fmt.Errorf("vchat: which pane? say e.g. \"why is pane 1 slow?\"")
@@ -170,9 +169,7 @@ func (s *Session) VChatAnswer(paneID int, text string) (kind, out string, err er
 	case vchat.IntentWhatChanged:
 		s.log("vchat " + text)
 		if target == 0 {
-			s.traceMu.Lock()
-			target = s.lastTrace
-			s.traceMu.Unlock()
+			target = s.latestPane()
 		}
 		if target == 0 {
 			return AnswerDiagnosis, "", fmt.Errorf("vchat: no retained rounds yet; vplot first")

@@ -146,7 +146,7 @@ func TestDiagnosisSlowestAndChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	pane := d.Pane
-	if n := o.Traces.Len(pane); n >= 2 {
+	if n := len(o.Traces.History(pane)); n >= 2 {
 		kind, text, err = s.VChatAnswer(0, fmt.Sprintf("what changed in pane %d since the last stop?", pane))
 		if err != nil {
 			t.Fatalf("changes: %v", err)

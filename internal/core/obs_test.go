@@ -85,7 +85,8 @@ func TestSnapshotInvalidations(t *testing.T) {
 }
 
 // TestVPlotTraceRecorded asserts the per-pane trace plumbing: a plot on an
-// observed session leaves a queryable span tree and a slow-log entry.
+// observed session leaves a span tree in the observer's trace store,
+// reachable as the pane's last round, the latest round and a slowest row.
 func TestVPlotTraceRecorded(t *testing.T) {
 	o := obs.NewObserver()
 	s, _, _ := core.NewObservedKernelSession(kernelsim.Options{}, o)
@@ -93,7 +94,8 @@ func TestVPlotTraceRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, ok := s.Trace(p.ID)
+	rec, ok := o.Traces.Last(p.ID)
+	tr := rec.Trace
 	if !ok || tr == nil {
 		t.Fatalf("no trace for pane %d", p.ID)
 	}
@@ -112,12 +114,12 @@ func TestVPlotTraceRecorded(t *testing.T) {
 	if !sawBox || !sawRead {
 		t.Fatalf("trace lacks box/read spans (box=%v read=%v):\n%s", sawBox, sawRead, tr.FormatTree())
 	}
-	id, last, ok := s.LastTrace()
-	if !ok || id != p.ID || last != tr {
-		t.Fatalf("LastTrace = (%d, %p, %v), want (%d, %p, true)", id, last, ok, p.ID, tr)
+	last, ok := o.Traces.Latest()
+	if !ok || last.Pane != p.ID || last.Trace != tr {
+		t.Fatalf("Latest = (%d, %p, %v), want (%d, %p, true)", last.Pane, last.Trace, ok, p.ID, tr)
 	}
-	if o.Slow.Len() == 0 {
-		t.Fatal("slow log is empty after a traced extraction")
+	if slow := o.Traces.Slowest(1); len(slow) != 1 || slow[0].Trace != tr {
+		t.Fatalf("Slowest = %+v, want the traced extraction", slow)
 	}
 }
 
@@ -140,7 +142,8 @@ func TestExtractFiguresInto(t *testing.T) {
 		if p.Graph == nil || len(p.Graph.Boxes) == 0 {
 			t.Fatalf("figure %s: empty pane graph", figs[i].ID)
 		}
-		tr, ok := s.Trace(p.ID)
+		rec, ok := o.Traces.Last(p.ID)
+		tr := rec.Trace
 		if !ok || tr == nil {
 			t.Fatalf("figure %s (pane %d): no trace", figs[i].ID, p.ID)
 		}
@@ -167,9 +170,6 @@ func TestExtractFiguresIntoUnobserved(t *testing.T) {
 	}
 	if len(panes) != 3 {
 		t.Fatalf("panes = %d", len(panes))
-	}
-	if _, ok := s.Trace(panes[0].ID); ok {
-		t.Fatal("unobserved session recorded a trace")
 	}
 }
 

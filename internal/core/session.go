@@ -36,9 +36,9 @@ type Session struct {
 	// session persistence story.
 	History []string
 
-	// Obs, when set, makes every VPlot produce a span tree (queryable per
-	// pane), feed the slow-extraction log, and bump the shared metrics
-	// registry. Set it via EnableObs / ObservedSessionOver.
+	// Obs, when set, makes every VPlot produce a span tree, retained per
+	// pane in Obs.Traces, and bump the shared metrics registry. Set it via
+	// EnableObs / ObservedSessionOver.
 	Obs *obs.Observer
 
 	// StreamHealth, when set by the serving layer, snapshots the stream
@@ -48,11 +48,6 @@ type Session struct {
 
 	programs     map[int]string // pane ID -> ViewCL source (primary panes)
 	secondarySrc map[int]int    // secondary pane ID -> source pane ID
-
-	traceMu   sync.Mutex
-	traces    map[int]*obs.SpanExport // pane ID -> last extraction trace
-	figures   map[int]string          // pane ID -> figure/extraction name
-	lastTrace int                     // pane ID of the most recent extraction
 
 	baselineMu sync.RWMutex
 	baseline   map[string]float64 // figure -> steady-state ms (e.g. BENCH_4.json)
@@ -66,8 +61,6 @@ func NewSession(t target.Target, env *expr.Env) *Session {
 		Target: t, Env: env, Interp: in,
 		programs:     make(map[int]string),
 		secondarySrc: make(map[int]int),
-		traces:       make(map[int]*obs.SpanExport),
-		figures:      make(map[int]string),
 	}
 }
 
@@ -185,41 +178,15 @@ func (s *Session) attachPane(name, program string, res *viewcl.Result) (*panes.P
 	return pane, nil
 }
 
-// recordExtraction files the extraction's trace under its pane ID and feeds
-// the duration into the metrics registry and the slow-extraction log.
+// recordExtraction feeds the extraction's duration into the metrics
+// registry and files its trace in the observer's trace store under its pane.
 func (s *Session) recordExtraction(paneID int, name string, res *viewcl.Result) {
 	if s.Obs == nil || res == nil {
 		return
 	}
 	dur := time.Duration(res.Graph.Stats.DurationNS)
 	s.Obs.ObserveExtraction(name, dur)
-	if res.Trace != nil {
-		s.traceMu.Lock()
-		s.traces[paneID] = res.Trace
-		s.figures[paneID] = name
-		s.lastTrace = paneID
-		s.traceMu.Unlock()
-		s.Obs.Slow.Record(fmt.Sprintf("pane %d (%s)", paneID, name), dur, res.Trace)
-		s.Obs.Traces.Record(paneID, name, float64(dur.Nanoseconds())/1e6, res.Trace)
-	}
-}
-
-// Trace returns the span tree of a pane's most recent extraction, if the
-// session is observed and the pane was produced by a plot.
-func (s *Session) Trace(paneID int) (*obs.SpanExport, bool) {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	t, ok := s.traces[paneID]
-	return t, ok
-}
-
-// LastTrace returns the most recent extraction trace and the pane it
-// belongs to.
-func (s *Session) LastTrace() (int, *obs.SpanExport, bool) {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	t, ok := s.traces[s.lastTrace]
-	return s.lastTrace, t, ok
+	s.Obs.Traces.Record(paneID, name, float64(dur.Nanoseconds())/1e6, res.Trace)
 }
 
 // VPlotAuto synthesizes a naive ViewCL program for a type + root expression

@@ -1,0 +1,62 @@
+package expr_test
+
+import (
+	"regexp"
+	"strings"
+	"testing"
+
+	"visualinux/internal/ctypes"
+	"visualinux/internal/expr"
+	"visualinux/internal/kernelsim"
+	"visualinux/internal/vclstdlib"
+)
+
+// deepParens nests a literal in n parentheses: 2n+1 bytes.
+func deepParens(n int) string {
+	return strings.Repeat("(", n) + "1" + strings.Repeat(")", n)
+}
+
+var escapeRe = regexp.MustCompile(`\$\{([^}]*)\}`)
+
+// stdlibExprs returns the body of every ${...} escape in the stdlib
+// figures: the C expressions the parser must keep accepting.
+func stdlibExprs(t testing.TB) []string {
+	var out []string
+	for _, fig := range vclstdlib.Figures() {
+		for _, m := range escapeRe.FindAllStringSubmatch(fig.Program, -1) {
+			out = append(out, m[1])
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no ${...} escapes found in the stdlib figures")
+	}
+	return out
+}
+
+// TestParseDepthCapped: 2^20 nested parentheses (2 MB, under the server's
+// request-body limit) come back as an error instead of overflowing the
+// goroutine stack, and every stdlib expression still parses.
+func TestParseDepthCapped(t *testing.T) {
+	reg := kernelsim.RegisterTypes(ctypes.NewRegistry())
+	if _, err := expr.Parse(deepParens(1<<20), reg); err == nil || !strings.Contains(err.Error(), "nested too deeply") {
+		t.Fatalf("2^20 nested parens: err = %v, want a nesting error", err)
+	}
+	for _, src := range stdlibExprs(t) {
+		if _, err := expr.Parse(src, reg); err != nil {
+			t.Errorf("stdlib expression %q: %v", src, err)
+		}
+	}
+}
+
+// FuzzExprParse: Parse must never panic, whatever the source.
+func FuzzExprParse(f *testing.F) {
+	for _, src := range stdlibExprs(f) {
+		f.Add(src)
+	}
+	f.Add(deepParens(1 << 10))
+	f.Add("-!~*&" + deepParens(64))
+	reg := kernelsim.RegisterTypes(ctypes.NewRegistry())
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = expr.Parse(src, reg) // errors fine; panics are the failure mode
+	})
+}

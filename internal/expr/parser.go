@@ -149,11 +149,18 @@ type sizeofTypeNode struct{ typ *ctypes.Type }
 // --- parser ------------------------------------------------------------------
 
 type parser struct {
-	toks []token
-	pos  int
-	reg  *ctypes.Registry
-	src  string
+	toks  []token
+	pos   int
+	reg   *ctypes.Registry
+	src   string
+	depth int // current nesting (see maxParseDepth)
 }
+
+// maxParseDepth bounds expression nesting. Every recursive production
+// passes through parseUnary, which counts it. Hand-written expressions nest
+// a few levels; a hostile "((((..." would otherwise recurse once per paren
+// and exhaust the goroutine stack, a fatal error recover() cannot catch.
+const maxParseDepth = 64
 
 func (p *parser) peek() token   { return p.toks[p.pos] }
 func (p *parser) next() token   { t := p.toks[p.pos]; p.pos++; return t }
@@ -242,6 +249,10 @@ func (p *parser) parseBinary(level int) (node, error) {
 }
 
 func (p *parser) parseUnary() (node, error) {
+	if p.depth++; p.depth > maxParseDepth {
+		return nil, fmt.Errorf("expr: nested too deeply (max %d)", maxParseDepth)
+	}
+	defer func() { p.depth-- }()
 	t := p.peek()
 	if t.Kind == tokPunct {
 		switch t.Text {

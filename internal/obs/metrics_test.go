@@ -82,6 +82,7 @@ func TestPrometheusGolden(t *testing.T) {
 func TestConcurrentMetrics(t *testing.T) {
 	r := obs.NewRegistry()
 	o := obs.NewObserver()
+	trace := &obs.SpanExport{Name: "w"}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -92,7 +93,9 @@ func TestConcurrentMetrics(t *testing.T) {
 				r.Histogram("shared_ms", "shared", nil).Observe(float64(i))
 				o.ObserveStage("extract", time.Millisecond)
 				o.ObserveExtraction("7-1", time.Millisecond)
-				o.Slow.Record("w", time.Duration(i)*time.Millisecond, nil)
+				o.Traces.Record(w%3+1, "7-1", float64(i), trace)
+				o.Traces.Slowest(2)
+				o.Traces.Latest()
 			}
 		}()
 	}

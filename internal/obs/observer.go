@@ -4,20 +4,19 @@ import (
 	"time"
 )
 
-// Observer bundles the pieces one serving process shares across every
-// extraction: the metrics registry, the slow-extraction log, and the
-// pre-registered counter handles the hot paths bump. One Observer is
-// created per process (vlserver, visualinux, perfbench -trace) and threaded
-// through sessions; per-extraction tracers are created per VPlot and feed
-// their results back here.
+// Observer bundles the pieces shared across every extraction of a session:
+// the metrics registry, the trace store, and the pre-registered counter
+// handles the hot paths bump. Every managed session owns one; vlserver's
+// default session, visualinux and perfbench -trace each create one.
+// Per-extraction tracers are created per VPlot and feed their results back
+// here. Because pane IDs are per session, one Observer's trace store holds
+// one session's panes at a time.
 //
 // A nil *Observer disables everything at the cost of a pointer check.
 type Observer struct {
 	Registry *Registry
-	Slow     *SlowLog
-	// Traces retains the last few span trees per pane — the store the
-	// vchat diagnosis layer answers from (recency-based, unlike the
-	// slowest-per-label Slow log).
+	// Traces retains span trees per pane: the store /debug/trace,
+	// /debug/slowlog and the vchat diagnosis layer answer from.
 	Traces *TraceStore
 
 	// Link-level traffic (bumped by target.Instrumented, i.e. only what
@@ -81,12 +80,11 @@ type Observer struct {
 }
 
 // NewObserver creates a fully wired observer with a fresh registry and a
-// DefaultSlowLogSize slow log.
+// DefaultTraceStoreDepth trace store.
 func NewObserver() *Observer {
 	r := NewRegistry()
 	o := &Observer{
 		Registry: r,
-		Slow:     NewSlowLog(DefaultSlowLogSize),
 		Traces:   NewTraceStore(DefaultTraceStoreDepth),
 
 		LinkReads:         r.Counter("vl_target_link_reads_total", "read transactions that reached the (modeled) debug link"),

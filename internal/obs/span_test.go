@@ -169,10 +169,10 @@ func TestNilSafety(t *testing.T) {
 	_ = r.Histogram("x", "", nil)
 	r.WritePrometheus(&bytes.Buffer{})
 
-	var l *obs.SlowLog
-	l.Record("x", time.Second, nil)
-	_ = l.Entries()
-	_ = l.Len()
+	var ts *obs.TraceStore
+	ts.Record(1, "x", 1, &obs.SpanExport{})
+	_, _ = ts.Latest()
+	_ = ts.Slowest(1)
 
 	var o *obs.Observer
 	o.ObserveStage("extract", time.Second)
@@ -213,5 +213,48 @@ func TestObserverFinishTraceRecordsDrops(t *testing.T) {
 	}
 	if got := o.TraceDrops.Value(); got != 4 {
 		t.Fatalf("TraceDrops = %d, want 4", got)
+	}
+}
+
+func TestChromeTrace(t *testing.T) {
+	tr := obs.NewTracer("vplot:fig")
+	sp := tr.StartSpan("box:Task")
+	sp.Tag("addr", "0x1000")
+	sp.End()
+	exp := tr.Finish().Export()
+
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, exp, exp); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("not valid JSON: %v\n%s", err, buf.String())
+	}
+	if doc.DisplayTimeUnit != "ms" {
+		t.Fatalf("displayTimeUnit = %q", doc.DisplayTimeUnit)
+	}
+	// Two roots x two spans each.
+	if len(doc.TraceEvents) != 4 {
+		t.Fatalf("events = %d, want 4", len(doc.TraceEvents))
+	}
+	tids := map[int]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			t.Fatalf("phase = %q, want X", ev.Ph)
+		}
+		tids[ev.Tid] = true
+	}
+	if len(tids) != 2 {
+		t.Fatalf("tids = %v, want one track per root", tids)
 	}
 }

@@ -21,19 +21,38 @@ type TraceRecord struct {
 	Trace  *SpanExport `json:"trace,omitempty"`
 }
 
-// TraceStore retains the last N span trees per pane — the substrate the
-// vchat diagnosis layer reads instead of the /debug/trace endpoint. Unlike
-// the SlowLog (slowest-per-label, admission by duration), the store is
-// purely recency-based: every round is kept, bounded per pane, so "why is
-// pane 3 slow?" always finds pane 3's latest tree even when pane 3 was
-// never slow enough for the slow log.
+// SlowEntry is one row of /debug/slowlog: a pane's slowest retained round
+// under its label, e.g. "pane 3 (fig3-6)".
+type SlowEntry struct {
+	Label string      `json:"label"`
+	DurMS float64     `json:"dur_ms"`
+	Seq   uint64      `json:"seq"`
+	Trace *SpanExport `json:"trace,omitempty"`
+}
+
+// TraceStore is the one place span trees are retained: per pane, the last
+// N rounds (recency, for "why is pane 3 slow?" and "what changed?") and
+// the slowest round seen (for "which round was worst?"). "Latest" and
+// "slowest" are queries over it, never separate logs.
 //
-// Safe for concurrent writers and readers; nil-safe like the rest of obs.
+// Extraction panes have IDs >= 1. Negative IDs are reserved pseudo-panes,
+// such as stream.FanoutTracePane; they are kept and reachable through
+// History and Last, but Panes, Slowest and Latest skip them.
+//
+// One store holds one session's panes: pane IDs are only unique within a
+// session. Safe for concurrent writers and readers; nil-safe like the rest
+// of obs.
 type TraceStore struct {
-	mu    sync.Mutex
-	depth int
-	seq   uint64
-	byID  map[int][]TraceRecord // oldest first, len <= depth
+	mu     sync.Mutex
+	depth  int
+	seq    uint64
+	latest int // extraction pane recorded most recently; 0 before any
+	byID   map[int]*paneTraces
+}
+
+type paneTraces struct {
+	ring    []TraceRecord // oldest first, len <= depth
+	slowest TraceRecord
 }
 
 // NewTraceStore creates a store keeping the last depth rounds per pane
@@ -42,8 +61,10 @@ func NewTraceStore(depth int) *TraceStore {
 	if depth <= 0 {
 		depth = DefaultTraceStoreDepth
 	}
-	return &TraceStore{depth: depth, byID: make(map[int][]TraceRecord)}
+	return &TraceStore{depth: depth, byID: make(map[int]*paneTraces)}
 }
+
+func isExtractionPane(pane int) bool { return pane >= 1 }
 
 // Record retains one extraction round for a pane, evicting the pane's
 // oldest round beyond the depth bound. A nil trace is ignored.
@@ -54,13 +75,21 @@ func (ts *TraceStore) Record(pane int, figure string, durMS float64, trace *Span
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.seq++
-	recs := append(ts.byID[pane], TraceRecord{
-		Pane: pane, Figure: figure, Seq: ts.seq, DurMS: durMS, Trace: trace,
-	})
-	if len(recs) > ts.depth {
-		recs = append(recs[:0], recs[len(recs)-ts.depth:]...)
+	rec := TraceRecord{Pane: pane, Figure: figure, Seq: ts.seq, DurMS: durMS, Trace: trace}
+	pt := ts.byID[pane]
+	if pt == nil {
+		pt = &paneTraces{slowest: rec}
+		ts.byID[pane] = pt
+	} else if durMS > pt.slowest.DurMS {
+		pt.slowest = rec
 	}
-	ts.byID[pane] = recs
+	pt.ring = append(pt.ring, rec)
+	if len(pt.ring) > ts.depth {
+		pt.ring = append(pt.ring[:0], pt.ring[len(pt.ring)-ts.depth:]...)
+	}
+	if isExtractionPane(pane) {
+		ts.latest = pane
+	}
 }
 
 // Last returns a pane's most recent round.
@@ -70,11 +99,25 @@ func (ts *TraceStore) Last(pane int) (TraceRecord, bool) {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	recs := ts.byID[pane]
-	if len(recs) == 0 {
+	return ts.lastLocked(pane)
+}
+
+func (ts *TraceStore) lastLocked(pane int) (TraceRecord, bool) {
+	pt := ts.byID[pane]
+	if pt == nil {
 		return TraceRecord{}, false
 	}
-	return recs[len(recs)-1], true
+	return pt.ring[len(pt.ring)-1], true
+}
+
+// Latest returns the most recent round of any extraction pane.
+func (ts *TraceStore) Latest() (TraceRecord, bool) {
+	if ts == nil {
+		return TraceRecord{}, false
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.lastLocked(ts.latest)
 }
 
 // History returns a pane's retained rounds, oldest first.
@@ -84,12 +127,15 @@ func (ts *TraceStore) History(pane int) []TraceRecord {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	out := make([]TraceRecord, len(ts.byID[pane]))
-	copy(out, ts.byID[pane])
-	return out
+	pt := ts.byID[pane]
+	if pt == nil {
+		return nil
+	}
+	return append([]TraceRecord(nil), pt.ring...)
 }
 
-// Panes lists every pane with at least one retained round, ascending.
+// Panes lists every extraction pane with at least one retained round,
+// ascending.
 func (ts *TraceStore) Panes() []int {
 	if ts == nil {
 		return nil
@@ -98,18 +144,38 @@ func (ts *TraceStore) Panes() []int {
 	defer ts.mu.Unlock()
 	out := make([]int, 0, len(ts.byID))
 	for id := range ts.byID {
-		out = append(out, id)
+		if isExtractionPane(id) {
+			out = append(out, id)
+		}
 	}
 	sort.Ints(out)
 	return out
 }
 
-// Len reports how many rounds are retained for a pane.
-func (ts *TraceStore) Len(pane int) int {
+// Slowest returns each extraction pane's slowest round, slowest first (ties
+// in admission order), at most n of them. A pane's row is its personal
+// worst: a faster repeat never replaces it, and one hot pane never evicts
+// another pane's row.
+func (ts *TraceStore) Slowest(n int) []TraceRecord {
 	if ts == nil {
-		return 0
+		return nil
 	}
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.byID[pane])
+	out := make([]TraceRecord, 0, len(ts.byID))
+	for id, pt := range ts.byID {
+		if isExtractionPane(id) {
+			out = append(out, pt.slowest)
+		}
+	}
+	ts.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].DurMS != out[j].DurMS {
+			return out[i].DurMS > out[j].DurMS
+		}
+		return out[i].Seq < out[j].Seq
+	})
+	if len(out) > n {
+		out = out[:n]
+	}
+	return out
 }

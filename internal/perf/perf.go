@@ -73,24 +73,23 @@ func MeasureFigure(k *kernelsim.Kernel, fig vclstdlib.Figure) (Row, error) {
 // charges for.
 func MeasureFigureKGDB(k *kernelsim.Kernel, fig vclstdlib.Figure, model target.LatencyModel) (Row, error) {
 	lt := target.WithLatency(k.Target(), model)
-	row, _, err := measureKGDB(k, fig, lt, target.NewSnapshot(lt), nil)
-	return row, err
+	return measureKGDB(k, fig, lt, target.NewSnapshot(lt), nil)
 }
 
 // MeasureFigureKGDBTraced is MeasureFigureKGDB with the obs tap inserted
 // between the latency model and the snapshot cache, so every span on the
 // returned trace is a transaction that really crossed the modeled link
 // (cache hits never reach it). The trace's target.read leaves carry
-// model_ns tags summing to the modeled KGDB wait.
+// model_ns tags summing to the modeled KGDB wait. o must be non-nil.
 func MeasureFigureKGDBTraced(k *kernelsim.Kernel, fig vclstdlib.Figure, model target.LatencyModel, o *obs.Observer) (Row, *obs.SpanExport, error) {
 	lt := target.WithLatency(k.Target(), model)
 	inst := target.Instrument(lt, o, obs.Tag{Key: "figure", Value: fig.ID})
-	row, s, err := measureKGDB(k, fig, lt, target.NewSnapshot(inst).Instrument(o), o)
+	row, err := measureKGDB(k, fig, lt, target.NewSnapshot(inst).Instrument(o), o)
 	if err != nil {
 		return Row{}, nil, err
 	}
-	_, tr, _ := s.LastTrace()
-	return row, tr, nil
+	rec, _ := o.Traces.Latest()
+	return row, rec.Trace, nil
 }
 
 // MeasureFigureKGDBUncached is MeasureFigureKGDB without the snapshot cache:
@@ -98,22 +97,21 @@ func MeasureFigureKGDBTraced(k *kernelsim.Kernel, fig vclstdlib.Figure, model ta
 // the cached path is compared against (BenchmarkTable4KGDBUncached).
 func MeasureFigureKGDBUncached(k *kernelsim.Kernel, fig vclstdlib.Figure, model target.LatencyModel) (Row, error) {
 	lt := target.WithLatency(k.Target(), model)
-	row, _, err := measureKGDB(k, fig, lt, lt, nil)
-	return row, err
+	return measureKGDB(k, fig, lt, lt, nil)
 }
 
 // measureKGDB plots fig over top, a chain whose link is lt, observed by o
 // (nil for none), and prices the run from lt's counters and clock.
-func measureKGDB(k *kernelsim.Kernel, fig vclstdlib.Figure, lt *target.Latency, top target.Target, o *obs.Observer) (Row, *core.Session, error) {
+func measureKGDB(k *kernelsim.Kernel, fig vclstdlib.Figure, lt *target.Latency, top target.Target, o *obs.Observer) (Row, error) {
 	s := core.SessionOver(k, top).EnableObs(o)
 	t0 := time.Now()
 	p, err := s.VPlot(fig.ID, fig.Program)
 	if err != nil {
-		return Row{}, nil, err
+		return Row{}, err
 	}
 	wall := time.Since(t0)
 	reads, bytes, txns := lt.Stats().Totals()
-	return makeRow(fig.ID, p.Graph.Stats.Objects, reads, txns, bytes, wall, lt.VirtualElapsed()), s, nil
+	return makeRow(fig.ID, p.Graph.Stats.Objects, reads, txns, bytes, wall, lt.VirtualElapsed()), nil
 }
 
 func makeRow(id string, objects int, reads, txns, bytes uint64, wall, link time.Duration) Row {

@@ -8,6 +8,7 @@ import (
 
 	"visualinux/internal/core"
 	"visualinux/internal/kernelsim"
+	"visualinux/internal/obs"
 	"visualinux/internal/vchat"
 )
 
@@ -154,13 +155,14 @@ func (s *Server) handleTrace(t *tenant, rest string, w http.ResponseWriter, r *h
 		writeErr(w, http.StatusNotFound, fmt.Errorf("session has no observer"))
 		return
 	}
+	traces := t.session.Obs.Traces
 	if rest == "last" || rest == "" {
-		id, tr, ok := t.session.LastTrace()
+		rec, ok := traces.Latest()
 		if !ok {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("no extractions traced yet"))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"pane": id, "trace": tr})
+		writeJSON(w, http.StatusOK, map[string]any{"pane": rec.Pane, "trace": rec.Trace})
 		return
 	}
 	id, err := strconv.Atoi(rest)
@@ -168,21 +170,31 @@ func (s *Server) handleTrace(t *tenant, rest string, w http.ResponseWriter, r *h
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad pane id %q", rest))
 		return
 	}
-	tr, ok := t.session.Trace(id)
+	rec, ok := traces.Last(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no trace for pane %d", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"pane": id, "trace": tr})
+	writeJSON(w, http.StatusOK, map[string]any{"pane": id, "trace": rec.Trace})
 }
 
-// handleSlowLog returns the N slowest extractions (label, duration, trace),
-// slowest first.
+// slowLogRows caps /debug/slowlog at the slowest rounds of this many panes.
+const slowLogRows = 16
+
+// handleSlowLog returns each pane's slowest extraction (label, duration,
+// trace), slowest first.
 func (s *Server) handleSlowLog(t *tenant, w http.ResponseWriter, r *http.Request) {
 	o := t.session.Obs
 	if o == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("session has no observer"))
 		return
 	}
-	writeJSON(w, http.StatusOK, o.Slow.Entries())
+	rows := []obs.SlowEntry{}
+	for _, rec := range o.Traces.Slowest(slowLogRows) {
+		rows = append(rows, obs.SlowEntry{
+			Label: fmt.Sprintf("pane %d (%s)", rec.Pane, rec.Figure),
+			DurMS: rec.DurMS, Seq: rec.Seq, Trace: rec.Trace,
+		})
+	}
+	writeJSON(w, http.StatusOK, rows)
 }

@@ -15,6 +15,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -210,7 +211,7 @@ func (s *Server) handleImport(t *tenant, w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -229,8 +230,12 @@ func (s *Server) handleImport(t *tenant, w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "restored"})
 }
 
+// maxBodyBytes bounds every request body; a larger one answers 413.
+const maxBodyBytes = 16 << 20
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -242,7 +247,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeErr answers err as JSON with code, or with 413 when err comes from
+// reading a body over maxBodyBytes.
 func writeErr(w http.ResponseWriter, code int, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 

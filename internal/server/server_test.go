@@ -113,6 +113,27 @@ func TestErrorResponses(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestRequestBodyLimit: every POST body is bounded at 16 MB by the router,
+// not per handler. One byte over answers 413 on a v-command, a tenant's
+// v-command and session create, and the server keeps serving afterwards.
+func TestRequestBodyLimit(t *testing.T) {
+	ts := newServer(t)
+	if resp, out := post(t, ts, "/sessions", `{"id":"a","procs":1,"figures":["7-1"]}`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %v", resp.StatusCode, out)
+	}
+	const limit = 16 << 20
+	prefix := `{"pad":"`
+	over := prefix + strings.Repeat("x", limit+1-len(prefix)-len(`"}`)) + `"}`
+	for _, path := range []string{"/api/vplot", "/sessions/a/api/vctrl", "/sessions"} {
+		if resp, out := post(t, ts, path, over); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d %v, want 413", path, len(over), resp.StatusCode, out)
+		}
+		if resp, out := post(t, ts, "/api/vplot", `{"figure":"7-1"}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("vplot after an oversized %s: status %d %v", path, resp.StatusCode, out)
+		}
+	}
+}
+
 func mustJSON(v any) string {
 	b, _ := json.Marshal(v)
 	return string(b)

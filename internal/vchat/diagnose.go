@@ -89,12 +89,10 @@ func parsePane(low string) int {
 }
 
 // Observations is the retained data the diagnosis layer answers from. The
-// caller (core.Session) supplies the pane→figure mapping and the optional
-// steady-state baseline lookup; everything else comes from the observer.
+// caller (core.Session) supplies the optional steady-state baseline lookup;
+// everything else comes from the observer.
 type Observations struct {
 	Obs *obs.Observer
-	// Figure maps a pane ID to its figure/extraction name.
-	Figure func(pane int) (string, bool)
 	// Baseline returns the steady-state duration baseline for a figure in
 	// milliseconds (e.g. from BENCH_4.json), ok=false when unknown.
 	Baseline func(figure string) (float64, bool)
@@ -164,6 +162,7 @@ func (v Observations) diagnoseRecord(rec obs.TraceRecord) (*Diagnosis, error) {
 		return nil, fmt.Errorf("diagnose: pane %d trace is empty", rec.Pane)
 	}
 	dom := b.Dominant()
+	hist := v.Obs.Traces.History(rec.Pane)
 	d := &Diagnosis{
 		Pane: rec.Pane, Figure: rec.Figure, Round: rec.Seq,
 		TotalMS:      float64(b.TotalUS) / 1000,
@@ -171,16 +170,16 @@ func (v Observations) diagnoseRecord(rec obs.TraceRecord) (*Diagnosis, error) {
 		Suspect:      dom.Stage,
 		SuspectShare: dom.Share,
 		Breakdown:    b,
-		Rounds:       v.Obs.Traces.Len(rec.Pane),
+		Rounds:       len(hist),
 	}
-	v.fillBaseline(d, rec)
+	v.fillBaseline(d, rec, hist)
 	d.Counters = v.counterDeltas(dom.Stage)
 	return d, nil
 }
 
 // fillBaseline prefers the committed bench baseline; without one it falls
-// back to the median of the pane's earlier retained rounds.
-func (v Observations) fillBaseline(d *Diagnosis, rec obs.TraceRecord) {
+// back to the median of the pane's earlier retained rounds (hist).
+func (v Observations) fillBaseline(d *Diagnosis, rec obs.TraceRecord, hist []obs.TraceRecord) {
 	if v.Baseline != nil {
 		if ms, ok := v.Baseline(rec.Figure); ok && ms > 0 {
 			d.BaselineMS, d.BaselineSource = ms, "bench"
@@ -188,7 +187,6 @@ func (v Observations) fillBaseline(d *Diagnosis, rec obs.TraceRecord) {
 			return
 		}
 	}
-	hist := v.Obs.Traces.History(rec.Pane)
 	var prior []float64
 	for _, h := range hist {
 		if h.Seq != rec.Seq {

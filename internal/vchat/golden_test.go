@@ -109,7 +109,6 @@ func testGoldenDiagnosis(t *testing.T) {
 
 	v := vchat.Observations{
 		Obs:      o,
-		Figure:   func(pane int) (string, bool) { return "fig3-6", pane == 3 },
 		Baseline: func(fig string) (float64, bool) { return 2.5, fig == "fig3-6" },
 	}
 	d, err := v.Diagnose(3)

@@ -88,3 +88,22 @@ func TestStreamLagReport(t *testing.T) {
 		t.Fatal("expected error without a Stream hook")
 	}
 }
+
+// TestSlowestIgnoresFanoutPane: "which pane is slowest?" answers from
+// extraction panes only. A slower stream fan-out round, retained under its
+// reserved pseudo-pane, must neither be named nor, when its spans round to
+// zero microseconds, fail the answer with an empty trace.
+func TestSlowestIgnoresFanoutPane(t *testing.T) {
+	for _, fanoutUS := range []int64{9000, 0} {
+		o := obs.NewObserver()
+		o.Traces.Record(1, "fig7-1", 2, &obs.SpanExport{Name: "vplot:fig7-1", DurUS: 2000})
+		o.Traces.Record(stream.FanoutTracePane, "stream.fanout", 9, &obs.SpanExport{Name: "stream.round", DurUS: fanoutUS})
+		d, err := Observations{Obs: o}.Slowest()
+		if err != nil {
+			t.Fatalf("fan-out round of %dus: %v", fanoutUS, err)
+		}
+		if d.Pane != 1 || d.Figure != "fig7-1" {
+			t.Fatalf("fan-out round of %dus: slowest = pane %d %q, want pane 1", fanoutUS, d.Pane, d.Figure)
+		}
+	}
+}

@@ -16,7 +16,15 @@ type parser struct {
 	pos  int
 	// pushback for tViewName tokens re-split into ':' + ident
 	pending *token
+	depth   int // current expression nesting (see maxParseDepth)
 }
+
+// maxParseDepth bounds expression nesting. Every recursive production
+// (inline boxes, switches, containers, forEach bodies) passes through
+// parseVExpr, which counts it. Hand-written programs nest a few levels; a
+// hostile "List(List(List(..." would otherwise exhaust the goroutine stack,
+// a fatal error recover() cannot catch.
+const maxParseDepth = 64
 
 // Parse compiles ViewCL source into a Program.
 func Parse(name, src string) (*Program, error) {
@@ -443,6 +451,10 @@ func (p *parser) parseFormat() (*Format, error) {
 // parseVExpr parses a ViewCL expression.
 func (p *parser) parseVExpr() (VExpr, error) {
 	t := p.peek()
+	if p.depth++; p.depth > maxParseDepth {
+		return nil, errf(t.Line, "expression nested too deeply (max %d)", maxParseDepth)
+	}
+	defer func() { p.depth-- }()
 	switch t.Kind {
 	case tCExpr:
 		p.next()
