@@ -2,6 +2,7 @@ package expr_test
 
 import (
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,6 +47,26 @@ func TestParseDepthCapped(t *testing.T) {
 			t.Errorf("stdlib expression %q: %v", src, err)
 		}
 	}
+}
+
+// TestNestingFailsBeforeTokens: a 2 MB "((((…" fails in the lexer, before
+// a token per byte is built (about 400 MB of allocation when the parser's
+// depth cap was the first check).
+func TestNestingFailsBeforeTokens(t *testing.T) {
+	reg := kernelsim.RegisterTypes(ctypes.NewRegistry())
+	src := deepParens(1 << 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := expr.Parse(src, reg)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "nested too deeply") {
+		t.Fatalf("2 MB of nested parens: err = %v, want a nesting error", err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > 32<<20 {
+		t.Errorf("2 MB of nested parens allocated %d MB before failing, want under 32 MB", alloc>>20)
+	}
+	t.Logf("2 MB of nested parens: %d KB allocated", alloc>>10)
 }
 
 // FuzzExprParse: Parse must never panic, whatever the source.

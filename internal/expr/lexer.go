@@ -52,6 +52,7 @@ var multiOps = []string{
 
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
+	depth := 0 // open ( and [ (see maxParseDepth)
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -93,6 +94,16 @@ func lex(src string) ([]token, error) {
 			op := l.punct()
 			if op == "" {
 				return nil, fmt.Errorf("expr: unexpected character %q at offset %d in %q", c, start, l.src)
+			}
+			switch op {
+			case "(", "[":
+				// Fail hostile nesting here, before materializing a token
+				// per byte of it; the parser's own cap stays the backstop.
+				if depth++; depth > maxParseDepth {
+					return nil, errNestedTooDeeply
+				}
+			case ")", "]":
+				depth = max(depth-1, 0)
 			}
 			l.toks = append(l.toks, token{Kind: tokPunct, Text: op, Pos: start})
 		}

@@ -162,6 +162,8 @@ type parser struct {
 // and exhaust the goroutine stack, a fatal error recover() cannot catch.
 const maxParseDepth = 64
 
+var errNestedTooDeeply = fmt.Errorf("expr: nested too deeply (max %d)", maxParseDepth)
+
 func (p *parser) peek() token   { return p.toks[p.pos] }
 func (p *parser) next() token   { t := p.toks[p.pos]; p.pos++; return t }
 func (p *parser) save() int     { return p.pos }
@@ -250,7 +252,7 @@ func (p *parser) parseBinary(level int) (node, error) {
 
 func (p *parser) parseUnary() (node, error) {
 	if p.depth++; p.depth > maxParseDepth {
-		return nil, fmt.Errorf("expr: nested too deeply (max %d)", maxParseDepth)
+		return nil, errNestedTooDeeply
 	}
 	defer func() { p.depth-- }()
 	t := p.peek()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -24,6 +25,10 @@ const maxRetransmits = 8
 // for an ack: a stub streaming noise instead of '+'/'-' must not pin the
 // client in the scan loop.
 const ackScanLimit = 4096
+
+// maxAnnexText bounds one plain-text annex blob: a stub that streams `m`
+// chunks forever must not grow the client without limit.
+const maxAnnexText = 16 << 20
 
 // defaultTimeout is the per-round-trip I/O deadline. Slow links are slow per
 // packet, not tens of seconds per packet.
@@ -80,6 +85,10 @@ type Client struct {
 	hasDirty   bool // stub advertises qXfer:dirty-ranges:read+
 
 	timeout time.Duration
+
+	// Per-client packet buffers, reused under mu: the request payload, its
+	// frame, and the reply payload (valid until the next round trip).
+	req, frame, reply []byte
 
 	memMapOnce   sync.Once
 	memMap       []target.Range // sorted, merged; nil until fetched
@@ -147,7 +156,7 @@ func (c *Client) PacketSize() int { return c.packetMax }
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, _ = c.roundTripLocked("D")
+	_, _ = c.roundTripLocked(append(c.req[:0], 'D'))
 	return c.conn.Close()
 }
 
@@ -155,28 +164,33 @@ func (c *Client) Close() error {
 func (c *Client) roundTrip(payload string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.roundTripLocked(payload)
+	c.req = append(c.req[:0], payload...)
+	reply, err := c.roundTripLocked(c.req)
+	return string(reply), err
 }
 
-func (c *Client) roundTripLocked(payload string) (string, error) {
+// roundTripLocked sends the request payload req and returns the reply
+// payload, which aliases c.reply: it is valid until the next round trip.
+func (c *Client) roundTripLocked(req []byte) ([]byte, error) {
 	if c.timeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
+	c.frame = appendPacket(c.frame[:0], req)
 	send := func() error {
-		if _, err := c.w.Write(encodePacket(payload)); err != nil {
+		if _, err := c.w.Write(c.frame); err != nil {
 			return err
 		}
 		return c.w.Flush()
 	}
 	if err := send(); err != nil {
-		return "", &LinkError{Op: "send", Err: err}
+		return nil, &LinkError{Op: "send", Err: err}
 	}
 	// Expect the stub's ack, then its reply packet, then ack it.
 	retransmits, scanned := 0, 0
 	for {
 		b, err := c.r.ReadByte()
 		if err != nil {
-			return "", &LinkError{Op: "ack", Err: err}
+			return nil, &LinkError{Op: "ack", Err: err}
 		}
 		if b == '+' {
 			break
@@ -184,27 +198,28 @@ func (c *Client) roundTripLocked(payload string) (string, error) {
 		if b == '-' {
 			retransmits++
 			if retransmits > maxRetransmits {
-				return "", &LinkError{Op: "ack", Err: ErrNakLimit}
+				return nil, &LinkError{Op: "ack", Err: ErrNakLimit}
 			}
 			if err := send(); err != nil {
-				return "", &LinkError{Op: "send", Err: err}
+				return nil, &LinkError{Op: "send", Err: err}
 			}
 			continue
 		}
 		scanned++
 		if scanned > ackScanLimit {
-			return "", &LinkError{Op: "ack", Err: ErrAckNoise}
+			return nil, &LinkError{Op: "ack", Err: ErrAckNoise}
 		}
 	}
-	reply, err := readPacket(c.r, c.recvMax())
+	reply, err := readPacket(c.r, c.reply, c.recvMax())
 	if err != nil {
-		return "", &LinkError{Op: "recv", Err: err}
+		return nil, &LinkError{Op: "recv", Err: err}
 	}
-	if _, err := c.w.WriteString("+"); err != nil {
-		return "", &LinkError{Op: "send", Err: err}
+	c.reply = reply
+	if err := c.w.WriteByte('+'); err != nil {
+		return nil, &LinkError{Op: "send", Err: err}
 	}
 	if err := c.w.Flush(); err != nil {
-		return "", &LinkError{Op: "send", Err: err}
+		return nil, &LinkError{Op: "send", Err: err}
 	}
 	return reply, nil
 }
@@ -280,28 +295,40 @@ func (c *Client) readM(addr uint64, buf []byte) error {
 		if n > chunk {
 			n = chunk
 		}
-		c.stats.Transactions.Add(1)
-		reply, err := c.roundTrip(fmt.Sprintf("m%x,%x", addr+uint64(off), n))
+		got, err := c.readMChunk(addr+uint64(off), buf[off:off+n])
 		if err != nil {
 			return err
 		}
-		if len(reply) >= 1 && reply[0] == 'E' {
-			return fmt.Errorf("gdbrsp: stub error %s reading %#x", reply, addr+uint64(off))
-		}
-		data, err := decodeHex(reply)
-		if err != nil {
-			return err
-		}
-		if len(data) == 0 {
-			return fmt.Errorf("gdbrsp: empty $m reply at %#x (no progress)", addr+uint64(off))
-		}
-		if len(data) > n {
-			return fmt.Errorf("gdbrsp: stub over-delivered %d of %d at %#x", len(data), n, addr+uint64(off))
-		}
-		copy(buf[off:], data)
-		off += len(data) // short reply: resume from the next byte
+		off += got // short reply: resume from the next byte
 	}
 	return nil
+}
+
+// readMChunk sends one $m request for len(dst) bytes at addr and decodes
+// the reply straight into dst, returning how many bytes the stub served.
+func (c *Client) readMChunk(addr uint64, dst []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.Transactions.Add(1)
+	c.req = appendAddrLen(append(c.req[:0], 'm'), addr, uint64(len(dst)))
+	reply, err := c.roundTripLocked(c.req)
+	if err != nil {
+		return 0, err
+	}
+	if len(reply) >= 1 && reply[0] == 'E' {
+		return 0, errStub(reply, addr)
+	}
+	if len(reply) > 2*len(dst) {
+		return 0, errOverDelivered(len(reply)/2, len(dst), addr)
+	}
+	n, err := decodeHex(dst, reply)
+	if err != nil {
+		return 0, err
+	}
+	if n == 0 {
+		return 0, errNoProgress("$m reply", addr)
+	}
+	return n, nil
 }
 
 // readAnnex reads via one qXfer:memory:read transaction whose reply streams
@@ -318,39 +345,72 @@ func (c *Client) readAnnex(addr uint64, buf []byte) error {
 				c.o.LinkContinuations.Inc()
 			}
 		}
-		reply, err := c.roundTrip(fmt.Sprintf("qXfer:memory:read:%x,%x:%x,%x",
-			addr, length, off, length-off))
+		n, last, err := c.readAnnexChunk(addr, buf, off)
 		if err != nil {
 			return err
 		}
-		if len(reply) >= 1 && reply[0] == 'E' {
-			return fmt.Errorf("gdbrsp: stub error %s reading %#x", reply, addr+off)
-		}
-		if len(reply) == 0 || (reply[0] != 'm' && reply[0] != 'l') {
-			return fmt.Errorf("gdbrsp: malformed qXfer reply %.16q at %#x", reply, addr+off)
-		}
-		last := reply[0] == 'l'
-		data, err := decodeHex(reply[1:])
-		if err != nil {
-			return err
-		}
-		if uint64(len(data)) > length-off {
-			return fmt.Errorf("gdbrsp: stub over-delivered %d of %d at %#x", len(data), length-off, addr+off)
-		}
-		copy(buf[off:], data)
-		off += uint64(len(data))
+		off += uint64(n)
 		if last {
 			if off < length {
-				return fmt.Errorf("gdbrsp: object ends after %d of %d bytes at %#x (unmapped tail)",
-					off, length, addr)
+				return errUnmappedTail(off, length, addr)
 			}
 			return nil
 		}
-		if len(data) == 0 {
-			return fmt.Errorf("gdbrsp: empty qXfer chunk at %#x (no progress)", addr+off)
+		if n == 0 {
+			return errNoProgress("qXfer chunk", addr+off)
 		}
 	}
 	return nil
+}
+
+// readAnnexChunk requests the window of the object [addr, addr+len(buf))
+// starting at off and decodes the reply straight into buf[off:]. last
+// reports an `l` (object ends) chunk.
+func (c *Client) readAnnexChunk(addr uint64, buf []byte, off uint64) (n int, last bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	length := uint64(len(buf))
+	c.req = append(c.req[:0], "qXfer:memory:read:"...)
+	c.req = appendAddrLen(c.req, addr, length)
+	c.req = appendAddrLen(append(c.req, ':'), off, length-off)
+	reply, err := c.roundTripLocked(c.req)
+	if err != nil {
+		return 0, false, err
+	}
+	if len(reply) >= 1 && reply[0] == 'E' {
+		return 0, false, errStub(reply, addr+off)
+	}
+	if len(reply) == 0 || (reply[0] != 'm' && reply[0] != 'l') {
+		return 0, false, errMalformed("qXfer", reply, addr+off)
+	}
+	data := reply[1:]
+	if uint64(len(data)) > 2*(length-off) {
+		return 0, false, errOverDelivered(len(data)/2, int(length-off), addr+off)
+	}
+	n, err = decodeHex(buf[off:], data)
+	return n, reply[0] == 'l', err
+}
+
+// The read paths' error constructors, kept out of the per-chunk functions.
+
+func errStub(reply []byte, addr uint64) error {
+	return fmt.Errorf("gdbrsp: stub error %s reading %#x", reply, addr)
+}
+
+func errOverDelivered(got, want int, addr uint64) error {
+	return fmt.Errorf("gdbrsp: stub over-delivered %d of %d at %#x", got, want, addr)
+}
+
+func errNoProgress(what string, addr uint64) error {
+	return fmt.Errorf("gdbrsp: empty %s at %#x (no progress)", what, addr)
+}
+
+func errMalformed(what string, reply []byte, addr uint64) error {
+	return fmt.Errorf("gdbrsp: malformed %s reply %.16q at %#x", what, reply, addr)
+}
+
+func errUnmappedTail(got, want, addr uint64) error {
+	return fmt.Errorf("gdbrsp: object ends after %d of %d bytes at %#x (unmapped tail)", got, want, addr)
 }
 
 // ClipMapped implements target.RangeProber from the stub's memory-map
@@ -403,35 +463,11 @@ func (c *Client) MemoryMap() []target.Range {
 // fetchMemMap pulls the memory-map annex ("addr,size;..." hex text) over
 // m/l continuation chunks and parses it.
 func (c *Client) fetchMemMap() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var blob []byte
-	c.stats.Transactions.Add(1)
-	for off := uint64(0); ; {
-		if off > 0 {
-			c.stats.Continuations.Add(1)
-			if c.o != nil {
-				c.o.LinkContinuations.Inc()
-			}
-		}
-		reply, err := c.roundTripLocked(fmt.Sprintf("qXfer:memory-map:read::%x,%x",
-			off, uint64(c.packetMax)))
-		if err != nil {
-			return
-		}
-		if len(reply) == 0 || (reply[0] != 'm' && reply[0] != 'l') {
-			return // no usable map; leave memMapLoaded false
-		}
-		blob = append(blob, reply[1:]...)
-		off += uint64(len(reply) - 1)
-		if reply[0] == 'l' {
-			break
-		}
-		if len(reply) == 1 {
-			return // 'm' with no data: no progress
-		}
+	blob, err := c.fetchTextAnnex("memory-map", "")
+	if err != nil {
+		return // no usable map; leave memMapLoaded false
 	}
-	ranges, err := parseMemMap(string(blob))
+	ranges, err := parseMemMap(blob)
 	if err != nil {
 		return
 	}
@@ -454,8 +490,12 @@ func (c *Client) fetchTextAnnex(annex, arg string) (string, error) {
 				c.o.LinkContinuations.Inc()
 			}
 		}
-		reply, err := c.roundTripLocked(fmt.Sprintf("qXfer:%s:read:%s:%x,%x",
-			annex, arg, off, uint64(c.packetMax)))
+		c.req = append(c.req[:0], "qXfer:"...)
+		c.req = append(c.req, annex...)
+		c.req = append(c.req, ":read:"...)
+		c.req = append(c.req, arg...)
+		c.req = appendAddrLen(append(c.req, ':'), off, uint64(c.packetMax))
+		reply, err := c.roundTripLocked(c.req)
 		if err != nil {
 			return "", err
 		}
@@ -473,6 +513,9 @@ func (c *Client) fetchTextAnnex(annex, arg string) (string, error) {
 		if len(reply) == 1 {
 			return "", fmt.Errorf("gdbrsp: empty qXfer:%s chunk (no progress)", annex)
 		}
+		if len(blob) > maxAnnexText {
+			return "", fmt.Errorf("gdbrsp: qXfer:%s exceeds %d bytes", annex, maxAnnexText)
+		}
 	}
 	return string(blob), nil
 }
@@ -486,7 +529,7 @@ func (c *Client) HashBlocks(addr, size uint64) ([]uint64, bool) {
 	if !c.hasMemHash || size == 0 || addr%target.SubPage != 0 || size%target.SubPage != 0 {
 		return nil, false
 	}
-	blob, err := c.fetchTextAnnex("memory-hash", fmt.Sprintf("%x,%x", addr, size))
+	blob, err := c.fetchTextAnnex("memory-hash", string(appendAddrLen(nil, addr, size)))
 	if err != nil {
 		return nil, false
 	}
@@ -514,7 +557,7 @@ func (c *Client) DirtySince(mark uint64) ([]target.Range, uint64, bool) {
 	if !c.hasDirty {
 		return nil, 0, false
 	}
-	blob, err := c.fetchTextAnnex("dirty-ranges", fmt.Sprintf("%x", mark))
+	blob, err := c.fetchTextAnnex("dirty-ranges", strconv.FormatUint(mark, 16))
 	if err != nil {
 		return nil, 0, false
 	}

@@ -30,19 +30,21 @@ func fakeStub(t *testing.T, reply func(payload string) *string) string {
 		}
 		defer conn.Close()
 		r := bufio.NewReader(conn)
+		var in []byte
 		for {
-			payload, err := readPacket(r, maxPacket)
+			payload, err := readPacket(r, in, maxPacket)
 			if err != nil {
 				return
 			}
+			in = payload
 			if _, err := conn.Write([]byte("+")); err != nil {
 				return
 			}
-			rep := reply(payload)
+			rep := reply(string(payload))
 			if rep == nil {
 				select {} // silent stub: hold the conn open forever
 			}
-			if _, err := conn.Write(encodePacket(*rep)); err != nil {
+			if _, err := conn.Write(appendPacket(nil, []byte(*rep))); err != nil {
 				return
 			}
 			// Drain the client's ack.
@@ -206,7 +208,7 @@ func TestServerRejectsOversizePacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(encodePacket(strings.Repeat("q", 500))); err != nil {
+	if _, err := conn.Write(appendPacket(nil, []byte(strings.Repeat("q", 500)))); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -326,5 +328,75 @@ func TestAnnexUnmappedTail(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unmapped tail") {
 		t.Errorf("error = %v, want unmapped-tail report", err)
+	}
+}
+
+// TestTextAnnexBounded checks a stub that never ends a text annex (an
+// endless run of `m` chunks) fails the fetch instead of growing the client
+// without limit.
+func TestTextAnnexBounded(t *testing.T) {
+	chunk := "m" + strings.Repeat("1000,1000;", 409)
+	addr := fakeStub(t, func(payload string) *string {
+		switch {
+		case strings.HasPrefix(payload, "qSupported"):
+			s := "PacketSize=1000;qXfer:memory-map:read+"
+			return &s
+		case payload == "?":
+			s := "S05"
+			return &s
+		default:
+			return &chunk
+		}
+	})
+	client, err := Dial(addr, ctypes.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	_, err = client.fetchTextAnnex("memory-map", "")
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("endless annex: err = %v, want the size bound", err)
+	}
+	if _, ok := client.ClipMapped(0x1000, 0x1000); ok {
+		t.Error("ClipMapped answered from an unbounded memory map")
+	}
+}
+
+// TestStubFindsCapabilitiesThroughWrappers checks a stub over a wrapped
+// backing (a stats view of a kernel target) still advertises and serves the
+// memory-map and dirty-ranges annexes that live below the wrapper.
+func TestStubFindsCapabilitiesThroughWrappers(t *testing.T) {
+	sim, base := holeyTarget(t)
+	srv, err := Serve("127.0.0.1:0", target.WithStats(sim), WithPacketSize(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := Dial(srv.Addr(), sim.Types(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if !client.hasMemMap || !client.hasDirty {
+		t.Fatalf("qSupported over a wrapped backing: memory-map %v, dirty-ranges %v; want both",
+			client.hasMemMap, client.hasDirty)
+	}
+	got, want := client.MemoryMap(), sim.MappedRanges()
+	if len(got) != len(want) {
+		t.Fatalf("map = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("map[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	_, mark, ok := client.DirtySince(^uint64(0))
+	if !ok {
+		t.Fatal("dirty-ranges not served over a wrapped backing")
+	}
+	sim.Mem.Write(base+8, []byte{1, 2, 3, 4})
+	ranges, _, ok := client.DirtySince(mark)
+	if !ok || len(ranges) == 0 || ranges[0].Addr > base+8 || ranges[0].End() < base+12 {
+		t.Errorf("dirty ranges after a write = %v, %v; want one covering %#x", ranges, ok, base+8)
 	}
 }

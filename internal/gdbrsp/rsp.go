@@ -18,12 +18,18 @@
 package gdbrsp
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
 // maxPacket is our advertised packet size (payload bytes).
 const maxPacket = 4096
+
+// hexDigits renders one nibble as a lowercase hex digit.
+const hexDigits = "0123456789abcdef"
 
 // checksum computes the RSP modulo-256 sum of the payload.
 func checksum(payload []byte) byte {
@@ -34,29 +40,112 @@ func checksum(payload []byte) byte {
 	return sum
 }
 
-// encodePacket frames a payload: $<payload>#<2-hex-checksum>.
-func encodePacket(payload string) []byte {
-	return []byte(fmt.Sprintf("$%s#%02x", payload, checksum([]byte(payload))))
+// appendPacket frames a payload onto dst: $<payload>#<2-hex-checksum>.
+func appendPacket(dst, payload []byte) []byte {
+	sum := checksum(payload)
+	dst = append(dst, '$')
+	dst = append(dst, payload...)
+	return append(dst, '#', hexDigits[sum>>4], hexDigits[sum&0xf])
 }
 
-// hexByte renders one byte as two lowercase hex digits.
-func hexByte(b byte) string { return fmt.Sprintf("%02x", b) }
+// appendHex64 appends v as exactly 16 lowercase hex digits.
+func appendHex64(dst []byte, v uint64) []byte {
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, hexDigits[v>>uint(shift)&0xf])
+	}
+	return dst
+}
 
-// decodeHex parses a hex string into bytes.
-func decodeHex(s string) ([]byte, error) {
-	if len(s)%2 != 0 {
-		return nil, fmt.Errorf("gdbrsp: odd hex length %d", len(s))
-	}
-	out := make([]byte, len(s)/2)
-	for i := 0; i < len(out); i++ {
-		hi, ok1 := hexDigit(s[2*i])
-		lo, ok2 := hexDigit(s[2*i+1])
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("gdbrsp: bad hex %q", s[2*i:2*i+2])
+// appendAddrLen appends "ADDR,LEN" in RSP hex (no padding, no 0x).
+func appendAddrLen(dst []byte, addr, length uint64) []byte {
+	dst = strconv.AppendUint(dst, addr, 16)
+	dst = append(dst, ',')
+	return strconv.AppendUint(dst, length, 16)
+}
+
+// appendError appends an RSP error response (Exx).
+func appendError(dst []byte, code byte) []byte {
+	return append(dst, 'E', hexDigits[code>>4], hexDigits[code&0xf])
+}
+
+// errChecksum reports a frame whose checksum digits disagree with its payload.
+var errChecksum = errors.New("gdbrsp: checksum mismatch")
+
+// sizeError reports a payload above the negotiated PacketSize.
+type sizeError int
+
+func (e sizeError) Error() string {
+	return "gdbrsp: packet exceeds negotiated size " + strconv.Itoa(int(e))
+}
+
+// readPacket consumes one $...#cs frame and returns its payload, appended to
+// dst[:0]. Acks, interrupt bytes and noise before the '$' are skipped.
+// Payloads above max (the negotiated PacketSize) are rejected: accepting more
+// would silently void the bound both ends agreed on.
+func readPacket(r *bufio.Reader, dst []byte, max int) ([]byte, error) {
+	for {
+		c, err := r.ReadByte()
+		if err != nil {
+			return nil, err
 		}
-		out[i] = hi<<4 | lo
+		if c == '$' {
+			break
+		}
 	}
-	return out, nil
+	dst = dst[:0]
+	for {
+		// The slice aliases r's buffer: copy it out before the next read.
+		chunk, err := r.ReadSlice('#')
+		if err == nil {
+			if len(dst)+len(chunk)-1 > max {
+				return nil, sizeError(max)
+			}
+			dst = append(dst, chunk[:len(chunk)-1]...)
+			break
+		}
+		if len(dst)+len(chunk) > max {
+			return nil, sizeError(max)
+		}
+		if err != bufio.ErrBufferFull {
+			return nil, err
+		}
+		dst = append(dst, chunk...)
+	}
+	hi, err := r.ReadByte()
+	if err != nil {
+		return nil, err
+	}
+	lo, err := r.ReadByte()
+	if err != nil {
+		return nil, err
+	}
+	h, ok1 := hexDigit(hi)
+	l, ok2 := hexDigit(lo)
+	if !ok1 || !ok2 {
+		return nil, errors.New("gdbrsp: bad hex number " + strconv.Quote(string([]byte{hi, lo})))
+	}
+	if h<<4|l != checksum(dst) {
+		return nil, errChecksum
+	}
+	return dst, nil
+}
+
+// decodeHex parses hex digits (either case) from src into dst, which must
+// hold len(src)/2 bytes, and returns the byte count.
+func decodeHex(dst, src []byte) (int, error) {
+	if len(src)%2 != 0 {
+		return 0, fmt.Errorf("gdbrsp: odd hex length %d", len(src))
+	}
+	n := len(src) / 2
+	for i := 0; i < n; i++ {
+		hi, ok1 := hexDigit(src[2*i])
+		lo, ok2 := hexDigit(src[2*i+1])
+		if !ok1 || !ok2 {
+			return 0, fmt.Errorf("gdbrsp: bad hex %q", src[2*i:2*i+2])
+		}
+		dst[i] = hi<<4 | lo
+	}
+	return n, nil
 }
 
 func hexDigit(c byte) (byte, bool) {
@@ -86,9 +175,6 @@ func parseHexU64(s string) (uint64, error) {
 	}
 	return v, nil
 }
-
-// errorReply renders an RSP error response (Exx).
-func errorReply(code byte) string { return "E" + hexByte(code) }
 
 // splitAddrLen parses "ADDR,LEN".
 func splitAddrLen(s string) (addr, length uint64, err error) {

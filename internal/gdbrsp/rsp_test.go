@@ -3,7 +3,7 @@ package gdbrsp
 import "testing"
 
 func TestChecksumAndFraming(t *testing.T) {
-	p := encodePacket("m1000,8")
+	p := appendPacket(nil, []byte("m1000,8"))
 	if string(p) != "$m1000,8#92" {
 		t.Errorf("frame = %q", p)
 	}
@@ -22,11 +22,12 @@ func TestHexParsing(t *testing.T) {
 	if _, err := parseHexU64(""); err == nil {
 		t.Error("empty hex accepted")
 	}
-	b, err := decodeHex("cafe01")
-	if err != nil || len(b) != 3 || b[0] != 0xCA || b[2] != 1 {
+	b := make([]byte, 3)
+	n, err := decodeHex(b, []byte("cafe01"))
+	if err != nil || n != 3 || b[0] != 0xCA || b[2] != 1 {
 		t.Errorf("decode = %v, %v", b, err)
 	}
-	if _, err := decodeHex("abc"); err == nil {
+	if _, err := decodeHex(b, []byte("abc")); err == nil {
 		t.Error("odd hex accepted")
 	}
 	a, l, err := splitAddrLen("1000,40")

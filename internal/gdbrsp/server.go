@@ -2,9 +2,10 @@ package gdbrsp
 
 import (
 	"bufio"
+	"encoding/hex"
 	"fmt"
-	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -110,11 +111,15 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// stubConn is the per-connection state: buffered I/O plus the serialized
-// memory map, cached so a chunked qXfer:memory-map:read sequence reads one
-// consistent snapshot of the map even if the image mutates between stops.
+// stubConn is the per-connection state: reusable packet buffers plus the
+// serialized annex blobs, cached so a chunked qXfer sequence reads one
+// consistent snapshot even if the image mutates between stops.
 type stubConn struct {
-	s       *Server
+	s *Server
+	// Reused per packet: the request payload, the reply payload, the wire
+	// bytes ('+' ack then the framed reply), and memory read scratch.
+	in, reply, out, mem []byte
+
 	mapBlob []byte
 	// Chunked-annex reply caches, keyed by the annex argument so a
 	// continuation sequence reads one consistent blob. Rebuilt whenever a
@@ -128,22 +133,18 @@ type stubConn struct {
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
 	st := &stubConn{s: s}
 	for {
-		payload, err := readPacket(r, s.packetMax)
+		in, err := readPacket(r, st.in, s.packetMax)
 		if err != nil {
 			return
 		}
-		// Ack every well-formed packet.
-		if _, err := w.WriteString("+"); err != nil {
-			return
-		}
-		reply, kill := st.dispatch(payload)
-		if _, err := w.Write(encodePacket(reply)); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
+		st.in = in
+		reply, kill := st.dispatch(st.reply[:0], string(in))
+		st.reply = reply
+		// Ack the well-formed packet and send the reply in one write.
+		st.out = appendPacket(append(st.out[:0], '+'), reply)
+		if _, err := conn.Write(st.out); err != nil {
 			return
 		}
 		// The stub ignores the client's ack of our reply (read and drop).
@@ -156,62 +157,20 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// readPacket consumes one $...#cs frame, tolerating interrupt bytes and
-// acks in the stream. Payloads above max (the negotiated PacketSize) are
-// rejected: accepting more would silently void the bound both ends agreed
-// on.
-func readPacket(r *bufio.Reader, max int) (string, error) {
-	for {
-		c, err := r.ReadByte()
-		if err != nil {
-			return "", err
-		}
-		switch c {
-		case '$':
-			var payload []byte
-			for {
-				b, err := r.ReadByte()
-				if err != nil {
-					return "", err
-				}
-				if b == '#' {
-					break
-				}
-				payload = append(payload, b)
-				if len(payload) > max {
-					return "", fmt.Errorf("gdbrsp: packet exceeds negotiated size %d", max)
-				}
-			}
-			var cs [2]byte
-			if _, err := io.ReadFull(r, cs[:]); err != nil {
-				return "", err
-			}
-			want, err := parseHexU64(string(cs[:]))
-			if err != nil {
-				return "", err
-			}
-			if byte(want) != checksum(payload) {
-				return "", fmt.Errorf("gdbrsp: checksum mismatch")
-			}
-			return string(payload), nil
-		case '+', '-', 0x03:
-			continue // acks and interrupts between packets
-		default:
-			continue // noise
-		}
-	}
-}
+// zeroRegs is the register file the stub reports: 16 64-bit registers, all
+// zero — we debug state, not registers.
+var zeroRegs = strings.Repeat("0", 16*16)
 
-// dispatch computes the reply for one packet; kill reports session end.
-func (c *stubConn) dispatch(payload string) (reply string, kill bool) {
+// dispatch appends the reply for one packet to out; kill reports session end.
+func (c *stubConn) dispatch(out []byte, payload string) (reply []byte, kill bool) {
 	s := c.s
 	switch {
 	case payload == "":
-		return "", false
+		return out, false
 	case payload[0] == 'm':
 		addr, length, err := splitAddrLen(payload[1:])
 		if err != nil {
-			return errorReply(0x16), false // EINVAL
+			return appendError(out, 0x16), false // EINVAL
 		}
 		// A reply is hex (2 chars per byte) and must fit the negotiated
 		// packet: larger requests get a short reply — the standards-correct
@@ -219,58 +178,59 @@ func (c *stubConn) dispatch(payload string) (reply string, kill bool) {
 		if bound := uint64(s.packetMax / 2); length > bound {
 			length = bound
 		}
-		data := s.readMappedPrefix(addr, length)
+		data := c.readMappedPrefix(addr, length)
 		if len(data) == 0 && length > 0 {
-			return errorReply(0x0e), false // EFAULT: not even the first byte
+			return appendError(out, 0x0e), false // EFAULT: not even the first byte
 		}
-		return hexEncode(data), false
-	case hasPrefix(payload, "qXfer:memory:read:"):
-		return s.xferMemoryRead(payload[len("qXfer:memory:read:"):]), false
-	case hasPrefix(payload, "qXfer:memory-map:read:"):
-		return c.xferMemoryMap(payload[len("qXfer:memory-map:read:"):]), false
-	case hasPrefix(payload, "qXfer:memory-hash:read:"):
-		return c.xferMemoryHash(payload[len("qXfer:memory-hash:read:"):]), false
-	case hasPrefix(payload, "qXfer:dirty-ranges:read:"):
-		return c.xferDirtyRanges(payload[len("qXfer:dirty-ranges:read:"):]), false
+		return hex.AppendEncode(out, data), false
+	case strings.HasPrefix(payload, "qXfer:memory:read:"):
+		return c.xferMemoryRead(out, payload[len("qXfer:memory:read:"):]), false
+	case strings.HasPrefix(payload, "qXfer:memory-map:read:"):
+		return c.xferMemoryMap(out, payload[len("qXfer:memory-map:read:"):]), false
+	case strings.HasPrefix(payload, "qXfer:memory-hash:read:"):
+		return c.xferMemoryHash(out, payload[len("qXfer:memory-hash:read:"):]), false
+	case strings.HasPrefix(payload, "qXfer:dirty-ranges:read:"):
+		return c.xferDirtyRanges(out, payload[len("qXfer:dirty-ranges:read:"):]), false
 	case payload == "?":
-		return "S05", false // stopped by SIGTRAP, like a fresh attach
+		return append(out, "S05"...), false // stopped by SIGTRAP, like a fresh attach
 	case payload == "g":
-		// 16 fake 64-bit registers, all zero: we debug state, not regs.
-		return stringsRepeat("0", 16*16), false
+		return append(out, zeroRegs...), false
 	case payload[0] == 'p':
-		return stringsRepeat("0", 16), false
+		return append(out, zeroRegs[:16]...), false
 	case payload[0] == 'H':
-		return "OK", false
+		return append(out, "OK"...), false
 	case payload == "qAttached":
-		return "1", false
+		return append(out, '1'), false
 	case payload == "vMustReplyEmpty":
-		return "", false
-	case hasPrefix(payload, "qSupported"):
-		features := fmt.Sprintf("PacketSize=%x;qXfer:features:read-;qXfer:memory:read+", s.packetMax)
-		if _, ok := s.backing.(mappedRanger); ok {
-			features += ";qXfer:memory-map:read+"
+		return out, false
+	case strings.HasPrefix(payload, "qSupported"):
+		out = append(out, "PacketSize="...)
+		out = strconv.AppendUint(out, uint64(s.packetMax), 16)
+		out = append(out, ";qXfer:features:read-;qXfer:memory:read+"...)
+		if _, ok := target.Find[mappedRanger](s.backing); ok {
+			out = append(out, ";qXfer:memory-map:read+"...)
 		}
 		if !s.noHash {
-			features += ";qXfer:memory-hash:read+"
+			out = append(out, ";qXfer:memory-hash:read+"...)
 		}
 		if !s.noDirty {
-			if _, ok := s.backing.(target.DirtyTracker); ok {
-				features += ";qXfer:dirty-ranges:read+"
+			if _, ok := target.Find[target.DirtyTracker](s.backing); ok {
+				out = append(out, ";qXfer:dirty-ranges:read+"...)
 			}
 		}
-		return features, false
+		return out, false
 	case payload == "D": // detach
-		return "OK", true
+		return append(out, "OK"...), true
 	case payload == "k": // kill
-		return "", true
+		return out, true
 	case payload[0] == 'X' || payload[0] == 'M':
 		// Memory writes: the visualizer never writes; refuse politely.
-		return errorReply(0x0d), false // EACCES
+		return appendError(out, 0x0d), false // EACCES
 	case payload[0] == 'c' || payload[0] == 's':
 		// Continue/step: the simulated machine is permanently stopped.
-		return "S05", false
+		return append(out, "S05"...), false
 	default:
-		return "", false // unsupported -> empty reply per RSP
+		return out, false // unsupported -> empty reply per RSP
 	}
 }
 
@@ -289,82 +249,71 @@ func (s *Server) chunkBytes() uint64 { return uint64((s.packetMax - 1) / 2) }
 // (object ends with this chunk). A chunk that stops short of the window —
 // the read ran off the mapped prefix — is returned as `l`: the object ends
 // early, and the client sees exactly how many bytes were readable.
-func (s *Server) xferMemoryRead(spec string) string {
+func (c *stubConn) xferMemoryRead(out []byte, spec string) []byte {
 	i := strings.IndexByte(spec, ':')
 	if i < 0 {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
 	addr, length, err := splitAddrLen(spec[:i])
 	if err != nil {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
 	off, n, err := splitAddrLen(spec[i+1:])
 	if err != nil || off > length {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
 	window := length - off
 	if n < window {
 		window = n
 	}
-	if bound := s.chunkBytes(); window > bound {
+	if bound := c.s.chunkBytes(); window > bound {
 		window = bound
 	}
 	if window == 0 {
-		return "l"
+		return append(out, 'l')
 	}
-	data := s.readMappedPrefix(addr+off, window)
+	data := c.readMappedPrefix(addr+off, window)
 	if len(data) == 0 {
 		if off == 0 {
-			return errorReply(0x0e) // nothing readable at all
+			return appendError(out, 0x0e) // nothing readable at all
 		}
-		return "l" // mapped prefix ends exactly at off
+		return append(out, 'l') // mapped prefix ends exactly at off
 	}
 	if uint64(len(data)) < window || off+uint64(len(data)) == length {
-		return "l" + hexEncode(data)
+		return hex.AppendEncode(append(out, 'l'), data)
 	}
-	return "m" + hexEncode(data)
+	return hex.AppendEncode(append(out, 'm'), data)
 }
 
 // xferMemoryMap serves the target's memory map as "addr,size;addr,size;..."
 // (hex, merged mapped ranges, ascending), windowed by OFF,N with the same
 // m/l continuation framing as memory reads. The map is serialized once per
 // sequence (a request at offset 0) so chunked fetches stay consistent.
-func (c *stubConn) xferMemoryMap(spec string) string {
+func (c *stubConn) xferMemoryMap(out []byte, spec string) []byte {
 	i := strings.IndexByte(spec, ':')
 	if i < 0 {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
 	off, n, err := splitAddrLen(spec[i+1:])
 	if err != nil {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
-	mr, ok := c.s.backing.(mappedRanger)
+	mr, ok := target.Find[mappedRanger](c.s.backing)
 	if !ok {
-		return "" // unsupported -> empty reply per RSP
+		return out // unsupported -> empty reply per RSP
 	}
 	if off == 0 || c.mapBlob == nil {
-		var sb []byte
-		for _, r := range mr.MappedRanges() {
-			sb = append(sb, fmt.Sprintf("%x,%x;", r.Addr, r.Size)...)
-		}
-		c.mapBlob = sb
+		c.mapBlob = appendMemMap(c.mapBlob[:0], mr.MappedRanges())
 	}
-	if off >= uint64(len(c.mapBlob)) {
-		return "l"
+	return windowText(out, c.mapBlob, off, n, c.s.packetMax)
+}
+
+// appendMemMap serializes a memory map: "addr,size;" per range, hex.
+func appendMemMap(dst []byte, ranges []target.Range) []byte {
+	for _, r := range ranges {
+		dst = append(appendAddrLen(dst, r.Addr, r.Size), ';')
 	}
-	window := uint64(len(c.mapBlob)) - off
-	if n < window {
-		window = n
-	}
-	// The map is plain text, not hex: one reply carries packetMax-1 chars.
-	if bound := uint64(c.s.packetMax - 1); window > bound {
-		window = bound
-	}
-	chunk := c.mapBlob[off : off+window]
-	if off+window == uint64(len(c.mapBlob)) {
-		return "l" + string(chunk)
-	}
-	return "m" + string(chunk)
+	return dst
 }
 
 // xferMemoryHash serves qXfer:memory-hash:read:ADDR,LEN:OFF,N — SubPage-
@@ -375,21 +324,21 @@ func (c *stubConn) xferMemoryMap(spec string) string {
 // the machine-side convention. This is the cheap revalidation primitive:
 // the debugger confirms a stale page unchanged for 16 hex chars per 256 B
 // instead of re-reading 4 KiB.
-func (c *stubConn) xferMemoryHash(spec string) string {
+func (c *stubConn) xferMemoryHash(out []byte, spec string) []byte {
 	if c.s.noHash {
-		return "" // unsupported -> empty reply per RSP
+		return out // unsupported -> empty reply per RSP
 	}
 	i := strings.IndexByte(spec, ':')
 	if i < 0 {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
 	addr, length, err := splitAddrLen(spec[:i])
 	if err != nil || addr%target.SubPage != 0 || length%target.SubPage != 0 || length == 0 {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
 	off, n, err := splitAddrLen(spec[i+1:])
 	if err != nil {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
 	key := spec[:i]
 	if off == 0 || c.hashKey != key || c.hashBlob == nil {
@@ -397,13 +346,17 @@ func (c *stubConn) xferMemoryHash(spec string) string {
 		if !ok {
 			hashes = c.hashLocally(addr, length)
 		}
-		blob := make([]byte, 0, 16*len(hashes))
-		for _, h := range hashes {
-			blob = append(blob, fmt.Sprintf("%016x", h)...)
-		}
-		c.hashBlob, c.hashKey = blob, key
+		c.hashBlob, c.hashKey = appendHashes(c.hashBlob[:0], hashes), key
 	}
-	return windowText(c.hashBlob, off, n, c.s.packetMax)
+	return windowText(out, c.hashBlob, off, n, c.s.packetMax)
+}
+
+// appendHashes serializes block hashes as 16 hex digits each.
+func appendHashes(dst []byte, hashes []uint64) []byte {
+	for _, h := range hashes {
+		dst = appendHex64(dst, h)
+	}
+	return dst
 }
 
 // hashLocally computes block hashes by reading the backing memory — the
@@ -426,46 +379,51 @@ func (c *stubConn) hashLocally(addr, length uint64) []uint64 {
 // with m/l framing. An error reply at offset 0 means the journal could not
 // answer (history lost past MARK, or no journal); the client then falls
 // back to hash revalidation. MARK=ffffffffffffffff arms a fresh cursor.
-func (c *stubConn) xferDirtyRanges(spec string) string {
+func (c *stubConn) xferDirtyRanges(out []byte, spec string) []byte {
 	if c.s.noDirty {
-		return ""
+		return out
 	}
 	i := strings.IndexByte(spec, ':')
 	if i < 0 {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
 	mark, err := parseHexU64(spec[:i])
 	if err != nil {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
 	off, n, err := splitAddrLen(spec[i+1:])
 	if err != nil {
-		return errorReply(0x16)
+		return appendError(out, 0x16)
 	}
 	key := spec[:i]
 	if off == 0 || c.dirtyKey != key || c.dirtyBlob == nil {
-		dt, ok := c.s.backing.(target.DirtyTracker)
+		dt, ok := target.Find[target.DirtyTracker](c.s.backing)
 		if !ok {
-			return ""
+			return out
 		}
 		ranges, next, ok := dt.DirtySince(mark)
 		if !ok {
-			return errorReply(0x0b) // EAGAIN: history lost, re-arm and revalidate
+			return appendError(out, 0x0b) // EAGAIN: history lost, re-arm and revalidate
 		}
-		blob := []byte(fmt.Sprintf("%x", next))
-		for _, r := range ranges {
-			blob = append(blob, fmt.Sprintf(";%x,%x", r.Addr, r.Size)...)
-		}
-		c.dirtyBlob, c.dirtyKey = blob, key
+		c.dirtyBlob, c.dirtyKey = appendDirty(c.dirtyBlob[:0], next, ranges), key
 	}
-	return windowText(c.dirtyBlob, off, n, c.s.packetMax)
+	return windowText(out, c.dirtyBlob, off, n, c.s.packetMax)
 }
 
-// windowText frames one OFF,N window of a plain-text annex blob as an m/l
+// appendDirty serializes a journal answer: "NEXT;addr,size;addr,size...", hex.
+func appendDirty(dst []byte, next uint64, ranges []target.Range) []byte {
+	dst = strconv.AppendUint(dst, next, 16)
+	for _, r := range ranges {
+		dst = appendAddrLen(append(dst, ';'), r.Addr, r.Size)
+	}
+	return dst
+}
+
+// windowText appends one OFF,N window of a plain-text annex blob as an m/l
 // continuation reply, bounded by the negotiated packet size.
-func windowText(blob []byte, off, n uint64, packetMax int) string {
+func windowText(out, blob []byte, off, n uint64, packetMax int) []byte {
 	if off >= uint64(len(blob)) {
-		return "l"
+		return append(out, 'l')
 	}
 	window := uint64(len(blob)) - off
 	if n < window {
@@ -474,20 +432,25 @@ func windowText(blob []byte, off, n uint64, packetMax int) string {
 	if bound := uint64(packetMax - 1); window > bound {
 		window = bound
 	}
-	chunk := blob[off : off+window]
 	if off+window == uint64(len(blob)) {
-		return "l" + string(chunk)
+		out = append(out, 'l')
+	} else {
+		out = append(out, 'm')
 	}
-	return "m" + string(chunk)
+	return append(out, blob[off:off+window]...)
 }
 
-// readMappedPrefix reads up to length bytes at addr, returning the longest
-// readable prefix. A fully readable range costs one backing read; a range
+// readMappedPrefix reads up to length bytes at addr into the connection's
+// scratch buffer, returning the longest readable prefix (valid until the
+// next call). A fully readable range costs one backing read; a range
 // running off the mapped prefix degrades to page-bounded chunks so the
 // prefix ends exactly at the mapping edge (the backing's granularity).
-func (s *Server) readMappedPrefix(addr, length uint64) []byte {
-	buf := make([]byte, length)
-	if err := s.backing.ReadMemory(addr, buf); err == nil {
+func (c *stubConn) readMappedPrefix(addr, length uint64) []byte {
+	if uint64(cap(c.mem)) < length {
+		c.mem = make([]byte, length)
+	}
+	buf := c.mem[:length]
+	if err := c.s.backing.ReadMemory(addr, buf); err == nil {
 		return buf
 	}
 	got := uint64(0)
@@ -497,28 +460,10 @@ func (s *Server) readMappedPrefix(addr, length uint64) []byte {
 		if room := target.PageSize - cur%target.PageSize; n > room {
 			n = room
 		}
-		if err := s.backing.ReadMemory(cur, buf[got:got+n]); err != nil {
+		if err := c.s.backing.ReadMemory(cur, buf[got:got+n]); err != nil {
 			break
 		}
 		got += n
 	}
 	return buf[:got]
-}
-
-func hexEncode(data []byte) string {
-	out := make([]byte, 0, 2*len(data))
-	for _, b := range data {
-		out = append(out, hexByte(b)...)
-	}
-	return string(out)
-}
-
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
-
-func stringsRepeat(s string, n int) string {
-	out := make([]byte, 0, n*len(s))
-	for i := 0; i < n; i++ {
-		out = append(out, s...)
-	}
-	return string(out)
 }

@@ -564,10 +564,24 @@ func (r *runState) iterPipeRing(pipe expr.Value, line int) ([]expr.Value, error)
 	if ringSize == 0 {
 		return nil, nil
 	}
+	// Slots are indexed by masking with ring_size-1, which walks the wrong
+	// slots unless ring_size is a power of two.
+	if ringSize&(ringSize-1) != 0 {
+		return nil, errf(line, "PipeRing ring_size %d not a power of two", ringSize)
+	}
+	// head and tail are free-running counters of the field's width.
+	n := head - tail
+	if hf, _ := pt.FieldByName("head"); hf.Type.Size() < 8 {
+		n &= 1<<(8*hf.Type.Size()) - 1
+	}
+	if n > uint64(r.in.MaxElems) {
+		r.notef(line, "PipeRing truncated at %d elements", r.in.MaxElems)
+		n = uint64(r.in.MaxElems)
+	}
 	bufT := r.in.Env.Types().MustLookup("pipe_buffer")
-	var out []expr.Value
-	for i := tail; i != head && len(out) < r.in.MaxElems; i++ {
-		slot := i & (ringSize - 1)
+	out := make([]expr.Value, 0, n)
+	for i := uint64(0); i < n; i++ {
+		slot := (tail + i) & (ringSize - 1)
 		out = append(out, expr.MakeLValue(bufT, bufs+slot*bufT.Size()))
 	}
 	return out, nil

@@ -207,3 +207,74 @@ func TestXArrayCycleBounded(t *testing.T) {
 		})
 	}
 }
+
+// pipeProgram plots the buffers of the DirtyPipe case study's pipe ring.
+const pipeProgram = `
+define B as Box<pipe_buffer> [
+    Text offset, len
+]
+root = Box [
+    Container bufs: PipeRing(${&dirty_pipe}).forEach |b| {
+        yield B(@b)
+    }
+]
+plot @root
+`
+
+// A corrupt pipe ring must not be walked silently: a ring_size that is not
+// a power of two fails the container (masking would pick the wrong slots),
+// and a head/tail gap past MaxElems is truncated with a note. Both engines
+// plot the same thing.
+func TestPipeRingCorrupt(t *testing.T) {
+	const maxElems = 64
+	for _, tc := range []struct {
+		name    string
+		corrupt func(pipe kernelsim.Obj)
+		note    string
+		bufs    int // distinct slots plotted (a box per buffer address)
+	}{
+		{"ring_size not a power of two", func(p kernelsim.Obj) { p.Set("ring_size", 6) },
+			"PipeRing ring_size 6 not a power of two", 0},
+		{"gap past MaxElems", func(p kernelsim.Obj) { p.Set("head", 1000) },
+			fmt.Sprintf("PipeRing truncated at %d elements", maxElems), kernelsim.PipeRingSize},
+		{"inverted head/tail", func(p kernelsim.Obj) { p.Set("head", 0); p.Set("tail", 2) },
+			fmt.Sprintf("PipeRing truncated at %d elements", maxElems), kernelsim.PipeRingSize},
+		{"wrapped counters", func(p kernelsim.Obj) { p.Set("head", 1); p.Set("tail", 0xffff_ffff) },
+			"", 2}, // the 32-bit counters wrapped: slots 7 and 0 are occupied
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := kernelsim.Build(kernelsim.Options{})
+			tc.corrupt(k.DirtyPipe)
+			var texts []string
+			for _, interpret := range []bool{false, true} {
+				env := expr.NewEnv(k.Target())
+				kernelsim.RegisterHelpers(env)
+				in := viewcl.New(env)
+				in.Interpret = interpret
+				in.MaxElems = maxElems
+				res, err := in.RunSource("pipe-ring", pipeProgram)
+				if err != nil {
+					t.Fatalf("interpret=%v: %v", interpret, err)
+				}
+				var issues []string
+				for _, e := range res.Errors {
+					issues = append(issues, e.Error())
+				}
+				joined := strings.Join(issues, "\n")
+				if tc.note != "" && !strings.Contains(joined, tc.note) {
+					t.Errorf("interpret=%v: issues %q lack %q", interpret, issues, tc.note)
+				}
+				if tc.note == "" && joined != "" {
+					t.Errorf("interpret=%v: unexpected issues %q", interpret, issues)
+				}
+				if got := len(res.Graph.ByType("pipe_buffer")); got != tc.bufs {
+					t.Errorf("interpret=%v: %d pipe_buffer boxes, want %d", interpret, got, tc.bufs)
+				}
+				texts = append(texts, render.Text(res.Graph))
+			}
+			if texts[0] != texts[1] {
+				t.Errorf("engines diverge on the corrupt pipe:\n--- compiled ---\n%s\n--- interpreted ---\n%s", texts[0], texts[1])
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package viewcl_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -36,6 +37,34 @@ func TestParseDepthCapped(t *testing.T) {
 		if _, err := viewcl.Parse(fig.ID, fig.Program); err != nil {
 			t.Errorf("figure %s: %v", fig.ID, err)
 		}
+	}
+}
+
+// TestNestingFailsBeforeTokens: 2 MB of nesting, in ViewCL itself or in a
+// ${...} escape, fails in a lexer before a token per byte is built.
+func TestNestingFailsBeforeTokens(t *testing.T) {
+	_, in := newInterp(t)
+	cases := []struct {
+		name string
+		src  string
+		run  func(src string) error
+	}{
+		{"escape", deepEscape(1 << 20), func(src string) error { _, err := in.RunSource("deep", src); return err }},
+		{"boxes", deepBoxes(2 << 20 / 15), func(src string) error { _, err := viewcl.Parse("deep", src); return err }},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.run(c.src)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "nested too deeply") {
+			t.Fatalf("%s (%d KB): err = %v, want a nesting error", c.name, len(c.src)>>10, err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		if alloc > 32<<20 {
+			t.Errorf("%s (%d KB) allocated %d MB before failing, want under 32 MB", c.name, len(c.src)>>10, alloc>>20)
+		}
+		t.Logf("%s (%d KB): %d KB allocated", c.name, len(c.src)>>10, alloc>>10)
 	}
 }
 

@@ -70,6 +70,7 @@ var vclPunct = []string{"=>", "->", "{", "}", "[", "]", "(", ")", "<", ">", ",",
 func lexAll(src string) ([]token, error) {
 	l := &lexer{src: src, line: 1}
 	var toks []token
+	depth := 0 // open {, [ and ( (see maxParseDepth)
 	for {
 		l.skip()
 		if l.pos >= len(l.src) {
@@ -116,6 +117,16 @@ func lexAll(src string) ([]token, error) {
 			op := l.punct()
 			if op == "" {
 				return nil, errf(l.line, "unexpected character %q", c)
+			}
+			switch op {
+			case "{", "[", "(":
+				// Fail hostile nesting here, before materializing a token
+				// per byte of it; the parser's own cap stays the backstop.
+				if depth++; depth > maxParseDepth {
+					return nil, errf(l.line, "expression nested too deeply (max %d)", maxParseDepth)
+				}
+			case "}", "]", ")":
+				depth = max(depth-1, 0)
 			}
 			toks = append(toks, token{Kind: tPunct, Text: op, Line: start})
 		}
