@@ -124,7 +124,8 @@ func (x *IncrementalExtractor) PaneFor(figID string) (int, bool) {
 // its memo, which reuses every clean box, and the pane is updated in place
 // with a version bump.
 //
-// Like ExtractFiguresInto, one failing figure never discards the others.
+// One failing figure never discards the others: the failures come back
+// joined in the error.
 func (x *IncrementalExtractor) Round() ([]RoundResult, error) {
 	out := make([]RoundResult, len(x.states))
 	errs := make([]error, len(x.states))

@@ -28,9 +28,12 @@ import (
 // per-session kernel footprint cap, and a total memory budget under which
 // least-recently-used sessions are evicted to make room. Idle sessions are
 // reaped by TTL, either on demand (every Create sweeps first) or from a
-// caller's periodic SweepIdle.
+// caller's periodic SweepIdle. The session named DefaultSession is pinned:
+// neither the idle sweep nor the memory LRU ever evicts it.
 type SessionManager struct {
 	opts ManagerOptions
+	// obs is the serving process's observer, handed to DefaultSession.
+	obs *obs.Observer
 
 	// Tenants carries the fabric's metrics in the serving process's
 	// registry (nil when the manager runs unobserved).
@@ -67,6 +70,12 @@ type ManagerOptions struct {
 // DefaultMaxSessions is the default session-count admission cap.
 const DefaultMaxSessions = 256
 
+// DefaultSession names the operator's session: the one a serving process
+// admits at startup and answers the un-prefixed routes with. The manager
+// pins it by name (never idle- or LRU-evicted) and gives it the process
+// observer, so its metrics share the registry with the fleet's.
+const DefaultSession = "default"
+
 // ManagedSession is one resident tenant: a full single-session pipeline
 // (kernel, incremental extractor, workload) plus the bookkeeping the
 // manager evicts and reports by.
@@ -84,9 +93,10 @@ type ManagedSession struct {
 	// the loaded dump's for core sessions. Budget accounting and release
 	// go through it so both attach modes are charged the same way.
 	Mem *mem.Memory
-	// Obs is the session's own observer (registry, slow log, trace store):
-	// tenants never share mutable observability state, only the bounded
-	// session-labeled series the manager exports process-wide.
+	// Obs is the session's own observer (registry, trace store): tenants
+	// never share mutable observability state, only the bounded
+	// session-labeled series the manager exports process-wide. The
+	// DefaultSession's observer is the process observer itself.
 	Obs     *obs.Observer
 	Figures []vclstdlib.Figure
 	// MemBytes is the kernel's mapped footprint (the address-space view,
@@ -120,7 +130,9 @@ type SessionOptions struct {
 	Kernel kernelsim.Options
 	// CoreImage is the raw dump to load (SourceCore only).
 	CoreImage []byte
-	Figures   []string // stdlib figure IDs; empty = every figure
+	// Figures lists the stdlib figure IDs to extract: nil means every
+	// figure, an empty non-nil list none (an import target starts empty).
+	Figures []string
 }
 
 // Sentinel errors the REST layer maps to status codes.
@@ -134,12 +146,13 @@ var (
 )
 
 // NewSessionManager creates the fabric. o is the serving process's observer
-// for the session-labeled metrics (nil disables them).
+// for the session-labeled metrics (nil disables them) and DefaultSession's
+// observer (nil gives it a fresh one).
 func NewSessionManager(opts ManagerOptions, o *obs.Observer) *SessionManager {
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = DefaultMaxSessions
 	}
-	m := &SessionManager{opts: opts, sessions: make(map[string]*ManagedSession)}
+	m := &SessionManager{opts: opts, obs: o, sessions: make(map[string]*ManagedSession)}
 	if o != nil {
 		m.Tenants = obs.NewTenantMetrics(o.Registry, 0)
 		registerFleetMemMetrics(o, m)
@@ -178,9 +191,9 @@ func (m *SessionManager) now() time.Time {
 	return time.Now()
 }
 
-// resolveFigures maps requested IDs to stdlib figures (all when empty).
+// resolveFigures maps requested IDs to stdlib figures (all when nil).
 func resolveFigures(ids []string) ([]vclstdlib.Figure, error) {
-	if len(ids) == 0 {
+	if ids == nil {
 		return vclstdlib.Figures(), nil
 	}
 	figs := make([]vclstdlib.Figure, 0, len(ids))
@@ -219,6 +232,9 @@ func (m *SessionManager) Create(id string, opts SessionOptions) (*ManagedSession
 	// one fork/build/load and gets ErrSessionExists, which is the correct
 	// answer.
 	so := obs.NewObserver()
+	if id == DefaultSession && m.obs != nil {
+		so = m.obs
+	}
 	ms := &ManagedSession{
 		ID: id, Obs: so, Figures: figs, Created: m.now(), mgr: m,
 	}
@@ -272,7 +288,10 @@ func (m *SessionManager) Create(id string, opts SessionOptions) (*ManagedSession
 }
 
 // admit inserts ms under the capacity rules, evicting idle/LRU sessions as
-// the rules allow.
+// the rules allow. DefaultSession is the one newcomer admitted over the
+// memory budget: it is the serving process's own session, and refusing it
+// would refuse to start the process. Its bytes still count against every
+// later admission.
 func (m *SessionManager) admit(ms *ManagedSession) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -285,13 +304,12 @@ func (m *SessionManager) admit(ms *ManagedSession) error {
 	// does not (every resident session is within TTL and budget — the
 	// client asked for more concurrency than the operator provisioned).
 	// Owned bytes are dynamic (evicting a sibling shifts its amortized
-	// share onto the survivors), so the loop recomputes; each eviction
-	// strictly shrinks the fleet's unique bytes, so it terminates.
+	// share onto the survivors), so the loop recomputes; it stops when
+	// the newcomer fits or nothing evictable is left.
 	if m.opts.MemBudget > 0 {
-		for m.totalMemLocked()+ms.OwnedBytes() > m.opts.MemBudget && len(m.sessions) > 0 {
-			m.evictLRULocked()
+		for m.totalMemLocked()+ms.OwnedBytes() > m.opts.MemBudget && m.evictLRULocked() {
 		}
-		if total := m.totalMemLocked(); total+ms.OwnedBytes() > m.opts.MemBudget {
+		if total := m.totalMemLocked(); total+ms.OwnedBytes() > m.opts.MemBudget && ms.ID != DefaultSession {
 			m.rejectLocked()
 			return fmt.Errorf("%w: %d + %d owned > budget %d",
 				ErrMemBudget, total, ms.OwnedBytes(), m.opts.MemBudget)
@@ -398,7 +416,7 @@ func (m *SessionManager) sweepIdleLocked() []string {
 	cutoff := m.now().Add(-m.opts.IdleTTL).UnixNano()
 	var ids []string
 	for id, ms := range m.sessions {
-		if ms.lastUsed.Load() < cutoff {
+		if id != DefaultSession && ms.lastUsed.Load() < cutoff {
 			ids = append(ids, id)
 		}
 	}
@@ -408,17 +426,20 @@ func (m *SessionManager) sweepIdleLocked() []string {
 	return ids
 }
 
-// evictLRULocked evicts the least-recently-used session.
-func (m *SessionManager) evictLRULocked() {
+// evictLRULocked evicts the least-recently-used session other than
+// DefaultSession and reports whether there was one.
+func (m *SessionManager) evictLRULocked() bool {
 	var lru *ManagedSession
-	for _, ms := range m.sessions {
-		if lru == nil || ms.lastUsed.Load() < lru.lastUsed.Load() {
+	for id, ms := range m.sessions {
+		if id != DefaultSession && (lru == nil || ms.lastUsed.Load() < lru.lastUsed.Load()) {
 			lru = ms
 		}
 	}
-	if lru != nil {
-		m.evictLocked(lru)
+	if lru == nil {
+		return false
 	}
+	m.evictLocked(lru)
+	return true
 }
 
 func (m *SessionManager) evictLocked(ms *ManagedSession) {

@@ -9,7 +9,6 @@ import (
 	"visualinux/internal/kernelsim"
 	"visualinux/internal/obs"
 	"visualinux/internal/target"
-	"visualinux/internal/vclstdlib"
 )
 
 // TestObservedSessionHitRatio runs a repeated-extraction workload over one
@@ -120,56 +119,6 @@ func TestVPlotTraceRecorded(t *testing.T) {
 	}
 	if slow := o.Traces.Slowest(1); len(slow) != 1 || slow[0].Trace != tr {
 		t.Fatalf("Slowest = %+v, want the traced extraction", slow)
-	}
-}
-
-// TestExtractFiguresInto covers the concurrent-attach satellite: every
-// stdlib figure extracted by the worker pool lands as a pane of one session,
-// each with its own trace, all metrics aggregating in one observer. The
-// -race run of this test is the concurrency assertion.
-func TestExtractFiguresInto(t *testing.T) {
-	o := obs.NewObserver()
-	s, k, _ := core.NewObservedKernelSession(kernelsim.Options{}, o)
-	figs := vclstdlib.Figures()
-	panes, err := core.ExtractFiguresInto(s, k, figs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(panes) != len(figs) {
-		t.Fatalf("panes = %d, want %d", len(panes), len(figs))
-	}
-	for i, p := range panes {
-		if p.Graph == nil || len(p.Graph.Boxes) == 0 {
-			t.Fatalf("figure %s: empty pane graph", figs[i].ID)
-		}
-		rec, ok := o.Traces.Last(p.ID)
-		tr := rec.Trace
-		if !ok || tr == nil {
-			t.Fatalf("figure %s (pane %d): no trace", figs[i].ID, p.ID)
-		}
-		if !strings.Contains(tr.Name, figs[i].ID) {
-			t.Fatalf("pane %d trace root %q does not name figure %s", p.ID, tr.Name, figs[i].ID)
-		}
-	}
-	if got := o.Extractions.Value(); got != uint64(len(figs)) {
-		t.Fatalf("extractions counter = %d, want %d", got, len(figs))
-	}
-	if o.LinkTxns.Value() == 0 {
-		t.Fatal("no link transactions recorded across workers")
-	}
-}
-
-// TestExtractFiguresIntoUnobserved keeps the helper usable without an
-// observer (plain session, no tracing).
-func TestExtractFiguresIntoUnobserved(t *testing.T) {
-	s, k := core.NewKernelSession(kernelsim.Options{})
-	figs := vclstdlib.Figures()[:3]
-	panes, err := core.ExtractFiguresInto(s, k, figs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(panes) != 3 {
-		t.Fatalf("panes = %d", len(panes))
 	}
 }
 

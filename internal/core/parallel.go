@@ -5,11 +5,9 @@ import (
 	"fmt"
 
 	"visualinux/internal/kernelsim"
-	"visualinux/internal/obs"
 	"visualinux/internal/panes"
 	"visualinux/internal/target"
 	"visualinux/internal/vclstdlib"
-	"visualinux/internal/viewcl"
 )
 
 // ExtractFigures plots the given figures concurrently over one stopped
@@ -40,54 +38,5 @@ func ExtractFigures(k *kernelsim.Kernel, figs []vclstdlib.Figure, workers int) (
 		}
 		out[i] = p
 	})
-	return out, errors.Join(errs...)
-}
-
-// ExtractFiguresInto extracts figs concurrently over s's kernel and attaches
-// every result as a pane of s, in figs order. The figures run on the
-// DefaultPool under the session's key, so two sessions extracting at once
-// split the workers fairly. Each figure runs its own interpreter over its
-// own instrumented chain (Instrumented + Snapshot per figure — the cache
-// and the span stack are single-extraction structures), but all figures
-// report into s.Obs, so the process-wide metrics aggregate and every
-// concurrent extraction still produces its own span tree. Pane attachment
-// happens after the join, single-threaded: the pane tree is the session's
-// shared mutable state.
-//
-// Like ExtractFigures, one failing figure never discards the others: every
-// successfully extracted figure is attached as a pane (failed slots stay
-// nil) and the failures come back joined in err.
-func ExtractFiguresInto(s *Session, k *kernelsim.Kernel, figs []vclstdlib.Figure, workers int) ([]*panes.Pane, error) {
-	results := make([]*viewcl.Result, len(figs))
-	errs := make([]error, len(figs))
-	DefaultPool().Run(s.poolKey(), len(figs), workers, func(i int) {
-		fig := figs[i]
-		var ws *Session
-		if s.Obs != nil {
-			ws, _ = ObservedSessionOver(k, target.WithStats(k.Target()), s.Obs,
-				obs.Tag{Key: "figure", Value: fig.ID})
-		} else {
-			ws = SessionOver(k, target.WithStats(k.Target()))
-		}
-		res, err := ws.Interp.RunSource(fig.ID, fig.Program)
-		if err != nil {
-			errs[i] = fmt.Errorf("figure %s: %w", fig.ID, err)
-			return
-		}
-		results[i] = res
-	})
-	out := make([]*panes.Pane, len(figs))
-	for i, fig := range figs {
-		if results[i] == nil {
-			continue // extraction failed; its error is already in errs[i]
-		}
-		s.log("vplot fig" + fig.ID)
-		p, err := s.attachPane("fig"+fig.ID, fig.Program, results[i])
-		if err != nil {
-			errs[i] = fmt.Errorf("figure %s: %w", fig.ID, err)
-			continue
-		}
-		out[i] = p
-	}
 	return out, errors.Join(errs...)
 }

@@ -6,7 +6,6 @@ import (
 
 	"visualinux/internal/core"
 	"visualinux/internal/kernelsim"
-	"visualinux/internal/obs"
 	"visualinux/internal/vclstdlib"
 )
 
@@ -43,37 +42,5 @@ func TestExtractFiguresPartial(t *testing.T) {
 	}
 	if panesOut[len(good)] != nil {
 		t.Fatal("broken figure produced a pane")
-	}
-}
-
-// TestExtractFiguresIntoPartial is the same contract for the session-attach
-// variant: good panes attach, the broken figure is reported, the workspace
-// stays serviceable.
-func TestExtractFiguresIntoPartial(t *testing.T) {
-	o := obs.NewObserver()
-	s, k, _ := core.NewObservedKernelSession(kernelsim.Options{}, o)
-	good := vclstdlib.Figures()
-	figs := append(append([]vclstdlib.Figure{}, good...), badFigure)
-
-	panesOut, err := core.ExtractFiguresInto(s, k, figs, 4)
-	if err == nil {
-		t.Fatal("broken figure produced no error")
-	}
-	if !strings.Contains(err.Error(), "broken") {
-		t.Errorf("error %v does not name the broken figure", err)
-	}
-	attached := 0
-	for _, p := range panesOut {
-		if p != nil {
-			attached++
-		}
-	}
-	if attached != len(good) {
-		t.Fatalf("attached %d panes, want %d (all good figures)", attached, len(good))
-	}
-	for _, p := range panesOut[:len(good)] {
-		if p == nil || p.Graph == nil || len(p.Graph.Boxes) == 0 {
-			t.Fatal("a good figure lost its pane to the broken one")
-		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"visualinux/internal/vclstdlib"
 )
 
 // TestPoolRoundRobinFairness queues one session's whole backlog before a
@@ -159,30 +157,19 @@ func queuedKeys(t *testing.T, fn func()) []string {
 }
 
 // TestManagedSessionOnePoolKey pins one pool identity per session: a
-// managed round, a figure extraction into the session and a fleet query
-// over it all queue under the session's own key, so the pool's round-robin
-// sees one tenant, not two.
+// managed round and a fleet query over it both queue under the session's
+// own key, so the pool's round-robin sees one tenant, not two.
 func TestManagedSessionOnePoolKey(t *testing.T) {
 	m := NewSessionManager(ManagerOptions{}, nil)
 	ms, err := m.Create("solo", tinySession())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, ok := vclstdlib.FigureByID("7-1")
-	if !ok {
-		t.Fatal("no figure 7-1")
-	}
-	figs := []vclstdlib.Figure{fig}
 	fleet := &Fleet{Mgr: m}
 	want := ms.Session.poolKey()
 	for name, fn := range map[string]func(){
 		"Round": func() {
 			if _, err := ms.Round(); err != nil {
-				t.Error(err)
-			}
-		},
-		"ExtractFiguresInto": func() {
-			if _, err := ExtractFiguresInto(ms.Session, ms.Kernel, figs, 1); err != nil {
 				t.Error(err)
 			}
 		},

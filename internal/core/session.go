@@ -158,8 +158,8 @@ func (s *Session) VPlot(name, program string) (*panes.Pane, error) {
 
 // attachPane puts an extracted graph into the pane tree and records its
 // observability artifacts. Extraction and attachment are split so that
-// ExtractFiguresInto can run extractions concurrently and attach the
-// results one at a time.
+// the incremental extractor can attach a figure's result once and update
+// the pane in place on later rounds.
 func (s *Session) attachPane(name, program string, res *viewcl.Result) (*panes.Pane, error) {
 	var pane *panes.Pane
 	if s.Tree == nil {

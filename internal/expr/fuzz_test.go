@@ -49,24 +49,40 @@ func TestParseDepthCapped(t *testing.T) {
 	}
 }
 
-// TestNestingFailsBeforeTokens: a 2 MB "((((…" fails in the lexer, before
-// a token per byte is built (about 400 MB of allocation when the parser's
-// depth cap was the first check).
+// flatSum is a left-deep "1+1+…+1" chain of n terms: 2n-1 bytes.
+func flatSum(n int) string {
+	return strings.Repeat("1+", n-1) + "1"
+}
+
+// prefixRun is n prefix minuses before an identifier: n+1 bytes.
+func prefixRun(n int) string {
+	return strings.Repeat("-", n) + "x"
+}
+
+// TestNestingFailsBeforeTokens: 2 MB of hostile input fails in the lexer,
+// before a token per byte is built — a "((((…" on the nesting cap (about
+// 400 MB of allocation when the parser's depth cap was the first check),
+// a flat "1+1+…" or "----…x" on the token cap.
 func TestNestingFailsBeforeTokens(t *testing.T) {
 	reg := kernelsim.RegisterTypes(ctypes.NewRegistry())
-	src := deepParens(1 << 20)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := expr.Parse(src, reg)
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "nested too deeply") {
-		t.Fatalf("2 MB of nested parens: err = %v, want a nesting error", err)
+	for _, c := range []struct{ name, src, want string }{
+		{"nested parens", deepParens(1 << 20), "nested too deeply"},
+		{"flat sum", flatSum(1 << 20), "too long"},
+		{"prefix run", prefixRun(2 << 20), "too long"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := expr.Parse(c.src, reg)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s (%d KB): err = %v, want %q", c.name, len(c.src)>>10, err, c.want)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		if alloc > 32<<20 {
+			t.Errorf("%s (%d KB) allocated %d MB before failing, want under 32 MB", c.name, len(c.src)>>10, alloc>>20)
+		}
+		t.Logf("%s (%d KB): %d KB allocated", c.name, len(c.src)>>10, alloc>>10)
 	}
-	alloc := after.TotalAlloc - before.TotalAlloc
-	if alloc > 32<<20 {
-		t.Errorf("2 MB of nested parens allocated %d MB before failing, want under 32 MB", alloc>>20)
-	}
-	t.Logf("2 MB of nested parens: %d KB allocated", alloc>>10)
 }
 
 // FuzzExprParse: Parse must never panic, whatever the source.
@@ -76,6 +92,7 @@ func FuzzExprParse(f *testing.F) {
 	}
 	f.Add(deepParens(1 << 10))
 	f.Add("-!~*&" + deepParens(64))
+	f.Add(flatSum(1 << 12))
 	reg := kernelsim.RegisterTypes(ctypes.NewRegistry())
 	f.Fuzz(func(t *testing.T, src string) {
 		_, _ = expr.Parse(src, reg) // errors fine; panics are the failure mode

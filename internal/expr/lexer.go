@@ -50,10 +50,23 @@ var multiOps = []string{
 	"<<=", ">>=", "->", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "?", ":",
 }
 
+// maxTokens bounds an expression's length in tokens, far above any
+// hand-written or stdlib expression (the longest stdlib ${...} is 16
+// tokens). A flat hostile input such as "1+1+1…" or "----…x" has no
+// nesting for the depth cap to catch; without this bound it would cost a
+// token per byte here and, for a binary chain, one evaluation frame per
+// term later.
+const maxTokens = 4096
+
+var errTooManyTokens = fmt.Errorf("expr: expression too long (max %d tokens)", maxTokens)
+
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	depth := 0 // open ( and [ (see maxParseDepth)
 	for {
+		if len(l.toks) == maxTokens {
+			return nil, errTooManyTokens
+		}
 		l.skipSpace()
 		if l.pos >= len(l.src) {
 			l.toks = append(l.toks, token{Kind: tokEOF, Pos: l.pos})

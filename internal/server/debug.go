@@ -14,14 +14,13 @@ import (
 
 // registerDebug mounts the process-wide observability surfaces. The
 // session-scoped /debug routes (metrics, traces, slow log, diagnose,
-// stream health) go through dispatch — un-prefixed for the default tenant,
-// /sessions/{id}/debug/... per tenant — and answer 404 when the session
-// was built without an observer, so the plain (unobserved) server keeps
-// exactly its old behavior. The pprof endpoints and the fleet-level
-// /debug/sessions are the exception: they describe the process, not one
-// session, and are always mounted at the top level — the server runs its
-// own mux, so the net/http/pprof side effects on http.DefaultServeMux
-// never apply and the handlers are wired explicitly.
+// stream health) go through dispatch — un-prefixed for the default
+// session, /sessions/{id}/debug/... per tenant — and read the session's
+// observer, which every managed session has. The pprof endpoints and the
+// fleet-level /debug/sessions are the exception: they describe the
+// process, not one session, and are always mounted at the top level — the
+// server runs its own mux, so the net/http/pprof side effects on
+// http.DefaultServeMux never apply and the handlers are wired explicitly.
 func (s *Server) registerDebug() {
 	s.mux.HandleFunc("/debug/sessions", s.handleSessionsDebug)
 	s.mux.HandleFunc("/debug/fleet", s.handleFleetDebug)
@@ -60,8 +59,8 @@ func (s *Server) handleSessionsDebug(w http.ResponseWriter, r *http.Request) {
 			row.StreamRound = t.round
 			t.mu.RUnlock()
 			row.StreamClients = t.broker.ClientCount()
-			row.Default = t == s.deflt
 		}
+		row.Default = info.ID == core.DefaultSession
 		rows = append(rows, row)
 	}
 	st := kernelsim.SharedStore().Stats()
@@ -90,10 +89,6 @@ func (s *Server) handleSessionsDebug(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDiagnose(t *tenant, rest string, w http.ResponseWriter, r *http.Request) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.session.Obs == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("session has no observer"))
-		return
-	}
 	var d *vchat.Diagnosis
 	var err error
 	if rest == "slowest" || rest == "" {
@@ -123,10 +118,6 @@ func (s *Server) handleDiagnose(t *tenant, rest string, w http.ResponseWriter, r
 // fills via Observer.StartMetricsHistory (vlserver's -metrics-interval).
 func (s *Server) handleMetricsHistory(t *tenant, w http.ResponseWriter, r *http.Request) {
 	o := t.session.Obs
-	if o == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("session has no observer"))
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cap":    o.History.Cap(),
 		"points": o.History.Points(),
@@ -137,13 +128,8 @@ func (s *Server) handleMetricsHistory(t *tenant, w http.ResponseWriter, r *http.
 // exposition format: snapshot hit ratio, link transactions and bytes,
 // per-stage and per-figure latency histograms.
 func (s *Server) handleMetrics(t *tenant, w http.ResponseWriter, r *http.Request) {
-	o := t.session.Obs
-	if o == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("session has no observer"))
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	o.Registry.WritePrometheus(w)
+	t.session.Obs.Registry.WritePrometheus(w)
 }
 
 // handleTrace returns the span tree of a pane's last extraction as JSON.
@@ -151,10 +137,6 @@ func (s *Server) handleMetrics(t *tenant, w http.ResponseWriter, r *http.Request
 func (s *Server) handleTrace(t *tenant, rest string, w http.ResponseWriter, r *http.Request) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.session.Obs == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("session has no observer"))
-		return
-	}
 	traces := t.session.Obs.Traces
 	if rest == "last" || rest == "" {
 		rec, ok := traces.Latest()
@@ -184,13 +166,8 @@ const slowLogRows = 16
 // handleSlowLog returns each pane's slowest extraction (label, duration,
 // trace), slowest first.
 func (s *Server) handleSlowLog(t *tenant, w http.ResponseWriter, r *http.Request) {
-	o := t.session.Obs
-	if o == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("session has no observer"))
-		return
-	}
 	rows := []obs.SlowEntry{}
-	for _, rec := range o.Traces.Slowest(slowLogRows) {
+	for _, rec := range t.session.Obs.Traces.Slowest(slowLogRows) {
 		rows = append(rows, obs.SlowEntry{
 			Label: fmt.Sprintf("pane %d (%s)", rec.Pane, rec.Figure),
 			DurMS: rec.DurMS, Seq: rec.Seq, Trace: rec.Trace,

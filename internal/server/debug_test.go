@@ -8,19 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"visualinux/internal/core"
-	"visualinux/internal/kernelsim"
 	"visualinux/internal/obs"
-	"visualinux/internal/server"
 )
-
-func newObservedServer(t *testing.T) *httptest.Server {
-	t.Helper()
-	s, _, _ := core.NewObservedKernelSession(kernelsim.Options{}, obs.NewObserver())
-	ts := httptest.NewServer(server.New(s))
-	t.Cleanup(ts.Close)
-	return ts
-}
 
 func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()
@@ -37,7 +26,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte
 }
 
 func TestDebugMetricsEndpoint(t *testing.T) {
-	ts := newObservedServer(t)
+	ts := newServer(t)
 	if resp, _ := post(t, ts, "/api/vplot", `{"figure":"7-1"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("vplot status %d", resp.StatusCode)
 	}
@@ -62,7 +51,7 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 }
 
 func TestDebugTraceEndpoint(t *testing.T) {
-	ts := newObservedServer(t)
+	ts := newServer(t)
 
 	// Before any plot, the trace surfaces hold nothing.
 	if resp, _ := get(t, ts, "/debug/trace/last"); resp.StatusCode != http.StatusNotFound {
@@ -99,7 +88,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 }
 
 func TestDebugSlowLogEndpoint(t *testing.T) {
-	ts := newObservedServer(t)
+	ts := newServer(t)
 	post(t, ts, "/api/vplot", `{"figure":"7-1"}`)
 	post(t, ts, "/api/vplot", `{"figure":"3-6"}`)
 
@@ -121,24 +110,11 @@ func TestDebugSlowLogEndpoint(t *testing.T) {
 	}
 }
 
-// TestDebugEndpointsUnobserved pins the opt-in contract: a session built
-// without an observer serves 404 on every debug surface.
-func TestDebugEndpointsUnobserved(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
-	ts := httptest.NewServer(server.New(s))
-	t.Cleanup(ts.Close)
-	for _, path := range []string{"/debug/metrics", "/debug/trace/last", "/debug/slowlog"} {
-		if resp, _ := get(t, ts, path); resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
-		}
-	}
-}
-
 // The diagnosis endpoint answers from retained span trees: a plotted pane
-// diagnoses by id or via "slowest", an unknown pane 404s, and the plain
-// server (no observer) keeps 404ing the whole surface.
+// diagnoses by id or via "slowest", and an unknown pane 404s, also on a
+// server whose session never plotted it.
 func TestDebugDiagnoseEndpoint(t *testing.T) {
-	ts := newObservedServer(t)
+	ts := newServer(t)
 	if resp, _ := post(t, ts, "/api/vplot", `{"figure":"7-1"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("vplot status %d", resp.StatusCode)
 	}
@@ -187,7 +163,7 @@ func TestDebugDiagnoseEndpoint(t *testing.T) {
 
 	plain := newServer(t)
 	if resp, _ := get(t, plain, "/debug/diagnose/1"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unobserved server status %d", resp.StatusCode)
+		t.Fatalf("empty session status %d", resp.StatusCode)
 	}
 }
 
@@ -195,7 +171,7 @@ func TestDebugDiagnoseEndpoint(t *testing.T) {
 // answers {"kind":"diagnosis"}; a visualization request keeps the
 // historical {"viewql"} shape.
 func TestVChatDiagnosisRouting(t *testing.T) {
-	ts := newObservedServer(t)
+	ts := newServer(t)
 	if resp, _ := post(t, ts, "/api/vplot", `{"figure":"7-1"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("vplot status %d", resp.StatusCode)
 	}
@@ -211,12 +187,10 @@ func TestVChatDiagnosisRouting(t *testing.T) {
 	}
 }
 
-// The pprof surface profiles the process itself, so it must answer even on
-// a session built without an observer — unlike the other /debug/ endpoints.
+// The pprof surface profiles the process itself: it answers at the top
+// level, not per session.
 func TestDebugPprofEndpoint(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
-	ts := httptest.NewServer(server.New(s))
-	t.Cleanup(ts.Close)
+	ts := newServer(t)
 
 	resp, body := get(t, ts, "/debug/pprof/")
 	if resp.StatusCode != http.StatusOK {

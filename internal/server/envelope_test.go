@@ -12,43 +12,39 @@ import (
 	"testing"
 
 	"visualinux/internal/core"
-	"visualinux/internal/kernelsim"
 	"visualinux/internal/obs"
 	"visualinux/internal/render"
 	"visualinux/internal/stream"
-	"visualinux/internal/vclstdlib"
 )
 
-// liveServer serves an observed incremental session over the given figures
+// serveDefault admits core.DefaultSession over the given figures (nil:
+// every stdlib figure; empty: none) into a fresh observed manager and
+// serves it.
+func serveDefault(t *testing.T, figureIDs []string) *Server {
+	t.Helper()
+	mgr := core.NewSessionManager(core.ManagerOptions{}, obs.NewObserver())
+	ms, err := mgr.Create(core.DefaultSession, core.SessionOptions{Figures: figureIDs})
+	if err != nil {
+		t.Fatalf("default session: %v", err)
+	}
+	return NewManaged(mgr, ms)
+}
+
+// defaultTenant is the serving state of the server's default session.
+func defaultTenant(srv *Server) *tenant {
+	srv.tmu.RLock()
+	defer srv.tmu.RUnlock()
+	return srv.tenants[core.DefaultSession]
+}
+
+// liveServer serves an observed default session over the given figures
 // (all stdlib figures when none are named); step runs one stop event.
 func liveServer(t *testing.T, figureIDs ...string) (srv *Server, step func()) {
 	t.Helper()
-	k := kernelsim.Build(kernelsim.Options{})
-	figs := vclstdlib.Figures()
-	if len(figureIDs) > 0 {
-		figs = nil
-		for _, id := range figureIDs {
-			fig, ok := vclstdlib.FigureByID(id)
-			if !ok {
-				t.Fatalf("unknown figure %q", id)
-			}
-			figs = append(figs, fig)
-		}
-	}
-	x := core.NewIncrementalExtractor(k, k.Target(), figs, obs.NewObserver())
-	if _, err := x.Round(); err != nil {
-		t.Fatalf("cold round: %v", err)
-	}
-	srv = New(x.Session)
-	w := kernelsim.NewWorkload(k)
+	srv = serveDefault(t, figureIDs)
 	return srv, func() {
 		t.Helper()
-		if err := srv.StreamRound(func() error {
-			w.Step()
-			x.Advance()
-			_, err := x.Round()
-			return err
-		}); err != nil {
+		if err := srv.StreamRound(core.DefaultSession); err != nil {
 			t.Fatalf("stream round: %v", err)
 		}
 	}
@@ -75,7 +71,7 @@ func wantEvent(t *testing.T, f *stream.Frame) []byte {
 // indentation took about 190 per pane).
 func TestPaneSerializeAllocs(t *testing.T) {
 	srv, _ := liveServer(t)
-	tn := srv.deflt
+	tn := defaultTenant(srv)
 	ps := tn.session.Tree.Panes()
 	for _, p := range ps {
 		tn.serializePane(p, "json")
@@ -100,10 +96,10 @@ func TestPaneSerializeAllocs(t *testing.T) {
 // for every flag combination and for bodies that exercise every escape.
 func TestStreamEventMatchesMarshal(t *testing.T) {
 	srv, _ := liveServer(t, "7-1")
-	p, _ := srv.deflt.session.Tree.Pane(1)
+	p, _ := defaultTenant(srv).session.Tree.Pane(1)
 	bodies := map[string]string{"escapes": "\x00\x1f\b\f\n\r\t\"\\<&>\u2028\u2029\xff\xc0 é日本\U0001F600", "empty": ""}
 	for _, format := range []string{"json", "text", "dot"} {
-		c, _ := srv.deflt.serializePane(p, format)
+		c, _ := defaultTenant(srv).serializePane(p, format)
 		bodies[format] = string(c.body)
 	}
 	for name, body := range bodies {
@@ -127,7 +123,7 @@ func TestStreamEventMatchesMarshal(t *testing.T) {
 // included: a body is quoted once, not once per client.
 func TestStreamEnvelopeQuotedOnce(t *testing.T) {
 	srv, step := liveServer(t, "7-1", "3-6")
-	tn := srv.deflt
+	tn := defaultTenant(srv)
 	subscribe := func(format string) *stream.Client {
 		tn.mu.RLock()
 		defer tn.mu.RUnlock()
@@ -202,7 +198,8 @@ func TestStreamWireEnvelope(t *testing.T) {
 	defer cancel()
 	// An epoch bump republishes every pane: each round is one delta per pane.
 	bump := func() {
-		if err := srv.StreamRound(func() error { srv.deflt.session.Tree.BumpEpoch(); return nil }); err != nil {
+		tn := defaultTenant(srv)
+		if err := srv.streamRound(tn, func() error { tn.session.Tree.BumpEpoch(); return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

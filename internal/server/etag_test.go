@@ -5,6 +5,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"visualinux/internal/core"
+	"visualinux/internal/server"
 )
 
 // getWithETag GETs a path with an optional If-None-Match header.
@@ -70,10 +73,10 @@ func TestPaneETagRevalidation(t *testing.T) {
 	}
 }
 
-// The /debug/metrics/history endpoint serves the ring (observed sessions)
-// and 404s on unobserved ones.
+// The /debug/metrics/history endpoint serves the default session's ring
+// and 404s on a server without a default session.
 func TestMetricsHistoryEndpoint(t *testing.T) {
-	ts := newObservedServer(t)
+	ts := newServer(t)
 	resp, body := get(t, ts, "/debug/metrics/history")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -82,8 +85,9 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 		t.Fatalf("history body missing fields: %s", s)
 	}
 
-	plain := newServer(t)
+	plain := httptest.NewServer(server.NewManaged(core.NewSessionManager(core.ManagerOptions{}, nil), nil))
+	t.Cleanup(plain.Close)
 	if resp, _ := get(t, plain, "/debug/metrics/history"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unobserved history status %d, want 404", resp.StatusCode)
+		t.Fatalf("no-default history status %d, want 404", resp.StatusCode)
 	}
 }

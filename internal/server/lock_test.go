@@ -5,9 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"visualinux/internal/core"
-	"visualinux/internal/kernelsim"
 )
 
 // TestConcurrentReadersNotSerialized regression-tests the read-path lock
@@ -17,19 +14,12 @@ import (
 // serialization cache has its own lock that is not held across rendering —
 // a reader parked mid-render must not block an unrelated reader.
 func TestConcurrentReadersNotSerialized(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
-	if _, err := s.VPlotFigure("3-4"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.VPlotFigure("7-1"); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(s)
+	srv := serveDefault(t, []string{"3-4", "7-1"})
 
 	release := make(chan struct{})
 	stalled := make(chan struct{})
 	var once sync.Once
-	srv.deflt.renderStall = func(paneID int, format string) {
+	defaultTenant(srv).renderStall = func(paneID int, format string) {
 		if paneID == 1 {
 			once.Do(func() { close(stalled) })
 			<-release
@@ -91,11 +81,7 @@ func TestConcurrentReadersNotSerialized(t *testing.T) {
 // takes the write lock, so a reader issued after the writer acquired it
 // observes the mutation's result (no torn reads of the pane tree).
 func TestWriterExcludesReaders(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
-	if _, err := s.VPlotFigure("3-4"); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(s)
+	srv := serveDefault(t, []string{"3-4"})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)

@@ -9,8 +9,9 @@
 // The server is multi-tenant: one process hosts many sessions behind a
 // core.SessionManager, each addressable under /sessions/{id}/... with the
 // full single-session surface (v-commands, panes, stream, debug) re-rooted
-// per session. The historical un-prefixed routes keep working as aliases
-// for a default session, so a single-session deployment never notices.
+// per session. The historical un-prefixed routes are a rewrite onto
+// /sessions/default/..., the managed session named core.DefaultSession,
+// so a single-session deployment never notices.
 package server
 
 import (
@@ -29,9 +30,7 @@ import (
 // Server exposes sessions over HTTP.
 type Server struct {
 	mux *http.ServeMux
-	// mgr admits, evicts, and accounts the managed sessions. Always
-	// non-nil: the legacy constructor builds one with default limits so
-	// even a single-session server can host additional tenants.
+	// mgr admits, evicts, and accounts the managed sessions.
 	mgr *core.SessionManager
 
 	// tmu guards the tenant registry. Lock order: the manager's lock may
@@ -39,10 +38,6 @@ type Server struct {
 	// resolution must not call into the manager while holding tmu.
 	tmu     sync.RWMutex
 	tenants map[string]*tenant
-	// deflt serves the un-prefixed legacy routes. Set at construction and
-	// never reassigned; if the default session is evicted its tenant keeps
-	// serving the legacy surface over the still-live session object.
-	deflt *tenant
 
 	// fleet fans ViewQL queries across the managed sessions (/fleet/query,
 	// /debug/fleet, and the cross-target vchat intent). Its guard routes
@@ -50,54 +45,31 @@ type Server struct {
 	fleet *core.Fleet
 }
 
-// New wraps a single session as the default tenant — the historical
-// single-session constructor, source-compatible with every existing caller.
-// A session manager (default capacity limits) backs /sessions, so even a
-// legacy-constructed server can host additional tenants.
-func New(s *core.Session) *Server {
-	srv := newServer(core.NewSessionManager(core.ManagerOptions{}, s.Obs))
-	srv.deflt = newTenant("default", s, nil)
-	return srv
-}
-
-// NewManagedDefault serves sessions from a caller-configured manager with
-// an unmanaged default session on the legacy routes — vlserver's shape:
-// the operator's startup session (wired to the process observer, exempt
-// from eviction) plus an admission-controlled tenant fleet beside it.
-func NewManagedDefault(mgr *core.SessionManager, s *core.Session) *Server {
-	srv := newServer(mgr)
-	srv.deflt = newTenant("default", s, nil)
-	return srv
-}
-
-// NewManaged serves sessions from mgr. deflt, when non-nil, must be a
-// session resident in mgr; it serves the legacy un-prefixed routes and is
-// addressable under /sessions/{its-id}/ like any other tenant.
-func NewManaged(mgr *core.SessionManager, deflt *core.ManagedSession) *Server {
-	srv := newServer(mgr)
-	if deflt != nil {
-		t := newTenant(deflt.ID, deflt.Session, deflt)
-		srv.deflt = t
-		srv.tenants[deflt.ID] = t
-	}
-	return srv
-}
-
-func newServer(mgr *core.SessionManager) *Server {
+// NewManaged serves the sessions of mgr. resident, when non-nil, is a
+// session the caller admitted in-process (typically core.DefaultSession):
+// the server builds its serving state so it is addressable under
+// /sessions/{its-id}/ like a tenant created with POST /sessions.
+func NewManaged(mgr *core.SessionManager, resident *core.ManagedSession) *Server {
 	srv := &Server{
 		mux:     http.NewServeMux(),
 		mgr:     mgr,
 		tenants: make(map[string]*tenant),
+	}
+	if resident != nil {
+		srv.tenants[resident.ID] = newTenant(resident)
 	}
 	// Evictions (idle TTL, memory pressure) tear down the serving state —
 	// stream clients are disconnected, caches dropped. Explicit deletes go
 	// through the DELETE handler, which does its own teardown.
 	mgr.OnEvict = func(id string, _ *core.ManagedSession) { srv.dropTenant(id) }
 	srv.mux.HandleFunc("/", srv.handleIndex)
-	// Legacy single-session routes: aliases for the default tenant.
-	srv.mux.HandleFunc("/stream", srv.legacy)
-	srv.mux.HandleFunc("/api/", srv.legacy)
-	srv.mux.HandleFunc("/debug/", srv.legacy)
+	// Legacy single-session routes: a rewrite onto /sessions/default.
+	legacy := func(w http.ResponseWriter, r *http.Request) {
+		srv.serveSession(core.DefaultSession, r.URL.Path, w, r)
+	}
+	srv.mux.HandleFunc("/stream", legacy)
+	srv.mux.HandleFunc("/api/", legacy)
+	srv.mux.HandleFunc("/debug/", legacy)
 	// The session fabric.
 	srv.mux.HandleFunc("/sessions", srv.handleSessions)
 	srv.mux.HandleFunc("/sessions/", srv.handleSessionPath)
@@ -108,29 +80,27 @@ func newServer(mgr *core.SessionManager) *Server {
 	return srv
 }
 
-// legacy serves an un-prefixed route against the default tenant.
-func (s *Server) legacy(w http.ResponseWriter, r *http.Request) {
-	t := s.deflt
-	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no default session; use /sessions/{id}%s", r.URL.Path))
-		return
-	}
-	s.dispatch(t, r.URL.Path, w, r)
-}
-
 // tenantByID resolves a tenant, counting the request against the session's
-// idle TTL. The default tenant answers to "default" even when unmanaged.
+// idle TTL.
 func (s *Server) tenantByID(id string) *tenant {
 	s.tmu.RLock()
 	t := s.tenants[id]
 	s.tmu.RUnlock()
-	if t == nil && id == "default" {
-		t = s.deflt
-	}
 	if t != nil {
-		t.touch()
+		t.ms.Touch()
 	}
 	return t
+}
+
+// serveSession resolves session id and dispatches the tenant-relative
+// path to it, or answers 404.
+func (s *Server) serveSession(id, path string, w http.ResponseWriter, r *http.Request) {
+	t := s.tenantByID(id)
+	if t == nil {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
+		return
+	}
+	s.dispatch(t, path, w, r)
 }
 
 // dropTenant removes a tenant from the registry and closes its serving
@@ -146,12 +116,11 @@ func (s *Server) dropTenant(id string) {
 }
 
 // dispatch routes one request for a resolved tenant. path is the
-// tenant-relative route — r.URL.Path for legacy requests, the part after
-// /sessions/{id} otherwise — so every handler sees the same shape either
-// way.
+// tenant-relative route: the part after /sessions/{id}, which for a legacy
+// request is r.URL.Path itself.
 func (s *Server) dispatch(t *tenant, path string, w http.ResponseWriter, r *http.Request) {
-	if t.ms != nil && s.mgr.Tenants != nil {
-		s.mgr.Tenants.Requests(t.id).Inc()
+	if s.mgr.Tenants != nil {
+		s.mgr.Tenants.Requests(t.ms.ID).Inc()
 	}
 	switch {
 	case path == "/stream":

@@ -9,14 +9,27 @@ import (
 	"testing"
 
 	"visualinux/internal/core"
-	"visualinux/internal/kernelsim"
+	"visualinux/internal/obs"
 	"visualinux/internal/server"
 )
 
+// serveDefault admits core.DefaultSession over the given figures (nil:
+// every stdlib figure; empty: none) into a manager observed by o, and
+// serves it.
+func serveDefault(t *testing.T, o *obs.Observer, figureIDs []string) *server.Server {
+	t.Helper()
+	mgr := core.NewSessionManager(core.ManagerOptions{}, o)
+	ms, err := mgr.Create(core.DefaultSession, core.SessionOptions{Figures: figureIDs})
+	if err != nil {
+		t.Fatalf("default session: %v", err)
+	}
+	return server.NewManaged(mgr, ms)
+}
+
+// newServer serves an empty default session.
 func newServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	s, _ := core.NewKernelSession(kernelsim.Options{})
-	ts := httptest.NewServer(server.New(s))
+	ts := httptest.NewServer(serveDefault(t, obs.NewObserver(), []string{}))
 	t.Cleanup(ts.Close)
 	return ts
 }

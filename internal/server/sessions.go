@@ -36,7 +36,8 @@ type sessionCreateReq struct {
 	RunqueueSkew int `json:"runqueue_skew,omitempty"`
 	ZombieTasks  int `json:"zombie_tasks,omitempty"`
 	PipeBurst    int `json:"pipe_burst,omitempty"`
-	// Figures narrows the extracted stdlib figures (empty = all).
+	// Figures narrows the extracted stdlib figures: absent means all, an
+	// explicit [] none (an empty session, e.g. an import target).
 	Figures []string `json:"figures,omitempty"`
 }
 
@@ -64,6 +65,17 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if strings.ContainsAny(req.ID, "/ ") {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("session id must not contain '/' or spaces"))
+		return
+	}
+	if req.ID == core.DefaultSession {
+		// The pinned name belongs to the session the process admits at
+		// startup; a client must not mint an unevictable tenant.
+		writeErr(w, http.StatusConflict, fmt.Errorf("session id %q is reserved", req.ID))
+		return
+	}
+	if min(req.Procs, req.ThreadsPerProc, req.Churn, req.RunqueueSkew, req.ZombieTasks, req.PipeBurst) < 0 {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf(
+			"procs, threads_per_proc, churn, runqueue_skew, zombie_tasks and pipe_burst must not be negative"))
 		return
 	}
 	opts := core.SessionOptions{
@@ -101,7 +113,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, err)
 		return
 	}
-	t := newTenant(ms.ID, ms.Session, ms)
+	t := newTenant(ms)
 	s.tmu.Lock()
 	s.tenants[ms.ID] = t
 	s.tmu.Unlock()
@@ -147,12 +159,7 @@ func (s *Server) handleSessionPath(w http.ResponseWriter, r *http.Request) {
 		s.handleSessionByID(id, w, r)
 		return
 	}
-	t := s.tenantByID(id)
-	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
-		return
-	}
-	s.dispatch(t, "/"+sub, w, r)
+	s.serveSession(id, "/"+sub, w, r)
 }
 
 // handleSessionByID serves GET (info) and DELETE on one session.
@@ -167,6 +174,11 @@ func (s *Server) handleSessionByID(id string, w http.ResponseWriter, r *http.Req
 		}
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
 	case http.MethodDelete:
+		if id == core.DefaultSession {
+			// The operator's session lives as long as the process.
+			writeErr(w, http.StatusConflict, fmt.Errorf("session %q is pinned", id))
+			return
+		}
 		deleted := s.mgr.Delete(id)
 		s.tmu.RLock()
 		_, hadTenant := s.tenants[id]
@@ -191,16 +203,7 @@ func (s *Server) handleRound(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
 	}
-	if t.ms == nil {
-		writeErr(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("session %q has no managed workload", t.id))
-		return
-	}
-	err := s.streamRound(t, func() error {
-		_, err := t.ms.StepRound()
-		return err
-	})
-	if err != nil {
+	if err := s.streamRound(t, t.stepRound); err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, core.ErrPostMortem) {
 			// A core-dump session is frozen: stepping it is a client

@@ -31,13 +31,15 @@ type pubState struct {
 	epoch   int
 }
 
-// StreamRound runs one stop event for the default session — the legacy
-// single-session entry point vlserver's free-run loop calls.
-func (s *Server) StreamRound(step func() error) error {
-	if s.deflt == nil {
-		return fmt.Errorf("server: no default session")
+// StreamRound runs one stop event on session id — step its workload,
+// re-extract, fan the deltas out — as POST /sessions/{id}/round does; the
+// entry point of vlserver's -run-interval loop.
+func (s *Server) StreamRound(id string) error {
+	t := s.tenantByID(id)
+	if t == nil {
+		return fmt.Errorf("server: no session %q", id)
 	}
-	return s.streamRound(s.deflt, step)
+	return s.streamRound(t, t.stepRound)
 }
 
 // streamRound runs one stop event end to end under the tenant's write
@@ -53,12 +55,9 @@ func (s *Server) streamRound(t *tenant, step func() error) error {
 	defer t.mu.Unlock()
 	o := t.session.Obs
 	tr := o.NewTrace("stream.round")
-	var stepErr error
-	if step != nil {
-		sp := tr.StartSpan("round.step")
-		stepErr = step()
-		sp.End()
-	}
+	sp := tr.StartSpan("round.step")
+	stepErr := step()
+	sp.End()
 	t0 := time.Now()
 	frames := 0
 	if stepErr == nil {
@@ -73,9 +72,7 @@ func (s *Server) streamRound(t *tenant, step func() error) error {
 		o.Traces.Record(stream.FanoutTracePane, "stream.fanout",
 			float64(fanout.Nanoseconds())/1e6, export)
 	}
-	if o != nil {
-		o.History.Snapshot(o.Registry)
-	}
+	o.History.Snapshot(o.Registry)
 	return stepErr
 }
 
@@ -113,13 +110,7 @@ func (t *tenant) publishLocked(tr *obs.Tracer) int {
 			sp.TagUint("pane", uint64(p.ID)).Tag("format", format).
 				Tag("cache", map[bool]string{true: "hit", false: "miss"}[hit])
 			sp.End()
-			if o != nil {
-				if hit {
-					o.StreamCacheHits.Inc()
-				} else {
-					o.StreamCacheMisses.Inc()
-				}
-			}
+			countCache(o, hit)
 			frames = append(frames, &stream.Frame{
 				Pane: p.ID, Version: p.Version, Epoch: epoch,
 				ETag: c.etag, Format: format, Body: c.body, Quoted: quoted,
@@ -137,11 +128,18 @@ func (t *tenant) publishLocked(tr *obs.Tracer) int {
 	}
 	t.round++
 	t.broker.Publish(t.round, frames, root)
-	if o != nil {
-		o.StreamRounds.Inc()
-		o.ObserveFanout(time.Since(t0))
-	}
+	o.StreamRounds.Inc()
+	o.ObserveFanout(time.Since(t0))
 	return len(frames)
+}
+
+// countCache records whether a frame's body came from the pane cache.
+func countCache(o *obs.Observer, hit bool) {
+	if hit {
+		o.StreamCacheHits.Inc()
+		return
+	}
+	o.StreamCacheMisses.Inc()
 }
 
 // publishAfterMutation fans out any pane changes an interactive handler
@@ -169,27 +167,13 @@ func (t *tenant) snapshotFrames(c *stream.Client) []*stream.Frame {
 			}
 		}
 		cp, hit := t.serializePane(p, c.Format)
-		if o != nil {
-			if hit {
-				o.StreamCacheHits.Inc()
-			} else {
-				o.StreamCacheMisses.Inc()
-			}
-		}
+		countCache(o, hit)
 		frames = append(frames, &stream.Frame{
 			Pane: p.ID, Version: p.Version, Epoch: epoch,
 			ETag: cp.etag, Format: c.Format, Body: cp.body, Quoted: cp.quotedBody(),
 		})
 	}
 	return frames
-}
-
-// Broker exposes the default session's fan-out broker.
-func (s *Server) Broker() *stream.Broker {
-	if s.deflt == nil {
-		return nil
-	}
-	return s.deflt.broker
 }
 
 // streamEvent is the SSE data payload: the frame header plus the pane body
@@ -309,9 +293,7 @@ func (s *Server) handleStream(t *tenant, w http.ResponseWriter, r *http.Request)
 
 // handleStreamDebug serves GET /debug/stream: the broker-wide health
 // snapshot — every connected client with its lag, queue depth, and frame
-// counters — plus the round counter. Unlike the observer-backed /debug
-// surfaces this one always answers: the broker exists even on an
-// unobserved session.
+// counters — plus the round counter.
 func (s *Server) handleStreamDebug(t *tenant, w http.ResponseWriter, r *http.Request) {
 	t.mu.RLock()
 	round := t.round

@@ -16,10 +16,8 @@ import (
 	"time"
 
 	"visualinux/internal/core"
-	"visualinux/internal/kernelsim"
 	"visualinux/internal/obs"
 	"visualinux/internal/server"
-	"visualinux/internal/vclstdlib"
 )
 
 // sseEvent mirrors the server's streamEvent envelope.
@@ -133,47 +131,27 @@ func (c *sseClient) snapshot() (map[int]sseEvent, []sseEvent, error) {
 	return latest, append([]sseEvent(nil), c.frames...), c.err
 }
 
-// streamFixture is an observed incremental-extractor session served over
-// HTTP with a mutation workload — the continuous-run mode in miniature.
+// streamFixture is an observed default session served over HTTP with a
+// mutation workload — the continuous-run mode in miniature.
 type streamFixture struct {
 	o   *obs.Observer
 	srv *server.Server
 	ts  *httptest.Server
-	x   *core.IncrementalExtractor
-	w   *kernelsim.Workload
 }
 
 func newStreamFixture(t *testing.T, figureIDs ...string) *streamFixture {
 	t.Helper()
 	o := obs.NewObserver()
-	k := kernelsim.Build(kernelsim.Options{})
-	var figs []vclstdlib.Figure
-	for _, id := range figureIDs {
-		fig, ok := vclstdlib.FigureByID(id)
-		if !ok {
-			t.Fatalf("unknown figure %q", id)
-		}
-		figs = append(figs, fig)
-	}
-	x := core.NewIncrementalExtractor(k, k.Target(), figs, o)
-	if _, err := x.Round(); err != nil {
-		t.Fatalf("cold round: %v", err)
-	}
-	srv := server.New(x.Session)
+	srv := serveDefault(t, o, figureIDs)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return &streamFixture{o: o, srv: srv, ts: ts, x: x, w: kernelsim.NewWorkload(k)}
+	return &streamFixture{o: o, srv: srv, ts: ts}
 }
 
 // step runs one stop event: mutate, advance, re-extract, fan out.
 func (f *streamFixture) step(t *testing.T) {
 	t.Helper()
-	if err := f.srv.StreamRound(func() error {
-		f.w.Step()
-		f.x.Advance()
-		_, err := f.x.Round()
-		return err
-	}); err != nil {
+	if err := f.srv.StreamRound(core.DefaultSession); err != nil {
 		t.Fatalf("stream round: %v", err)
 	}
 }
@@ -418,9 +396,9 @@ func TestStreamDisconnectCleansUp(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for f.srv.Broker().ClientCount() != 0 {
+	for f.o.StreamClients.Value() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d broker clients still registered", f.srv.Broker().ClientCount())
+			t.Fatalf("%v broker clients still registered", f.o.StreamClients.Value())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

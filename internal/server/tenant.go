@@ -11,17 +11,13 @@ import (
 	"visualinux/internal/stream"
 )
 
-// tenant is one session's serving state: the session itself plus everything
-// the HTTP layer keeps per session — the serialization cache, the stream
-// broker, and the fan-out bookkeeping. The legacy single-session server is
-// simply a server whose only tenant is the default one.
+// tenant is one managed session's serving state: the session itself plus
+// everything the HTTP layer keeps per session — the serialization cache,
+// the stream broker, and the fan-out bookkeeping. The default session on
+// the legacy routes is a tenant like any other.
 type tenant struct {
-	id      string
-	session *core.Session
-	// ms is the manager handle when the tenant is a managed session
-	// (created through /sessions); nil for the unmanaged default session a
-	// legacy New(s) wraps.
-	ms *core.ManagedSession
+	ms      *core.ManagedSession
+	session *core.Session // ms.Session
 
 	// mu guards the session's mutable state. Mutating handlers (vplot,
 	// vctrl, vchat, import, stream rounds) take the write lock; read-only
@@ -88,18 +84,17 @@ func (c *cachedPane) quotedBody() []byte {
 	return c.quoted
 }
 
-func newTenant(id string, sess *core.Session, ms *core.ManagedSession) *tenant {
+func newTenant(ms *core.ManagedSession) *tenant {
 	t := &tenant{
-		id:        id,
-		session:   sess,
 		ms:        ms,
+		session:   ms.Session,
 		paneCache: make(map[paneKey]*cachedPane),
-		broker:    stream.NewBroker(sess.Obs, 0),
+		broker:    stream.NewBroker(ms.Obs, 0),
 		lastPub:   make(map[int]pubState),
 	}
 	// The vchat diagnosis layer answers "why is my stream laggy?" from the
 	// broker's health snapshot; hand the session a way to read it.
-	sess.StreamHealth = t.broker.Health
+	ms.Session.StreamHealth = t.broker.Health
 	return t
 }
 
@@ -109,11 +104,11 @@ func (t *tenant) close() {
 	t.broker.Close()
 }
 
-// touch resets the manager's idle clock for managed tenants.
-func (t *tenant) touch() {
-	if t.ms != nil {
-		t.ms.Touch()
-	}
+// stepRound advances the session's workload one step and re-extracts:
+// the step of a stop event (streamRound).
+func (t *tenant) stepRound() error {
+	_, err := t.ms.StepRound()
+	return err
 }
 
 // serializePane returns the pane's serialized representation in the given

@@ -265,14 +265,10 @@ func TestSessionRESTLifecycle(t *testing.T) {
 }
 
 // TestLegacyServerHostsTenants checks the compatibility contract: a server
-// built with the historical New(s) keeps serving the un-prefixed routes,
-// answers to /sessions/default/..., and can still admit managed tenants.
+// with a default session serves the un-prefixed routes, answers to
+// /sessions/default/..., and can still admit managed tenants.
 func TestLegacyServerHostsTenants(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
-	if _, err := s.VPlotFigure("7-1"); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(s)
+	srv := serveDefault(t, []string{"7-1"})
 
 	legacyCode, legacyBody := do(srv, "GET", "/api/panes", "")
 	if legacyCode != 200 {
@@ -283,9 +279,9 @@ func TestLegacyServerHostsTenants(t *testing.T) {
 		t.Fatalf("/sessions/default alias diverges from legacy route: %d", aliasCode)
 	}
 
-	// The default session is unmanaged: it has no workload to /round.
-	if code, _ := do(srv, "POST", "/sessions/default/round", ""); code != 422 {
-		t.Fatal("unmanaged default accepted /round")
+	// The default session is managed: /round steps its workload.
+	if code, body := do(srv, "POST", "/sessions/default/round", ""); code != 200 {
+		t.Fatalf("default /round: %d %s", code, body)
 	}
 
 	// A managed tenant rides alongside the legacy session.

@@ -16,7 +16,12 @@ func deepBoxes(n int) string {
 
 // deepEscape is a vplot program whose one ${...} escape nests n parens.
 func deepEscape(n int) string {
-	return "root = ${" + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "}\nplot @root\n"
+	return escape(strings.Repeat("(", n) + "1" + strings.Repeat(")", n))
+}
+
+// escape is a vplot program whose one ${...} escape is body.
+func escape(body string) string {
+	return "root = ${" + body + "}\nplot @root\n"
 }
 
 // TestParseDepthCapped: hostile nesting, in ViewCL itself or inside a
@@ -40,25 +45,33 @@ func TestParseDepthCapped(t *testing.T) {
 	}
 }
 
-// TestNestingFailsBeforeTokens: 2 MB of nesting, in ViewCL itself or in a
-// ${...} escape, fails in a lexer before a token per byte is built.
+// TestNestingFailsBeforeTokens: 2 MB of hostile input, in ViewCL itself or
+// in a ${...} escape, fails in a lexer before a token per byte is built:
+// nesting on the nesting cap, a flat "1+1+…", "----…x" or run of
+// statements on a token cap.
 func TestNestingFailsBeforeTokens(t *testing.T) {
 	_, in := newInterp(t)
+	run := func(src string) error { _, err := in.RunSource("hostile", src); return err }
+	parse := func(src string) error { _, err := viewcl.Parse("hostile", src); return err }
 	cases := []struct {
 		name string
 		src  string
 		run  func(src string) error
+		want string
 	}{
-		{"escape", deepEscape(1 << 20), func(src string) error { _, err := in.RunSource("deep", src); return err }},
-		{"boxes", deepBoxes(2 << 20 / 15), func(src string) error { _, err := viewcl.Parse("deep", src); return err }},
+		{"escape", deepEscape(1 << 20), run, "nested too deeply"},
+		{"boxes", deepBoxes(2 << 20 / 15), parse, "nested too deeply"},
+		{"flat sum escape", escape(strings.Repeat("1+", 1<<20) + "1"), run, "too long"},
+		{"prefix run escape", escape(strings.Repeat("-", 2<<20) + "x"), run, "too long"},
+		{"flat program", strings.Repeat("plot @x\n", 2<<20/8), parse, "too long"},
 	}
 	for _, c := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := c.run(c.src)
 		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), "nested too deeply") {
-			t.Fatalf("%s (%d KB): err = %v, want a nesting error", c.name, len(c.src)>>10, err)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s (%d KB): err = %v, want %q", c.name, len(c.src)>>10, err, c.want)
 		}
 		alloc := after.TotalAlloc - before.TotalAlloc
 		if alloc > 32<<20 {

@@ -67,11 +67,20 @@ type lexer struct {
 
 var vclPunct = []string{"=>", "->", "{", "}", "[", "]", "(", ")", "<", ">", ",", ":", "=", "|", "."}
 
+// maxTokens bounds a program's length in tokens, far above the largest
+// stdlib figure (359 tokens), so a flat hostile program fails
+// here instead of costing a token per byte. A ${...} escape is one token;
+// the expression lexer bounds its body.
+const maxTokens = 1 << 14
+
 func lexAll(src string) ([]token, error) {
 	l := &lexer{src: src, line: 1}
 	var toks []token
 	depth := 0 // open {, [ and ( (see maxParseDepth)
 	for {
+		if len(toks) == maxTokens {
+			return nil, errf(l.line, "program too long (max %d tokens)", maxTokens)
+		}
 		l.skip()
 		if l.pos >= len(l.src) {
 			toks = append(toks, token{Kind: tEOF, Line: l.line})
