@@ -1,6 +1,8 @@
 # Tier-1 verification and bench smoke for the Visualinux reproduction.
 #
-#   make ci            vet + build + race tests + fuzz smoke + bench smoke
+#   make ci            gofmt check + vet + build + race tests + fuzz smoke
+#                      + bench smoke
+#   make fmt           fail if any Go file is not gofmt-clean (lists them)
 #   make test          fast test sweep (no race detector)
 #   make bench         the root benchmarks (tables, ablations, extraction
 #                      microbenchmarks), 1 iteration each
@@ -17,9 +19,12 @@
 
 GO ?= go
 
-.PHONY: ci test race vet build bench bench-smoke fuzz-smoke table4 table4-steady
+.PHONY: ci fmt test race vet build bench bench-smoke fuzz-smoke table4 table4-steady
 
-ci: vet build race fuzz-smoke bench-smoke
+ci: fmt vet build race fuzz-smoke bench-smoke
+
+fmt:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -119,9 +119,12 @@ func (f *Fleet) Query(q FleetQuery) (*FleetResult, error) {
 					results[i] = TargetResult{Target: id, Err: "no such session"}
 					return
 				}
-				DefaultPool().Run(ms.Session.poolKey(), 1, 1, func(int) {
+				err := DefaultPool().Run(ms.Session.poolKey(), 1, 1, func(int) {
 					results[i] = f.queryOne(ms, q)
 				})
+				if err != nil {
+					results[i] = TargetResult{Target: id, Source: string(ms.Source), Err: err.Error()}
+				}
 			})
 		}(i, id)
 	}

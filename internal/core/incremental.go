@@ -121,8 +121,13 @@ func (x *IncrementalExtractor) PaneFor(figID string) (int, bool) {
 // page-granular read set is provably unchanged since its last validation is
 // served whole from its prior result (its pane keeps its version — the
 // server's ETag path then answers 304); anything else re-extracts through
-// its memo, which reuses every clean box, and the pane is updated in place
-// with a version bump.
+// its memo, which reuses every clean box. A pane's version moves only when
+// its content moves: a re-extraction whose graph is Equal to the displayed
+// one leaves the pane alone (same version, graph and ViewQL engine) and is
+// kept as the figure's prior result with the new run's read set, so the
+// displayed graph's stats describe the extraction that produced its
+// content. A re-extraction that changed something replaces the pane's graph
+// in place with a version bump.
 //
 // One failing figure never discards the others: the failures come back
 // joined in the error.
@@ -159,6 +164,13 @@ func (x *IncrementalExtractor) Round() ([]RoundResult, error) {
 				continue
 			}
 			st.paneID = p.ID
+			out[i].Pane = p
+		} else if p, ok := x.Session.Tree.Pane(st.paneID); ok && res.Graph.Equal(p.Graph) {
+			x.Session.recordExtraction(st.paneID, "fig"+st.fig.ID, res)
+			res.Graph = p.Graph
+			if x.o != nil {
+				x.o.FigureUnchanged.Inc()
+			}
 			out[i].Pane = p
 		} else {
 			if err := x.Session.Tree.Update(st.paneID, res.Graph); err != nil {

@@ -15,12 +15,7 @@ import (
 // match byte for byte.
 func coldText(t *testing.T, k *kernelsim.Kernel, fig vclstdlib.Figure) string {
 	t.Helper()
-	s := core.SessionOver(k, k.Target())
-	p, err := s.VPlotFigure(fig.ID)
-	if err != nil {
-		t.Fatalf("cold extraction of %s: %v", fig.ID, err)
-	}
-	return render.Text(p.Graph)
+	return render.Text(coldGraph(t, k, fig))
 }
 
 // The repeated stop→mutate→resume cycle: every round's incremental output
@@ -100,19 +95,22 @@ func TestIncrementalRoundsMatchColdExtraction(t *testing.T) {
 	}
 }
 
-// Pane versions track figure-level deltas: a reused figure keeps its pane
-// version (the server's ETag then answers 304), a re-extracted figure bumps
-// it.
+// Pane versions track content: a reused figure keeps its pane version (the
+// server's ETag then answers 304), a re-extracted figure whose graph comes
+// out identical keeps its version and its graph, and only a re-extraction
+// that changes what the pane shows bumps it.
 func TestIncrementalPaneVersions(t *testing.T) {
 	k := kernelsim.Build(kernelsim.Options{})
+	o := obs.NewObserver()
 	figs := []vclstdlib.Figure{mustFigure(t, "3-6"), mustFigure(t, "7-1")}
-	x := core.NewIncrementalExtractor(k, k.Target(), figs, nil)
+	x := core.NewIncrementalExtractor(k, k.Target(), figs, o)
 
 	out, err := x.Round()
 	if err != nil {
 		t.Fatalf("cold round: %v", err)
 	}
 	v0 := []int{out[0].Pane.Version, out[1].Pane.Version}
+	g0 := out[0].Pane.Graph
 
 	if err := k.PipeWrite(k.DirtyPipe, 64); err != nil {
 		t.Fatalf("PipeWrite: %v", err)
@@ -122,15 +120,32 @@ func TestIncrementalPaneVersions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("steady round: %v", err)
 	}
-	// 3-6 is the pipe figure: it must have re-extracted with a version
-	// bump; 7-1 (sockets) reads nothing the pipe write touches.
-	if out[0].Reused || out[0].Pane.Version != v0[0]+1 {
-		t.Errorf("pipe figure: reused=%v version %d→%d, want re-extracted with bump",
-			out[0].Reused, v0[0], out[0].Pane.Version)
+	// 3-6 is the PID table: the pipe write dirties a page it reads, so it
+	// re-extracts, but no PID changed, so the pane keeps its version and
+	// its graph. 7-1 (the CFS runqueue) reads nothing the write touches.
+	if out[0].Reused || out[0].Pane.Version != v0[0] || out[0].Pane.Graph != g0 || out[0].Res.Graph != g0 {
+		t.Errorf("PID table after PipeWrite: reused=%v version %d→%d, graph kept %v, want re-extracted, same version and graph",
+			out[0].Reused, v0[0], out[0].Pane.Version, out[0].Pane.Graph == g0)
 	}
 	if !out[1].Reused || out[1].Pane.Version != v0[1] {
-		t.Errorf("socket figure: reused=%v version %d→%d, want reused with stable version",
+		t.Errorf("runqueue after PipeWrite: reused=%v version %d→%d, want reused with stable version",
 			out[1].Reused, v0[1], out[1].Pane.Version)
+	}
+	if o.FigureUnchanged.Value() != 1 {
+		t.Errorf("FigureUnchanged = %d, want 1", o.FigureUnchanged.Value())
+	}
+
+	// Renaming a task changes a row the PID table shows. (A spawned task
+	// would not: the simulator fills the pid IDR at build time only.)
+	k.ByPID[1].SetStr("comm", "renamed")
+	x.Advance()
+	out, err = x.Round()
+	if err != nil {
+		t.Fatalf("rename round: %v", err)
+	}
+	if out[0].Reused || out[0].Pane.Version != v0[0]+1 || out[0].Pane.Graph == g0 {
+		t.Errorf("PID table after a rename: reused=%v version %d→%d, want re-extracted with a bump",
+			out[0].Reused, v0[0], out[0].Pane.Version)
 	}
 }
 

@@ -107,6 +107,10 @@ type ManagedSession struct {
 
 	lastUsed atomic.Int64 // unix nanos
 	rounds   atomic.Int64
+	// panicked is set by the first round that panicked; the session
+	// refuses every later round with it, since the panic may have left
+	// the extractor half-updated.
+	panicked atomic.Pointer[TaskPanic]
 	mgr      *SessionManager
 }
 
@@ -352,16 +356,27 @@ func (ms *ManagedSession) Rounds() int64 { return ms.rounds.Load() }
 // free-running rounds shares workers fairly with every other tenant. The
 // caller (the serving layer) must serialize rounds per session, as it
 // already does for single-session stop events.
+//
+// A round that panics returns the recovered *TaskPanic, and so does every
+// later round: the session is quarantined until it is deleted.
 func (ms *ManagedSession) Round() ([]RoundResult, error) {
+	if p := ms.panicked.Load(); p != nil {
+		return nil, p
+	}
 	var out []RoundResult
 	var err error
-	DefaultPool().Run(ms.Session.poolKey(), 1, 1, func(int) {
+	perr := DefaultPool().Run(ms.Session.poolKey(), 1, 1, func(int) {
 		t0 := time.Now()
 		out, err = ms.Extractor.Round()
 		if ms.mgr != nil && ms.mgr.Tenants != nil {
 			ms.mgr.Tenants.ObserveRound(ms.ID, time.Since(t0))
 		}
 	})
+	var p *TaskPanic
+	if errors.As(perr, &p) {
+		ms.panicked.Store(p)
+		out, err = nil, p
+	}
 	ms.rounds.Add(1)
 	ms.Touch()
 	return out, err
@@ -370,10 +385,13 @@ func (ms *ManagedSession) Round() ([]RoundResult, error) {
 // StepRound advances the session's canned workload one step, marks the
 // stop boundary, and runs the delta round — the managed analogue of the
 // single-session free-run loop. Post-mortem sessions refuse: a core image
-// is frozen.
+// is frozen. A quarantined session refuses before stepping.
 func (ms *ManagedSession) StepRound() ([]RoundResult, error) {
 	if ms.Workload == nil {
 		return nil, fmt.Errorf("%w: %q", ErrPostMortem, ms.ID)
+	}
+	if p := ms.panicked.Load(); p != nil {
+		return nil, p
 	}
 	ms.Workload.Step()
 	ms.Extractor.Advance()

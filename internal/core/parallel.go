@@ -24,11 +24,12 @@ import (
 // every figure is still attempted, the panes that extracted are returned
 // (failed slots stay nil), and the failures come back joined in err. Callers
 // wanting all-or-nothing check err; callers serving a workspace keep the
-// good panes and report the bad.
+// good panes and report the bad. A figure whose extraction panicked leaves
+// its slot nil and adds the recovered *TaskPanic to err.
 func ExtractFigures(k *kernelsim.Kernel, figs []vclstdlib.Figure, workers int) ([]*panes.Pane, error) {
 	out := make([]*panes.Pane, len(figs))
 	errs := make([]error, len(figs))
-	DefaultPool().Run(fmt.Sprintf("extract:%p", k), len(figs), workers, func(i int) {
+	perr := DefaultPool().Run(fmt.Sprintf("extract:%p", k), len(figs), workers, func(i int) {
 		fig := figs[i]
 		s := SessionOver(k, target.WithStats(k.Target()))
 		p, err := s.VPlot(fig.ID, fig.Program)
@@ -38,5 +39,5 @@ func ExtractFigures(k *kernelsim.Kernel, figs []vclstdlib.Figure, workers int) (
 		}
 		out[i] = p
 	})
-	return out, errors.Join(errs...)
+	return out, errors.Join(append(errs, perr)...)
 }

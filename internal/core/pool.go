@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
 
@@ -108,14 +110,27 @@ func (p *Pool) Submit(key string, task func()) {
 	p.cond.Signal()
 }
 
+// TaskPanic is a pool task's recovered panic: the value it panicked with
+// and the stack of the goroutine at the point of the panic.
+type TaskPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *TaskPanic) Error() string { return fmt.Sprintf("task panicked: %v", p.Value) }
+
 // Run executes task(0..n-1) on the pool under key with at most limit of
 // them in flight at once (limit <= 0 means no per-call cap beyond the
 // pool's worker count), and returns when all have completed. The cap is
 // enforced by completion-driven dispatch — a finishing task enqueues its
 // successor — so a capped call never parks a pool worker on a semaphore.
-func (p *Pool) Run(key string, n, limit int, task func(int)) {
+//
+// A task that panics is recovered on its worker, which lives on, and the
+// remaining tasks still run; Run then returns the first panic as a
+// *TaskPanic.
+func (p *Pool) Run(key string, n, limit int, task func(int)) error {
 	if n <= 0 {
-		return
+		return nil
 	}
 	if limit <= 0 || limit > n {
 		limit = n
@@ -124,6 +139,7 @@ func (p *Pool) Run(key string, n, limit int, task func(int)) {
 	wg.Add(n)
 	var mu sync.Mutex
 	next := 0
+	var panicked *TaskPanic
 	var launch func()
 	launch = func() {
 		mu.Lock()
@@ -136,6 +152,13 @@ func (p *Pool) Run(key string, n, limit int, task func(int)) {
 		mu.Unlock()
 		p.Submit(key, func() {
 			defer func() {
+				if v := recover(); v != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = &TaskPanic{Value: v, Stack: debug.Stack()}
+					}
+					mu.Unlock()
+				}
 				wg.Done()
 				launch()
 			}()
@@ -146,6 +169,10 @@ func (p *Pool) Run(key string, n, limit int, task func(int)) {
 		launch()
 	}
 	wg.Wait()
+	if panicked != nil {
+		return panicked
+	}
+	return nil
 }
 
 // Pending reports the number of queued (not yet running) tasks.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -182,5 +185,51 @@ func TestManagedSessionOnePoolKey(t *testing.T) {
 		if keys := queuedKeys(t, fn); len(keys) != 1 || keys[0] != want {
 			t.Errorf("%s queued under %q, want only %q", name, keys, want)
 		}
+	}
+}
+
+// A panicking task is recovered on its worker: Run returns it as a
+// *TaskPanic with the value and stack, the call's other tasks still run,
+// and the pool's only worker goes on to serve an ordinary task.
+func TestPoolRunRecoversPanic(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+
+	var ran atomic.Int32
+	err := p.Run("k", 3, 1, func(i int) {
+		if i == 1 {
+			var m map[string]int
+			m["boom"]++ // a nil-map write: a runtime panic, as a bug would raise
+		}
+		ran.Add(1)
+	})
+	var tp *TaskPanic
+	if !errors.As(err, &tp) {
+		t.Fatalf("Run returned %v, want a *TaskPanic", err)
+	}
+	if !strings.Contains(fmt.Sprint(tp.Value), "nil map") || !strings.Contains(string(tp.Stack), "TestPoolRunRecoversPanic") {
+		t.Fatalf("panic value %v, stack:\n%s", tp.Value, tp.Stack)
+	}
+	if ran.Load() != 2 {
+		t.Fatalf("%d of the call's other 2 tasks ran", ran.Load())
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- p.Run("k", 1, 1, func(int) { ran.Add(1) }) }()
+	select {
+	case err := <-done:
+		if err != nil || ran.Load() != 3 {
+			t.Fatalf("ordinary task after the panic: err %v, ran %d", err, ran.Load())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the pool's worker did not survive the panic")
+	}
+
+	// Tasks of one call panicking on several workers at once: Run keeps
+	// the first and returns once every task has finished.
+	wide := NewPool(4)
+	defer wide.Close()
+	if err := wide.Run("k", 8, 0, func(int) { panic("each") }); !errors.As(err, &tp) || tp.Value != "each" {
+		t.Fatalf("concurrent panics: Run returned %v", err)
 	}
 }

@@ -8,6 +8,8 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -289,6 +291,73 @@ func (g *Graph) NewBoxIn(id, label, typeName string, addr uint64) *Box {
 		Views: make(map[string]*View),
 	})
 	return &g.arena[len(g.arena)-1]
+}
+
+// Equal reports whether g and o display the same content: every field the
+// serializers and ViewQL read — name, roots, box order, and per box its
+// identity, views, view order and attributes down to each item's raw value
+// and flags. Stats is ignored: it describes how a graph was extracted, not
+// what it shows. A nil slice or map equals an empty one, as the JSON
+// encoder writes both the same. The walk allocates nothing, so an
+// incremental round can afford it for every re-extracted figure.
+func (g *Graph) Equal(o *Graph) bool {
+	if g == o {
+		return true
+	}
+	if g == nil || o == nil {
+		return false
+	}
+	if g.Name != o.Name || g.RootID != o.RootID ||
+		!slices.Equal(g.Roots, o.Roots) || !slices.Equal(g.Order, o.Order) ||
+		len(g.Boxes) != len(o.Boxes) {
+		return false
+	}
+	for id, b := range g.Boxes {
+		ob, ok := o.Boxes[id]
+		if !ok || !b.equal(ob) {
+			return false
+		}
+	}
+	return true
+}
+
+func (b *Box) equal(o *Box) bool {
+	if b == o {
+		return true
+	}
+	if b.ID != o.ID || b.Label != o.Label || b.TypeName != o.TypeName || b.Addr != o.Addr ||
+		!slices.Equal(b.ViewSeq, o.ViewSeq) || !maps.Equal(b.Attrs, o.Attrs) ||
+		len(b.Views) != len(o.Views) {
+		return false
+	}
+	for name, v := range b.Views {
+		ov, ok := o.Views[name]
+		if !ok || !v.equal(ov) {
+			return false
+		}
+	}
+	return true
+}
+
+func (v *View) equal(o *View) bool {
+	if v == o {
+		return true
+	}
+	if v.Name != o.Name || len(v.Items) != len(o.Items) {
+		return false
+	}
+	for i := range v.Items {
+		if !v.Items[i].equal(&o.Items[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func (it *Item) equal(o *Item) bool {
+	return it.Kind == o.Kind && it.Name == o.Name && it.Value == o.Value && it.Raw == o.Raw &&
+		it.IsNum == o.IsNum && it.IsStr == o.IsStr && it.TargetID == o.TargetID &&
+		it.Direction == o.Direction && slices.Equal(it.Elems, o.Elems) && maps.Equal(it.Attrs, o.Attrs)
 }
 
 // BoxID builds the canonical box identifier for a typed object.

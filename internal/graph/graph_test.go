@@ -144,3 +144,82 @@ func TestCloneView(t *testing.T) {
 		t.Error("clone shares element slice")
 	}
 }
+
+// equalSample builds a small graph that sets every field Equal compares.
+func equalSample() *graph.Graph {
+	g := graph.New("fig")
+	a := graph.NewBox("a", "Task", "task_struct", 0x10)
+	a.AddView(&graph.View{Name: "default", Items: []graph.Item{
+		{Kind: graph.ItemText, Name: "pid", Value: "1", Raw: 1, IsNum: true},
+		{Kind: graph.ItemText, Name: "comm", Value: "init", IsStr: true},
+		{Kind: graph.ItemLink, Name: "parent", TargetID: "b"},
+		{Kind: graph.ItemContainer, Name: "children", Elems: []string{"b", ""}, Direction: "vertical",
+			Attrs: map[string]string{graph.AttrCollapsed: "true"}},
+	}})
+	a.AddView(&graph.View{Name: "full", Items: []graph.Item{{Kind: graph.ItemBox, Name: "se", TargetID: "b"}}})
+	a.SetAttr(graph.AttrView, "full")
+	g.Add(a)
+	b := graph.NewBox("b", "Task", "task_struct", 0x20)
+	b.AddView(&graph.View{Name: "default"})
+	g.Add(b)
+	g.RootID = "a"
+	g.Roots = []string{"a"}
+	return g
+}
+
+// Changing any one field the serializers or ViewQL read makes Equal false;
+// stats and nil-versus-empty do not.
+func TestEqualFields(t *testing.T) {
+	item := func(g *graph.Graph, i int) *graph.Item { return &g.Boxes["a"].Views["default"].Items[i] }
+	cases := []struct {
+		name  string
+		edit  func(g *graph.Graph)
+		equal bool
+	}{
+		{"Name", func(g *graph.Graph) { g.Name = "other" }, false},
+		{"RootID", func(g *graph.Graph) { g.RootID = "b" }, false},
+		{"Roots", func(g *graph.Graph) { g.Roots = append(g.Roots, "b") }, false},
+		{"Order", func(g *graph.Graph) { g.Order[0], g.Order[1] = g.Order[1], g.Order[0] }, false},
+		{"Boxes", func(g *graph.Graph) { g.Boxes["c"] = graph.NewBox("c", "X", "", 0) }, false},
+		{"Box.ID", func(g *graph.Graph) { g.Boxes["a"].ID = "z" }, false},
+		{"Box.Label", func(g *graph.Graph) { g.Boxes["a"].Label = "Proc" }, false},
+		{"Box.TypeName", func(g *graph.Graph) { g.Boxes["a"].TypeName = "pid" }, false},
+		{"Box.Addr", func(g *graph.Graph) { g.Boxes["a"].Addr++ }, false},
+		{"Box.ViewSeq", func(g *graph.Graph) { s := g.Boxes["a"].ViewSeq; s[0], s[1] = s[1], s[0] }, false},
+		{"Box.Views", func(g *graph.Graph) { g.Boxes["b"].Views["extra"] = &graph.View{Name: "extra"} }, false},
+		{"View.Name", func(g *graph.Graph) { g.Boxes["a"].Views["full"].Name = "wide" }, false},
+		{"View.Items", func(g *graph.Graph) { g.Boxes["b"].Views["default"].Items = []graph.Item{{Name: "x"}} }, false},
+		{"Box.Attrs", func(g *graph.Graph) { g.Boxes["a"].SetAttr(graph.AttrTrimmed, "true") }, false},
+		{"Item.Kind", func(g *graph.Graph) { item(g, 2).Kind = graph.ItemBox }, false},
+		{"Item.Name", func(g *graph.Graph) { item(g, 0).Name = "tgid" }, false},
+		{"Item.Value", func(g *graph.Graph) { item(g, 0).Value = "2" }, false},
+		{"Item.Raw", func(g *graph.Graph) { item(g, 0).Raw = 2 }, false},
+		{"Item.IsNum", func(g *graph.Graph) { item(g, 0).IsNum = false }, false},
+		{"Item.IsStr", func(g *graph.Graph) { item(g, 1).IsStr = false }, false},
+		{"Item.TargetID", func(g *graph.Graph) { item(g, 2).TargetID = "" }, false},
+		{"Item.Elems", func(g *graph.Graph) { item(g, 3).Elems[1] = "a" }, false},
+		{"Item.Direction", func(g *graph.Graph) { item(g, 3).Direction = "" }, false},
+		{"Item.Attrs", func(g *graph.Graph) { item(g, 3).SetAttr(graph.AttrCollapsed, "") }, false},
+		{"Stats", func(g *graph.Graph) { g.Stats = graph.Stats{Objects: 2, Bytes: 9, Reads: 3, DurationNS: 7} }, true},
+		{"nil versus empty", func(g *graph.Graph) {
+			item(g, 0).Elems, item(g, 0).Attrs = []string{}, map[string]string{}
+			g.Boxes["b"].Attrs, g.Boxes["b"].Views["default"].Items = map[string]string{}, []graph.Item{}
+		}, true},
+	}
+	for _, tc := range cases {
+		a, b := equalSample(), equalSample()
+		if !a.Equal(b) {
+			t.Fatal("two builds of the sample differ")
+		}
+		tc.edit(b)
+		if got := a.Equal(b); got != tc.equal {
+			t.Errorf("%s: Equal = %v, want %v", tc.name, got, tc.equal)
+		}
+		if got := b.Equal(a); got != tc.equal {
+			t.Errorf("%s (reversed): Equal = %v, want %v", tc.name, got, tc.equal)
+		}
+	}
+	if g := equalSample(); !g.Equal(g) || g.Equal(nil) {
+		t.Error("Equal mishandles identity or nil")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -111,5 +112,23 @@ func TestConcurrentMetrics(t *testing.T) {
 	o.Registry.WritePrometheus(&buf)
 	if buf.Len() == 0 {
 		t.Fatal("empty exposition")
+	}
+}
+
+// The observer exports the unchanged-figure counter under its documented
+// name and help text.
+func TestObserverExportsFigureUnchanged(t *testing.T) {
+	o := obs.NewObserver()
+	o.FigureUnchanged.Add(3)
+	var buf bytes.Buffer
+	o.Registry.WritePrometheus(&buf)
+	for _, want := range []string{
+		"# HELP vl_extract_figure_unchanged_total figures re-extracted to a graph identical to the displayed one\n",
+		"# TYPE vl_extract_figure_unchanged_total counter\n",
+		"vl_extract_figure_unchanged_total 3\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
 	}
 }

@@ -52,9 +52,10 @@ type Observer struct {
 
 	// Incremental extraction behaviour (bumped by the ViewCL memoizer and
 	// the core delta extractor).
-	BoxReuses    *Counter // boxes reused from the cross-run memo (clean content)
-	BoxBuilds    *Counter // boxes materialized from target reads
-	FigureReuses *Counter // whole figures served from the prior VPlot (clean read set)
+	BoxReuses       *Counter // boxes reused from the cross-run memo (clean content)
+	BoxBuilds       *Counter // boxes materialized from target reads
+	FigureReuses    *Counter // whole figures served from the prior VPlot (clean read set)
+	FigureUnchanged *Counter // re-extracted figures equal to the displayed graph (pane version kept)
 
 	// Streaming fan-out behaviour (bumped by stream.Broker and the server's
 	// stop-event publisher). Sent counts frames written to a client's wire;
@@ -109,9 +110,10 @@ func NewObserver() *Observer {
 		Extractions:       r.Counter("vl_extractions_total", "completed VPlot extractions"),
 		TraceDrops:        r.Counter("vl_trace_dropped_spans_total", "spans dropped over per-trace budgets"),
 
-		BoxReuses:    r.Counter("vl_extract_box_reuse_total", "boxes reused from the cross-run extraction memo"),
-		BoxBuilds:    r.Counter("vl_extract_box_builds_total", "boxes materialized from target reads"),
-		FigureReuses: r.Counter("vl_extract_figure_reuse_total", "figures served whole from the prior VPlot (clean read set)"),
+		BoxReuses:       r.Counter("vl_extract_box_reuse_total", "boxes reused from the cross-run extraction memo"),
+		BoxBuilds:       r.Counter("vl_extract_box_builds_total", "boxes materialized from target reads"),
+		FigureReuses:    r.Counter("vl_extract_figure_reuse_total", "figures served whole from the prior VPlot (clean read set)"),
+		FigureUnchanged: r.Counter("vl_extract_figure_unchanged_total", "figures re-extracted to a graph identical to the displayed one"),
 
 		StreamFramesSent:      r.Counter("vl_stream_frames_sent_total", "pane delta frames written to stream clients"),
 		StreamFramesCoalesced: r.Counter("vl_stream_frames_coalesced_total", "stream deliveries that stood in for superseded frames (latest-wins)"),

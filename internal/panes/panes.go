@@ -49,8 +49,9 @@ type Pane struct {
 	Engine *viewql.Engine
 	// Selection holds the box IDs a secondary pane focuses on.
 	Selection []string
-	// Version counts content replacements (initially 1, bumped by
-	// Tree.Update). Together with the tree epoch it keys pane ETags: an
+	// Version counts content changes (initially 1, bumped by
+	// Tree.Update, which callers reach only with a graph that differs from
+	// the displayed one). Together with the tree epoch it keys pane ETags: an
 	// unchanged version+epoch means the rendered bytes are unchanged, so
 	// the server can answer 304 instead of re-serializing.
 	Version int
@@ -112,7 +113,9 @@ func (t *Tree) Epoch() int { return t.epoch }
 func (t *Tree) BumpEpoch() { t.epoch++ }
 
 // Update replaces a pane's content with a freshly extracted graph, bumping
-// its version: the incremental re-extraction path. The pane keeps its
+// its version: the incremental re-extraction path. Callers pass only a
+// graph whose content differs from the displayed one (graph.Equal), so the
+// version moves only when the content moves. The pane keeps its
 // identity and screen position; a fresh ViewQL engine is installed since
 // named sets reference the superseded graph's boxes. Secondary panes carved
 // from the old graph keep displaying the boxes they captured.

@@ -38,12 +38,20 @@ func defaultTenant(srv *Server) *tenant {
 }
 
 // liveServer serves an observed default session over the given figures
-// (all stdlib figures when none are named); step runs one stop event.
+// (all stdlib figures when none are named); step runs one stop event that
+// changes what the CFS runqueue (7-1) shows: it spawns a runnable task
+// before the round, because a round that re-extracts the same content
+// publishes nothing.
 func liveServer(t *testing.T, figureIDs ...string) (srv *Server, step func()) {
 	t.Helper()
 	srv = serveDefault(t, figureIDs)
+	pid := 20000
 	return srv, func() {
 		t.Helper()
+		pid++
+		if _, err := defaultTenant(srv).ms.Kernel.SpawnTask(pid, "steptest", 1); err != nil {
+			t.Fatalf("spawn: %v", err)
+		}
 		if err := srv.StreamRound(core.DefaultSession); err != nil {
 			t.Fatalf("stream round: %v", err)
 		}

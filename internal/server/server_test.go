@@ -18,12 +18,19 @@ import (
 // serves it.
 func serveDefault(t *testing.T, o *obs.Observer, figureIDs []string) *server.Server {
 	t.Helper()
+	srv, _ := serveSession(t, o, figureIDs)
+	return srv
+}
+
+// serveSession is serveDefault that also hands back the default session.
+func serveSession(t *testing.T, o *obs.Observer, figureIDs []string) (*server.Server, *core.ManagedSession) {
+	t.Helper()
 	mgr := core.NewSessionManager(core.ManagerOptions{}, o)
 	ms, err := mgr.Create(core.DefaultSession, core.SessionOptions{Figures: figureIDs})
 	if err != nil {
 		t.Fatalf("default session: %v", err)
 	}
-	return server.NewManaged(mgr, ms)
+	return server.NewManaged(mgr, ms), ms
 }
 
 // newServer serves an empty default session.

@@ -205,10 +205,16 @@ func (s *Server) handleRound(t *tenant, w http.ResponseWriter, r *http.Request) 
 	}
 	if err := s.streamRound(t, t.stepRound); err != nil {
 		code := http.StatusInternalServerError
-		if errors.Is(err, core.ErrPostMortem) {
+		var panicked *core.TaskPanic
+		switch {
+		case errors.Is(err, core.ErrPostMortem):
 			// A core-dump session is frozen: stepping it is a client
 			// error, not a server fault.
 			code = http.StatusUnprocessableEntity
+		case errors.As(err, &panicked):
+			// A round panicked: the session is quarantined and refuses
+			// rounds until it is deleted.
+			code = http.StatusServiceUnavailable
 		}
 		writeErr(w, code, err)
 		return

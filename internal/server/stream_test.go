@@ -135,22 +135,30 @@ func (c *sseClient) snapshot() (map[int]sseEvent, []sseEvent, error) {
 // mutation workload — the continuous-run mode in miniature.
 type streamFixture struct {
 	o   *obs.Observer
+	ms  *core.ManagedSession
 	srv *server.Server
 	ts  *httptest.Server
+	pid int // last PID step spawned
 }
 
 func newStreamFixture(t *testing.T, figureIDs ...string) *streamFixture {
 	t.Helper()
 	o := obs.NewObserver()
-	srv := serveDefault(t, o, figureIDs)
+	srv, ms := serveSession(t, o, figureIDs)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return &streamFixture{o: o, srv: srv, ts: ts}
+	return &streamFixture{o: o, ms: ms, srv: srv, ts: ts, pid: 20000}
 }
 
-// step runs one stop event: mutate, advance, re-extract, fan out.
+// step runs one stop event that changes what the CFS runqueue (7-1) shows:
+// spawn a runnable task, then mutate, advance, re-extract, fan out. A round
+// that re-extracts the same content publishes nothing.
 func (f *streamFixture) step(t *testing.T) {
 	t.Helper()
+	f.pid++
+	if _, err := f.ms.Kernel.SpawnTask(f.pid, "steptest", 1); err != nil {
+		t.Fatalf("spawn: %v", err)
+	}
 	if err := f.srv.StreamRound(core.DefaultSession); err != nil {
 		t.Fatalf("stream round: %v", err)
 	}

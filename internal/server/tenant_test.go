@@ -12,6 +12,7 @@ import (
 	"visualinux/internal/core"
 	"visualinux/internal/kernelsim"
 	"visualinux/internal/obs"
+	"visualinux/internal/vclstdlib"
 	"visualinux/internal/viewcl"
 )
 
@@ -293,5 +294,40 @@ func TestLegacyServerHostsTenants(t *testing.T) {
 	}
 	if _, body := do(srv, "GET", "/api/panes", ""); strings.Contains(body, "3-4") {
 		t.Fatal("tenant pane leaked into the legacy session")
+	}
+}
+
+// A tenant whose round panicked answers 503 to every later round until it
+// is deleted; a second tenant keeps serving panes and rounds throughout.
+func TestPanickingTenantRound503(t *testing.T) {
+	mgr := core.NewSessionManager(core.ManagerOptions{}, obs.NewObserver())
+	srv := NewManaged(mgr, nil)
+	for _, id := range []string{"bad", "good"} {
+		if code, body := do(srv, "POST", "/sessions", `{"id":"`+id+`","procs":1,"figures":["7-1"]}`); code != 201 {
+			t.Fatalf("create %s: %d %s", id, code, body)
+		}
+	}
+	bad, _ := mgr.Attach("bad")
+	bad.Extractor.OnFigure = func(int, vclstdlib.Figure, bool, *viewcl.Result) { panic("injected") }
+
+	for i := 0; i < 2; i++ {
+		if code, body := do(srv, "POST", "/sessions/bad/round", ""); code != 503 || !strings.Contains(body, "injected") {
+			t.Fatalf("round %d on the panicked tenant: %d %s, want 503", i, code, body)
+		}
+		if code, body := do(srv, "POST", "/sessions/good/round", ""); code != 200 {
+			t.Fatalf("round %d on the healthy tenant: %d %s", i, code, body)
+		}
+		if code, body := do(srv, "GET", "/sessions/good/api/panes", ""); code != 200 {
+			t.Fatalf("healthy tenant panes: %d %s", code, body)
+		}
+	}
+	if code, body := do(srv, "DELETE", "/sessions/bad", ""); code != 200 {
+		t.Fatalf("delete the panicked tenant: %d %s", code, body)
+	}
+	if code, body := do(srv, "POST", "/sessions", `{"id":"bad","procs":1,"figures":["7-1"]}`); code != 201 {
+		t.Fatalf("re-create after delete: %d %s", code, body)
+	}
+	if code, body := do(srv, "POST", "/sessions/bad/round", ""); code != 200 {
+		t.Fatalf("round on the re-created tenant: %d %s", code, body)
 	}
 }

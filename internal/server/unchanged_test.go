@@ -1,0 +1,108 @@
+package server
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+
+	"visualinux/internal/stream"
+)
+
+// A stop event whose re-extracted panes all come out identical publishes
+// nothing and leaves every ETag valid, so a conditional GET answers 304; a
+// stop event that changes one pane pushes exactly that pane.
+func TestUnchangedRoundPublishesNothing(t *testing.T) {
+	srv := serveDefault(t, []string{"3-6", "7-1"})
+	tn := defaultTenant(srv)
+	k, x, o := tn.ms.Kernel, tn.ms.Extractor, tn.ms.Obs
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	tn.mu.RLock()
+	c := tn.broker.Subscribe("json", nil)
+	tn.broker.SnapshotTo(c, tn.snapshotFrames(c))
+	tn.mu.RUnlock()
+	defer tn.broker.Unsubscribe(c)
+	drained, cancel := context.WithCancel(context.Background())
+	cancel() // Next returns what is deliverable, then stops
+	drain := func() []*stream.Frame {
+		var out []*stream.Frame
+		for {
+			f, ok := c.Next(drained)
+			if !ok {
+				return out
+			}
+			out = append(out, f)
+		}
+	}
+	round := func(mutate func()) {
+		t.Helper()
+		err := srv.streamRound(tn, func() error {
+			mutate()
+			x.Advance()
+			_, err := tn.ms.Round()
+			return err
+		})
+		if err != nil {
+			t.Fatalf("round: %v", err)
+		}
+	}
+
+	// A quiet round first: the publisher has no record of what the
+	// subscriber's snapshot carried, so it sends every pane once.
+	round(func() {})
+	drain()
+
+	getPane := func(pane int, inm string) (status int, etag string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/api/pane?id="+strconv.Itoa(pane), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("ETag")
+	}
+	var etags [3]string
+	for pane := 1; pane <= 2; pane++ {
+		var status int
+		if status, etags[pane] = getPane(pane, ""); status != http.StatusOK {
+			t.Fatalf("GET pane %d: %d", pane, status)
+		}
+	}
+	// The pipe write dirties a page the PID table (pane 1) reads: it
+	// re-extracts to the same graph.
+	unchanged := o.FigureUnchanged.Value()
+	round(func() {
+		if err := k.PipeWrite(k.DirtyPipe, 64); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if o.FigureUnchanged.Value() == unchanged {
+		t.Fatal("the pipe write re-extracted no figure to an unchanged graph")
+	}
+	if frames := drain(); len(frames) != 0 {
+		t.Fatalf("unchanged round published %d frames", len(frames))
+	}
+	for pane := 1; pane <= 2; pane++ {
+		if status, _ := getPane(pane, etags[pane]); status != http.StatusNotModified {
+			t.Fatalf("pane %d: conditional GET after an unchanged round: %d, want 304", pane, status)
+		}
+	}
+
+	// Renaming a task changes a row of the PID table and nothing the
+	// runqueue shows.
+	round(func() { k.ByPID[1].SetStr("comm", "renamed") })
+	frames := drain()
+	if len(frames) != 1 || frames[0].Pane != 1 {
+		t.Fatalf("rename round published %d frames (%v), want one for pane 1", len(frames), frames)
+	}
+}
