@@ -104,6 +104,12 @@ func Dial(addr string, reg *ctypes.Registry, symbols []target.Symbol) (*Client, 
 	if err != nil {
 		return nil, fmt.Errorf("gdbrsp: dial: %w", err)
 	}
+	return newClient(conn, reg, symbols)
+}
+
+// newClient runs the handshake over an open connection; it closes conn on
+// failure.
+func newClient(conn net.Conn, reg *ctypes.Registry, symbols []target.Symbol) (*Client, error) {
 	c := &Client{
 		conn:    conn,
 		r:       bufio.NewReader(conn),
@@ -152,11 +158,15 @@ func (c *Client) SetTimeout(d time.Duration) {
 // PacketSize returns the negotiated packet bound (payload bytes).
 func (c *Client) PacketSize() int { return c.packetMax }
 
-// Close detaches and closes the connection.
+// Close detaches and closes the connection. The detach request carries the
+// pending ack of the previous reply; the ack of the detach reply itself is
+// flushed before the connection closes.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, _ = c.roundTripLocked(append(c.req[:0], 'D'))
+	if _, err := c.roundTripLocked(append(c.req[:0], 'D')); err == nil {
+		_ = c.w.Flush()
+	}
 	return c.conn.Close()
 }
 
@@ -171,6 +181,10 @@ func (c *Client) roundTrip(payload string) (string, error) {
 
 // roundTripLocked sends the request payload req and returns the reply
 // payload, which aliases c.reply: it is valid until the next round trip.
+// The '+' that acks the reply is buffered, not flushed: it leaves in the
+// same write as the next request frame ("+$m...#cs"), so a round trip costs
+// the client one write and the stub one wake-up. The byte stream is the
+// same as flushing the ack on its own.
 func (c *Client) roundTripLocked(req []byte) ([]byte, error) {
 	if c.timeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
@@ -216,9 +230,6 @@ func (c *Client) roundTripLocked(req []byte) ([]byte, error) {
 	}
 	c.reply = reply
 	if err := c.w.WriteByte('+'); err != nil {
-		return nil, &LinkError{Op: "send", Err: err}
-	}
-	if err := c.w.Flush(); err != nil {
 		return nil, &LinkError{Op: "send", Err: err}
 	}
 	return reply, nil

@@ -2,9 +2,11 @@ package gdbrsp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -398,5 +400,91 @@ func TestStubFindsCapabilitiesThroughWrappers(t *testing.T) {
 	ranges, _, ok := client.DirtySince(mark)
 	if !ok || len(ranges) == 0 || ranges[0].Addr > base+8 || ranges[0].End() < base+12 {
 		t.Errorf("dirty ranges after a write = %v, %v; want one covering %#x", ranges, ok, base+8)
+	}
+}
+
+// writeCounter wraps a client's connection and records each write.
+type writeCounter struct {
+	net.Conn
+	mu     sync.Mutex
+	writes []string
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.writes = append(w.writes, string(p))
+	w.mu.Unlock()
+	return w.Conn.Write(p)
+}
+
+func (w *writeCounter) since(n int) []string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]string(nil), w.writes[n:]...)
+}
+
+// TestAckRidesWithNextRequest checks the client acks each reply in the
+// same write as its next request: after the handshake, one write per round
+// trip, each starting "+$". A detach still delivers the ack of its reply.
+func TestAckRidesWithNextRequest(t *testing.T) {
+	const base = uint64(0x4200_0000)
+	m := mem.New()
+	want := make([]byte, 3*target.PageSize)
+	for i := range want {
+		want[i] = byte(i * 31)
+	}
+	m.Write(base, want)
+	sim := target.NewSim(m, ctypes.NewRegistry())
+	srv, err := Serve("127.0.0.1:0", sim, WithPacketSize(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := &writeCounter{Conn: conn}
+	client, err := newClient(wc, sim.Types(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wc.since(0); len(got) != 2 {
+		t.Fatalf("handshake took %d writes %q, want 2 (qSupported, ?)", len(got), got)
+	}
+
+	mark := len(wc.since(0))
+	st := client.Stats()
+	_, _, txns0 := st.Totals()
+	conts0 := st.Continuations.Load()
+	var small [8]byte
+	if err := client.ReadMemory(base, small[:]); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if err := client.ReadMemory(base, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("annex read corrupted data")
+	}
+	_, _, txns1 := st.Totals()
+	trips := int(txns1 - txns0 + st.Continuations.Load() - conts0)
+	writes := wc.since(mark)
+	if len(writes) != trips {
+		t.Fatalf("%d round trips took %d writes, want one each", trips, len(writes))
+	}
+	for i, w := range writes {
+		if !strings.HasPrefix(w, "+$") || !strings.HasSuffix(w[:len(w)-2], "#") {
+			t.Fatalf("write %d = %.24q, want the previous ack and one request frame", i, w)
+		}
+	}
+
+	mark = len(wc.since(0))
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := wc.since(mark); len(got) != 2 || got[0] != "+$D#44" || got[1] != "+" {
+		t.Fatalf("detach writes = %q, want [\"+$D#44\" \"+\"]", got)
 	}
 }

@@ -148,6 +148,8 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		// The stub ignores the client's ack of our reply (read and drop).
+		// The client sends that ack with its next request, so this read
+		// returns together with the next packet.
 		if b, err := r.Peek(1); err == nil && (b[0] == '+' || b[0] == '-') {
 			_, _ = r.ReadByte()
 		}
