@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,7 +78,8 @@ type Client struct {
 
 	// packetMax is the stub's negotiated PacketSize (qSupported reply).
 	// $m replies are hex-encoded, so one packet carries packetMax/2 bytes of
-	// memory; larger reads use the annex or split at that bound.
+	// memory; larger reads use the annex, whose escaped binary chunks carry
+	// up to packetMax-1 bytes each, or split at that bound.
 	packetMax  int
 	hasMemRead bool // stub advertises qXfer:memory:read+
 	hasMemMap  bool // stub advertises qXfer:memory-map:read+
@@ -375,8 +377,8 @@ func (c *Client) readAnnex(addr uint64, buf []byte) error {
 }
 
 // readAnnexChunk requests the window of the object [addr, addr+len(buf))
-// starting at off and decodes the reply straight into buf[off:]. last
-// reports an `l` (object ends) chunk.
+// starting at off and unescapes the binary reply straight into buf[off:].
+// last reports an `l` (object ends) chunk.
 func (c *Client) readAnnexChunk(addr uint64, buf []byte, off uint64) (n int, last bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -394,12 +396,14 @@ func (c *Client) readAnnexChunk(addr uint64, buf []byte, off uint64) (n int, las
 	if len(reply) == 0 || (reply[0] != 'm' && reply[0] != 'l') {
 		return 0, false, errMalformed("qXfer", reply, addr+off)
 	}
-	data := reply[1:]
-	if uint64(len(data)) > 2*(length-off) {
-		return 0, false, errOverDelivered(len(data)/2, int(length-off), addr+off)
+	n, err = unescape(buf[off:], reply[1:])
+	if err != nil {
+		return 0, false, errMalformed("qXfer", reply, addr+off)
 	}
-	n, err = decodeHex(buf[off:], data)
-	return n, reply[0] == 'l', err
+	if n > len(buf[off:]) {
+		return 0, false, errOverDelivered(n, len(buf[off:]), addr+off)
+	}
+	return n, reply[0] == 'l', nil
 }
 
 // The read paths' error constructors, kept out of the per-chunk functions.
@@ -487,8 +491,9 @@ func (c *Client) fetchMemMap() {
 }
 
 // fetchTextAnnex pulls one plain-text annex blob (qXfer:<annex>:read:<arg>)
-// over m/l continuation chunks, with the usual accounting: one transaction
-// for the sequence, continuations for the follow-up chunks.
+// over m/l continuation chunks, unescaped like every qXfer reply, with the
+// usual accounting: one transaction for the sequence, continuations for the
+// follow-up chunks.
 func (c *Client) fetchTextAnnex(annex, arg string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -516,12 +521,18 @@ func (c *Client) fetchTextAnnex(annex, arg string) (string, error) {
 		if len(reply) == 0 || (reply[0] != 'm' && reply[0] != 'l') {
 			return "", fmt.Errorf("gdbrsp: malformed qXfer:%s reply %.16q", annex, reply)
 		}
-		blob = append(blob, reply[1:]...)
-		off += uint64(len(reply) - 1)
+		start := len(blob)
+		blob = slices.Grow(blob, len(reply)-1)[:start+len(reply)-1]
+		n, err := unescape(blob[start:], reply[1:])
+		if err != nil {
+			return "", fmt.Errorf("gdbrsp: malformed qXfer:%s reply: %w", annex, err)
+		}
+		blob = blob[:start+n]
+		off += uint64(n)
 		if reply[0] == 'l' {
 			break
 		}
-		if len(reply) == 1 {
+		if n == 0 {
 			return "", fmt.Errorf("gdbrsp: empty qXfer:%s chunk (no progress)", annex)
 		}
 		if len(blob) > maxAnnexText {

@@ -140,6 +140,99 @@ func TestCodecMatchesFmt(t *testing.T) {
 	}
 }
 
+// TestBinaryEscapes checks the binary-data codec on every byte value: the
+// escaped form never holds a bare '#', '$' or '*', an escape pair never
+// straddles the budget, and unescape inverts it, counting but not writing
+// what overruns dst and rejecting a lone trailing '}'.
+func TestBinaryEscapes(t *testing.T) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	enc, n := appendEscaped(nil, all, len(all)*2)
+	if n != len(all) || len(enc) != len(all)+4 {
+		t.Fatalf("escaped 256 values: carried %d, %d bytes, want 256, 260", n, len(enc))
+	}
+	for i := 0; i < len(enc); i++ {
+		switch enc[i] {
+		case '#', '$', '*':
+			t.Fatalf("bare %q at %d of the escaped form", enc[i], i)
+		case '}':
+			i++ // the escaped byte may be anything
+		}
+	}
+	back := make([]byte, len(all))
+	if m, err := unescape(back, enc); err != nil || m != len(all) || !bytes.Equal(back, all) {
+		t.Fatalf("unescape = %d, %v", m, err)
+	}
+	// Budget: "ab" fits in 3, the pair for '#' would need 4.
+	if enc, n := appendEscaped(nil, []byte("ab#c"), 3); n != 2 || string(enc) != "ab" {
+		t.Errorf("straddling pair: %q carrying %d, want \"ab\" carrying 2", enc, n)
+	}
+	if enc, n := appendEscaped(nil, []byte("ab#c"), 4); n != 3 || string(enc) != "ab}\x03" {
+		t.Errorf("fitting pair: %q carrying %d", enc, n)
+	}
+	short := make([]byte, 2)
+	if m, err := unescape(short, []byte("x}]yz")); err != nil || m != 4 || string(short) != "x}" {
+		t.Errorf("overrun: %d %q, %v; want 4 \"x}\"", m, short, err)
+	}
+	if _, err := unescape(make([]byte, 8), []byte("ab}")); err != errLoneEscape {
+		t.Errorf("lone '}': err = %v", err)
+	}
+}
+
+// TestBinaryChunksAllBytes serves every byte value through the
+// qXfer:memory:read annex at the smallest packet size and reads it back
+// intact. The object opens with an escapable byte placed so that its pair
+// would straddle the chunk budget: that chunk stops before it and is `m`.
+// The object ends at a mapping edge, so a longer read ends in `l` there.
+func TestBinaryChunksAllBytes(t *testing.T) {
+	data := bytes.Repeat([]byte{'a'}, minPacket-2) // one byte short of the budget
+	data = append(data, '#')
+	for i := 0; i < 256; i++ {
+		data = append(data, byte(i))
+	}
+	for i := 255; i >= 0; i-- {
+		data = append(data, byte(i))
+	}
+	data = append(data, bytes.Repeat([]byte("}*$#"), 40)...)
+	base := uint64(0x4300_0000) + target.PageSize - uint64(len(data))
+	m := mem.New()
+	m.Write(base, data)
+	sim := target.NewSim(m, ctypes.NewRegistry())
+	srv, err := Serve("127.0.0.1:0", sim, WithPacketSize(minPacket))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	c := &stubConn{s: srv}
+	req := appendAddrLen(append(appendAddrLen([]byte("qXfer:memory:read:"), base, uint64(len(data))), ':'), 0, uint64(len(data)))
+	if reply, _ := c.dispatch(nil, req); string(reply) != "m"+strings.Repeat("a", minPacket-2) {
+		t.Fatalf("first chunk = %q, want m and the %d bytes before the pair", reply, minPacket-2)
+	}
+
+	client, err := Dial(srv.Addr(), sim.Types(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	got := make([]byte, len(data))
+	if err := client.ReadMemory(base, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("read back %q\nwant %q", got, data)
+	}
+	if conts, want := client.Stats().Continuations.Load(), uint64(binaryChunks(data, minPacket-1)-1); conts != want {
+		t.Errorf("continuations = %d, want %d", conts, want)
+	}
+	err = client.ReadMemory(base, make([]byte, len(data)+100))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("after %d of %d bytes", len(data), len(data)+100)) {
+		t.Errorf("read past the mapping: err = %v, want the unmapped tail after %d bytes", err, len(data))
+	}
+}
+
 // TestReadPacketStream checks the reader skips acks, interrupts and noise
 // between frames, enforces the size bound and reports bad checksums.
 func TestReadPacketStream(t *testing.T) {
@@ -239,6 +332,12 @@ func FuzzClientReplies(f *testing.F) {
 	f.Add([]byte("1000,1000;"), []byte("0123456789abcdef"))
 	f.Add([]byte("5;1000,100"), []byte("mzz"))
 	f.Add([]byte("0102"), []byte(strings.Repeat("A", 300)))
+	// Binary qXfer chunks (the 300-byte read takes second, then first):
+	// escaped bytes; a trailing lone '}'; a last chunk that fits the 101
+	// bytes left as hex would (152 chars) but over-delivers once unescaped.
+	f.Add([]byte("l}\x03}\x04}]}\x0a"+strings.Repeat("\x00", 96)), []byte("m}]"+strings.Repeat("\xff", 197)))
+	f.Add([]byte("m0102}"), []byte("l}"))
+	f.Add([]byte("l}]"+strings.Repeat("x", 150)), []byte("m"+strings.Repeat("x", 199)))
 	f.Fuzz(func(t *testing.T, first, second []byte) {
 		// A short script, then errors: every read path ends on an E reply,
 		// so a stub that streams forever is out of scope here
@@ -307,12 +406,14 @@ func chunkPair(tb testing.TB) (*Client, uint64) {
 }
 
 // rspChunkBytes is one full qXfer:memory:read reply at PacketSize 512:
-// (512-1)/2 memory bytes behind the m/l marker.
-const rspChunkBytes = (512 - 1) / 2
+// 512-1 escape-free memory bytes behind the m/l marker. chunkPair's
+// pattern takes every byte value, so the escapes in this window spill its
+// last bytes into a short second chunk.
+const rspChunkBytes = 512 - 1
 
-// BenchmarkRSPChunk measures one 255-byte qXfer:memory:read chunk end to
+// BenchmarkRSPChunk measures one 511-byte qXfer:memory:read window end to
 // end over loopback: request formatting, framing, the stub's memory read
-// and hex reply, and the client's decode.
+// and escaped binary reply, and the client's unescape.
 func BenchmarkRSPChunk(b *testing.B) {
 	client, base := chunkPair(b)
 	buf := make([]byte, rspChunkBytes)
@@ -326,10 +427,11 @@ func BenchmarkRSPChunk(b *testing.B) {
 	}
 }
 
-// maxChunkAllocs bounds the allocations of one 255-byte chunk round trip,
-// both halves together: the codec spends one, the stub's request string. A
-// per-byte Sprintf on this path costs 255 more.
-const maxChunkAllocs = 2
+// maxChunkAllocs bounds the allocations of one chunk window's round trips,
+// both halves together: the stub parses the request bytes in place and
+// both ends reuse their packet buffers. A per-packet request string costs
+// one more, a per-byte Sprintf hundreds.
+const maxChunkAllocs = 0
 
 // TestRSPChunkAllocs pins the allocation cost of the per-chunk path: the
 // stub's reply builder on its own, and one chunk end to end.
@@ -355,14 +457,14 @@ func TestRSPChunkAllocs(t *testing.T) {
 	m := mem.New()
 	m.Write(base, make([]byte, target.PageSize))
 	c := &stubConn{s: &Server{backing: target.NewSim(m, ctypes.NewRegistry()), packetMax: 512}}
-	req := string(appendAddrLen(append(appendAddrLen([]byte("qXfer:memory:read:"), base, 4*rspChunkBytes), ':'), rspChunkBytes, 3*rspChunkBytes))
+	req := appendAddrLen(append(appendAddrLen([]byte("qXfer:memory:read:"), base, 4*rspChunkBytes), ':'), rspChunkBytes, 3*rspChunkBytes)
 	serve := func() {
 		reply, _ := c.dispatch(c.reply[:0], req)
 		c.reply = reply
 		c.out = appendPacket(append(c.out[:0], '+'), reply)
 	}
 	serve()
-	if want := 1 + 2*rspChunkBytes; len(c.reply) != want || c.reply[0] != 'm' {
+	if want := 1 + rspChunkBytes; len(c.reply) != want || c.reply[0] != 'm' {
 		t.Fatalf("stub reply = %d bytes %.8q, want an m chunk of %d", len(c.reply), c.reply, want)
 	}
 	if n := testing.AllocsPerRun(100, serve); n != 0 {

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // maxPacket is our advertised packet size (payload bytes).
@@ -130,6 +129,61 @@ func readPacket(r *bufio.Reader, dst []byte, max int) ([]byte, error) {
 	return dst, nil
 }
 
+// escapeByte reports whether b travels escaped in binary data (GDB's
+// "Binary Data"): the frame delimiters '$' and '#', the escape '}' itself,
+// and '*', which starts a run-length encoding.
+func escapeByte(b byte) bool { return b == '#' || b == '$' || b == '}' || b == '*' }
+
+// appendEscaped appends the longest prefix of data whose escaped form fits
+// in budget bytes, each escapable byte as '}' then the byte XOR 0x20, and
+// returns how many bytes of data it carries. An escape pair never straddles
+// the budget: it moves whole to the next chunk.
+func appendEscaped(dst, data []byte, budget int) ([]byte, int) {
+	n := 0
+	for ; n < len(data); n++ {
+		b := data[n]
+		if !escapeByte(b) {
+			if budget < 1 {
+				break
+			}
+			dst = append(dst, b)
+			budget--
+			continue
+		}
+		if budget < 2 {
+			break
+		}
+		dst = append(dst, '}', b^0x20)
+		budget -= 2
+	}
+	return dst, n
+}
+
+// errLoneEscape reports binary data that ends in the escape byte.
+var errLoneEscape = errors.New("gdbrsp: binary data ends in a lone '}'")
+
+// unescape decodes binary data src into dst and returns the decoded length.
+// Only len(dst) bytes are written; a longer decoded length is the caller's
+// to report (over-delivery). Data ending in a lone '}' is malformed.
+func unescape(dst, src []byte) (int, error) {
+	n := 0
+	for i := 0; i < len(src); i++ {
+		b := src[i]
+		if b == '}' {
+			i++
+			if i == len(src) {
+				return n, errLoneEscape
+			}
+			b = src[i] ^ 0x20
+		}
+		if n < len(dst) {
+			dst[n] = b
+		}
+		n++
+	}
+	return n, nil
+}
+
 // decodeHex parses hex digits (either case) from src into dst, which must
 // hold len(src)/2 bytes, and returns the byte count.
 func decodeHex(dst, src []byte) (int, error) {
@@ -160,9 +214,13 @@ func hexDigit(c byte) (byte, bool) {
 	return 0, false
 }
 
+// text is a packet field: a string on the client, the request bytes on the
+// stub, which parses them in place.
+type text interface{ ~string | ~[]byte }
+
 // parseHexU64 parses a hex number (no 0x prefix, RSP style).
-func parseHexU64(s string) (uint64, error) {
-	if s == "" {
+func parseHexU64[T text](s T) (uint64, error) {
+	if len(s) == 0 {
 		return 0, fmt.Errorf("gdbrsp: empty number")
 	}
 	var v uint64
@@ -176,9 +234,19 @@ func parseHexU64(s string) (uint64, error) {
 	return v, nil
 }
 
+// indexByte returns the index of the first c in s, or -1.
+func indexByte[T text](s T, c byte) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == c {
+			return i
+		}
+	}
+	return -1
+}
+
 // splitAddrLen parses "ADDR,LEN".
-func splitAddrLen(s string) (addr, length uint64, err error) {
-	i := strings.IndexByte(s, ',')
+func splitAddrLen[T text](s T) (addr, length uint64, err error) {
+	i := indexByte(s, ',')
 	if i < 0 {
 		return 0, 0, fmt.Errorf("gdbrsp: malformed addr,len %q", s)
 	}

@@ -2,6 +2,7 @@ package gdbrsp
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"net"
@@ -13,7 +14,7 @@ import (
 )
 
 // minPacket is the smallest PacketSize the server will run with: enough for
-// one qXfer command frame and at least a few bytes of hex reply.
+// one qXfer command frame and at least a few bytes of reply.
 const minPacket = 64
 
 // Server speaks the gdbstub side of RSP, serving memory reads from a
@@ -21,7 +22,8 @@ const minPacket = 64
 //
 // The server is built for slow, small-packet links: arbitrarily large reads
 // are served over a small negotiated PacketSize via continuation — the
-// qXfer:memory:read annex answers in `m`/`l` chunked replies — and a plain
+// qXfer:memory:read annex answers in `m`/`l` chunked replies of escaped
+// binary, up to PacketSize-1 memory bytes each — and a plain
 // `$m` request that exceeds the packet bound gets a standards-correct short
 // reply (the longest prefix that fits), which the client resumes from the
 // next byte. When the backing target knows its memory map, the server also
@@ -124,10 +126,8 @@ type stubConn struct {
 	// Chunked-annex reply caches, keyed by the annex argument so a
 	// continuation sequence reads one consistent blob. Rebuilt whenever a
 	// request arrives at offset 0 or with a different argument.
-	hashBlob  []byte
-	hashKey   string
-	dirtyBlob []byte
-	dirtyKey  string
+	hashBlob, hashKey   []byte
+	dirtyBlob, dirtyKey []byte
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -140,7 +140,7 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		st.in = in
-		reply, kill := st.dispatch(st.reply[:0], string(in))
+		reply, kill := st.dispatch(st.reply[:0], in)
 		st.reply = reply
 		// Ack the well-formed packet and send the reply in one write.
 		st.out = appendPacket(append(st.out[:0], '+'), reply)
@@ -163,11 +163,18 @@ func (s *Server) handle(conn net.Conn) {
 // zero — we debug state, not registers.
 var zeroRegs = strings.Repeat("0", 16*16)
 
+// hasPrefix reports whether payload starts with prefix, without converting
+// the payload to a string.
+func hasPrefix(payload []byte, prefix string) bool {
+	return len(payload) >= len(prefix) && string(payload[:len(prefix)]) == prefix
+}
+
 // dispatch appends the reply for one packet to out; kill reports session end.
-func (c *stubConn) dispatch(out []byte, payload string) (reply []byte, kill bool) {
+// payload is parsed in place: it is valid only until the next packet.
+func (c *stubConn) dispatch(out, payload []byte) (reply []byte, kill bool) {
 	s := c.s
 	switch {
-	case payload == "":
+	case len(payload) == 0:
 		return out, false
 	case payload[0] == 'm':
 		addr, length, err := splitAddrLen(payload[1:])
@@ -185,27 +192,27 @@ func (c *stubConn) dispatch(out []byte, payload string) (reply []byte, kill bool
 			return appendError(out, 0x0e), false // EFAULT: not even the first byte
 		}
 		return hex.AppendEncode(out, data), false
-	case strings.HasPrefix(payload, "qXfer:memory:read:"):
+	case hasPrefix(payload, "qXfer:memory:read:"):
 		return c.xferMemoryRead(out, payload[len("qXfer:memory:read:"):]), false
-	case strings.HasPrefix(payload, "qXfer:memory-map:read:"):
+	case hasPrefix(payload, "qXfer:memory-map:read:"):
 		return c.xferMemoryMap(out, payload[len("qXfer:memory-map:read:"):]), false
-	case strings.HasPrefix(payload, "qXfer:memory-hash:read:"):
+	case hasPrefix(payload, "qXfer:memory-hash:read:"):
 		return c.xferMemoryHash(out, payload[len("qXfer:memory-hash:read:"):]), false
-	case strings.HasPrefix(payload, "qXfer:dirty-ranges:read:"):
+	case hasPrefix(payload, "qXfer:dirty-ranges:read:"):
 		return c.xferDirtyRanges(out, payload[len("qXfer:dirty-ranges:read:"):]), false
-	case payload == "?":
+	case string(payload) == "?":
 		return append(out, "S05"...), false // stopped by SIGTRAP, like a fresh attach
-	case payload == "g":
+	case string(payload) == "g":
 		return append(out, zeroRegs...), false
 	case payload[0] == 'p':
 		return append(out, zeroRegs[:16]...), false
 	case payload[0] == 'H':
 		return append(out, "OK"...), false
-	case payload == "qAttached":
+	case string(payload) == "qAttached":
 		return append(out, '1'), false
-	case payload == "vMustReplyEmpty":
+	case string(payload) == "vMustReplyEmpty":
 		return out, false
-	case strings.HasPrefix(payload, "qSupported"):
+	case hasPrefix(payload, "qSupported"):
 		out = append(out, "PacketSize="...)
 		out = strconv.AppendUint(out, uint64(s.packetMax), 16)
 		out = append(out, ";qXfer:features:read-;qXfer:memory:read+"...)
@@ -221,9 +228,9 @@ func (c *stubConn) dispatch(out []byte, payload string) (reply []byte, kill bool
 			}
 		}
 		return out, false
-	case payload == "D": // detach
+	case string(payload) == "D": // detach
 		return append(out, "OK"...), true
-	case payload == "k": // kill
+	case string(payload) == "k": // kill
 		return out, true
 	case payload[0] == 'X' || payload[0] == 'M':
 		// Memory writes: the visualizer never writes; refuse politely.
@@ -241,18 +248,33 @@ type mappedRanger interface {
 	MappedRanges() []target.Range
 }
 
-// chunkBytes is how many memory bytes one continuation reply carries: the
-// `m`/`l` marker plus 2 hex chars per byte must fit the negotiated packet.
-func (s *Server) chunkBytes() uint64 { return uint64((s.packetMax - 1) / 2) }
+// chunkBytes is the most memory bytes one continuation reply carries: the
+// `m`/`l` marker plus the escaped bytes must fit the negotiated packet, so
+// a chunk of escape-free memory carries PacketSize-1 bytes.
+func (s *Server) chunkBytes() uint64 { return uint64(s.packetMax - 1) }
+
+// appendChunk appends one `m`/`l` continuation reply carrying the longest
+// prefix of data that fits the packet as escaped binary. The chunk is `l`
+// only when it carries all of data and ends says data runs to the end of
+// the object; a chunk cut short by the escape budget is `m`, and the
+// client resumes after the bytes it carried.
+func appendChunk(out, data []byte, ends bool, packetMax int) []byte {
+	mark := len(out)
+	out, n := appendEscaped(append(out, 'm'), data, packetMax-1)
+	if ends && n == len(data) {
+		out[mark] = 'l'
+	}
+	return out
+}
 
 // xferMemoryRead serves one window of a qXfer:memory:read:ADDR,LEN:OFF,N
 // request. The annex names the whole object ([ADDR, ADDR+LEN)); OFF,N is the
-// client's window into it. Replies are `m<hex>` (more follows) or `l<hex>`
-// (object ends with this chunk). A chunk that stops short of the window —
-// the read ran off the mapped prefix — is returned as `l`: the object ends
-// early, and the client sees exactly how many bytes were readable.
-func (c *stubConn) xferMemoryRead(out []byte, spec string) []byte {
-	i := strings.IndexByte(spec, ':')
+// client's window into it. Replies are `m<binary>` (more follows) or
+// `l<binary>` (object ends with this chunk). A window that stops short —
+// the read ran off the mapped prefix — ends in an `l` chunk: the object
+// ends early, and the client sees exactly how many bytes were readable.
+func (c *stubConn) xferMemoryRead(out, spec []byte) []byte {
+	i := indexByte(spec, ':')
 	if i < 0 {
 		return appendError(out, 0x16)
 	}
@@ -281,18 +303,15 @@ func (c *stubConn) xferMemoryRead(out []byte, spec string) []byte {
 		}
 		return append(out, 'l') // mapped prefix ends exactly at off
 	}
-	if uint64(len(data)) < window || off+uint64(len(data)) == length {
-		return hex.AppendEncode(append(out, 'l'), data)
-	}
-	return hex.AppendEncode(append(out, 'm'), data)
+	return appendChunk(out, data, uint64(len(data)) < window || off+uint64(len(data)) == length, c.s.packetMax)
 }
 
 // xferMemoryMap serves the target's memory map as "addr,size;addr,size;..."
 // (hex, merged mapped ranges, ascending), windowed by OFF,N with the same
 // m/l continuation framing as memory reads. The map is serialized once per
 // sequence (a request at offset 0) so chunked fetches stay consistent.
-func (c *stubConn) xferMemoryMap(out []byte, spec string) []byte {
-	i := strings.IndexByte(spec, ':')
+func (c *stubConn) xferMemoryMap(out, spec []byte) []byte {
+	i := indexByte(spec, ':')
 	if i < 0 {
 		return appendError(out, 0x16)
 	}
@@ -326,11 +345,11 @@ func appendMemMap(dst []byte, ranges []target.Range) []byte {
 // the machine-side convention. This is the cheap revalidation primitive:
 // the debugger confirms a stale page unchanged for 16 hex chars per 256 B
 // instead of re-reading 4 KiB.
-func (c *stubConn) xferMemoryHash(out []byte, spec string) []byte {
+func (c *stubConn) xferMemoryHash(out, spec []byte) []byte {
 	if c.s.noHash {
 		return out // unsupported -> empty reply per RSP
 	}
-	i := strings.IndexByte(spec, ':')
+	i := indexByte(spec, ':')
 	if i < 0 {
 		return appendError(out, 0x16)
 	}
@@ -343,12 +362,13 @@ func (c *stubConn) xferMemoryHash(out []byte, spec string) []byte {
 		return appendError(out, 0x16)
 	}
 	key := spec[:i]
-	if off == 0 || c.hashKey != key || c.hashBlob == nil {
+	if off == 0 || !bytes.Equal(c.hashKey, key) || c.hashBlob == nil {
 		hashes, ok := target.HashBlocks(c.s.backing, addr, length)
 		if !ok {
 			hashes = c.hashLocally(addr, length)
 		}
-		c.hashBlob, c.hashKey = appendHashes(c.hashBlob[:0], hashes), key
+		c.hashBlob = appendHashes(c.hashBlob[:0], hashes)
+		c.hashKey = append(c.hashKey[:0], key...)
 	}
 	return windowText(out, c.hashBlob, off, n, c.s.packetMax)
 }
@@ -381,11 +401,11 @@ func (c *stubConn) hashLocally(addr, length uint64) []uint64 {
 // with m/l framing. An error reply at offset 0 means the journal could not
 // answer (history lost past MARK, or no journal); the client then falls
 // back to hash revalidation. MARK=ffffffffffffffff arms a fresh cursor.
-func (c *stubConn) xferDirtyRanges(out []byte, spec string) []byte {
+func (c *stubConn) xferDirtyRanges(out, spec []byte) []byte {
 	if c.s.noDirty {
 		return out
 	}
-	i := strings.IndexByte(spec, ':')
+	i := indexByte(spec, ':')
 	if i < 0 {
 		return appendError(out, 0x16)
 	}
@@ -398,7 +418,7 @@ func (c *stubConn) xferDirtyRanges(out []byte, spec string) []byte {
 		return appendError(out, 0x16)
 	}
 	key := spec[:i]
-	if off == 0 || c.dirtyKey != key || c.dirtyBlob == nil {
+	if off == 0 || !bytes.Equal(c.dirtyKey, key) || c.dirtyBlob == nil {
 		dt, ok := target.Find[target.DirtyTracker](c.s.backing)
 		if !ok {
 			return out
@@ -407,7 +427,8 @@ func (c *stubConn) xferDirtyRanges(out []byte, spec string) []byte {
 		if !ok {
 			return appendError(out, 0x0b) // EAGAIN: history lost, re-arm and revalidate
 		}
-		c.dirtyBlob, c.dirtyKey = appendDirty(c.dirtyBlob[:0], next, ranges), key
+		c.dirtyBlob = appendDirty(c.dirtyBlob[:0], next, ranges)
+		c.dirtyKey = append(c.dirtyKey[:0], key...)
 	}
 	return windowText(out, c.dirtyBlob, off, n, c.s.packetMax)
 }
@@ -422,7 +443,8 @@ func appendDirty(dst []byte, next uint64, ranges []target.Range) []byte {
 }
 
 // windowText appends one OFF,N window of a plain-text annex blob as an m/l
-// continuation reply, bounded by the negotiated packet size.
+// continuation reply, bounded by the negotiated packet size. The blobs hold
+// no escapable byte, so the chunk carries the text as is.
 func windowText(out, blob []byte, off, n uint64, packetMax int) []byte {
 	if off >= uint64(len(blob)) {
 		return append(out, 'l')
@@ -431,15 +453,7 @@ func windowText(out, blob []byte, off, n uint64, packetMax int) []byte {
 	if n < window {
 		window = n
 	}
-	if bound := uint64(packetMax - 1); window > bound {
-		window = bound
-	}
-	if off+window == uint64(len(blob)) {
-		out = append(out, 'l')
-	} else {
-		out = append(out, 'm')
-	}
-	return append(out, blob[off:off+window]...)
+	return appendChunk(out, blob[off:off+window], off+window == uint64(len(blob)), packetMax)
 }
 
 // readMappedPrefix reads up to length bytes at addr into the connection's
