@@ -84,16 +84,6 @@ func (e *Expr) ConstValue(reg *ctypes.Registry) (Value, bool) {
 	return Value{}, false
 }
 
-// EvalLValue evaluates without the final rvalue conversion, so the caller
-// can take the object's address (used by ViewCL box anchoring).
-func (e *Expr) EvalLValue(env *Env) (Value, error) {
-	v, err := e.root.eval(env)
-	if err != nil {
-		return Value{}, fmt.Errorf("%v (in %q)", err, e.Src)
-	}
-	return v, nil
-}
-
 // --- AST ---------------------------------------------------------------------
 
 type node interface {

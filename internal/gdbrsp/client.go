@@ -167,6 +167,7 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, err := c.roundTripLocked(append(c.req[:0], 'D')); err == nil {
+		// The stub has already detached; losing its last ack costs nothing.
 		_ = c.w.Flush()
 	}
 	return c.conn.Close()
@@ -396,12 +397,13 @@ func (c *Client) readAnnexChunk(addr uint64, buf []byte, off uint64) (n int, las
 	if len(reply) == 0 || (reply[0] != 'm' && reply[0] != 'l') {
 		return 0, false, errMalformed("qXfer", reply, addr+off)
 	}
-	n, err = unescape(buf[off:], reply[1:])
+	dst := buf[off:]
+	n, err = unescape(dst, reply[1:])
 	if err != nil {
 		return 0, false, errMalformed("qXfer", reply, addr+off)
 	}
-	if n > len(buf[off:]) {
-		return 0, false, errOverDelivered(n, len(buf[off:]), addr+off)
+	if n > len(dst) {
+		return 0, false, errOverDelivered(n, len(dst), addr+off)
 	}
 	return n, reply[0] == 'l', nil
 }

@@ -475,15 +475,6 @@ func (g *Graph) Summary() string {
 	return fmt.Sprintf("%s: %d boxes, %d types, root=%s", g.Name, len(g.Boxes), len(g.Types()), g.RootID)
 }
 
-// TextValue formats a raw scalar the way WHERE literals are written, so
-// string comparisons against rendered text behave predictably.
-func TextValue(raw uint64, signed bool) string {
-	if signed {
-		return strconv.FormatInt(int64(raw), 10)
-	}
-	return strconv.FormatUint(raw, 10)
-}
-
 // ParseBoxAddr extracts the address from a canonical box ID; 0 if the ID is
 // not canonical.
 func ParseBoxAddr(id string) uint64 {

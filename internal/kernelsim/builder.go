@@ -158,18 +158,6 @@ func (b *Builder) AllocPage() (pg Obj, data uint64) {
 	return Obj{B: b, Addr: addr, Type: pageT}, data
 }
 
-// PageForPFN returns the struct page handle for a frame number.
-func (b *Builder) PageForPFN(pfn uint64) Obj {
-	pageT := b.Reg.MustLookup("page")
-	return Obj{B: b, Addr: vmemmapBase + pfn*pageT.Size(), Type: pageT}
-}
-
-// PFNOf returns the frame number of a struct page handle.
-func (b *Builder) PFNOf(pg Obj) uint64 {
-	pageT := b.Reg.MustLookup("page")
-	return (pg.Addr - vmemmapBase) / pageT.Size()
-}
-
 // --- typed field access -----------------------------------------------------------
 
 func (o Obj) field(path string) ctypes.Field {

@@ -358,9 +358,6 @@ func NewWorkload(k *Kernel) *Workload {
 	return &Workload{k: k, pipe: k.MakePipe()}
 }
 
-// Steps reports how many mutation steps have run.
-func (w *Workload) Steps() int { return w.i }
-
 // Step applies one deterministic mutation round.
 func (w *Workload) Step() {
 	k, i := w.k, w.i

@@ -78,28 +78,29 @@ func (s *Server) streamRound(t *tenant, step func() error) error {
 
 // publishLocked diffs every pane against its last published (version,
 // epoch), serializes and quotes the changed ones once per format that has
-// at least one subscriber, and hands the frames to the broker. Caller
-// holds the tenant's write lock. Returns the number of frames published.
+// at least one subscriber, and hands the frames to the broker. Every round
+// records each pane's (version, epoch), subscribers or not: a client that
+// subscribes later gets those panes in its catch-up snapshot, so the next
+// round must not send them again. Caller holds the tenant's write lock.
+// Returns the number of frames published.
 func (t *tenant) publishLocked(tr *obs.Tracer) int {
-	if t.session.Tree == nil || t.broker.ClientCount() == 0 {
+	if t.session.Tree == nil {
 		return 0
 	}
-	formats := make([]string, 0, 3)
-	for f := range t.broker.FormatsInUse() {
-		formats = append(formats, f)
+	var formats []string
+	if t.broker.ClientCount() > 0 {
+		for f := range t.broker.FormatsInUse() {
+			formats = append(formats, f)
+		}
+		sort.Strings(formats)
 	}
-	if len(formats) == 0 {
-		return 0
-	}
-	sort.Strings(formats)
 	t0 := time.Now()
 	o := t.session.Obs
 	epoch := t.session.Tree.Epoch()
-	seen := make(map[int]struct{})
 	var frames []*stream.Frame
 	root := tr.Root()
-	for _, p := range t.session.Tree.Panes() {
-		seen[p.ID] = struct{}{}
+	panes := t.session.Tree.Panes()
+	for _, p := range panes {
 		if st, ok := t.lastPub[p.ID]; ok && st.version == p.Version && st.epoch == epoch {
 			continue
 		}
@@ -118,9 +119,15 @@ func (t *tenant) publishLocked(tr *obs.Tracer) int {
 		}
 		t.lastPub[p.ID] = pubState{version: p.Version, epoch: epoch}
 	}
-	for id := range t.lastPub {
-		if _, ok := seen[id]; !ok {
-			delete(t.lastPub, id)
+	if len(t.lastPub) > len(panes) { // a pane closed: forget it
+		live := make(map[int]bool, len(panes))
+		for _, p := range panes {
+			live[p.ID] = true
+		}
+		for id := range t.lastPub {
+			if !live[id] {
+				delete(t.lastPub, id)
+			}
 		}
 	}
 	if len(frames) == 0 {

@@ -95,6 +95,9 @@ func newTenant(ms *core.ManagedSession) *tenant {
 	// The vchat diagnosis layer answers "why is my stream laggy?" from the
 	// broker's health snapshot; hand the session a way to read it.
 	ms.Session.StreamHealth = t.broker.Health
+	// Record the startup panes as published: a first subscriber gets them
+	// in its catch-up snapshot, not again after the first round.
+	t.publishLocked(nil)
 	return t
 }
 

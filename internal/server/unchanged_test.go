@@ -37,6 +37,11 @@ func TestUnchangedRoundPublishesNothing(t *testing.T) {
 			out = append(out, f)
 		}
 	}
+	for _, f := range drain() {
+		if !f.Snapshot {
+			t.Fatalf("frame for pane %d before any round is not the catch-up snapshot", f.Pane)
+		}
+	}
 	round := func(mutate func()) {
 		t.Helper()
 		err := srv.streamRound(tn, func() error {
@@ -49,11 +54,6 @@ func TestUnchangedRoundPublishesNothing(t *testing.T) {
 			t.Fatalf("round: %v", err)
 		}
 	}
-
-	// A quiet round first: the publisher has no record of what the
-	// subscriber's snapshot carried, so it sends every pane once.
-	round(func() {})
-	drain()
 
 	getPane := func(pane int, inm string) (status int, etag string) {
 		t.Helper()

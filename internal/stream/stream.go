@@ -71,9 +71,6 @@ type Frame struct {
 	published time.Time
 }
 
-// Published reports when the frame was handed to the broker.
-func (f *Frame) Published() time.Time { return f.published }
-
 // Broker fans frames out to subscribed clients. All methods are safe for
 // concurrent use; Publish never blocks on a slow client.
 type Broker struct {

@@ -191,9 +191,3 @@ func CompileCount() uint64 {
 	defer sharedCompiles.mu.Unlock()
 	return sharedCompiles.lowers
 }
-
-// CompileCacheStats reports the shared compile cache's hit/miss/eviction
-// counters.
-func CompileCacheStats() (hits, misses, evictions uint64) {
-	return sharedCompiles.lru.stats()
-}

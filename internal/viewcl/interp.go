@@ -114,32 +114,6 @@ type Result struct {
 	BoxesBuilt  int
 }
 
-// LoadDefs registers the Box definitions of a program without plotting, so
-// stdlib definition libraries can be shared across programs. On the compiled
-// path the definitions are lowered to closure chains once, here.
-func (in *Interp) LoadDefs(prog *Program) error {
-	if !in.Interpret {
-		cp, err := in.compileProgram(prog)
-		if err != nil {
-			return err
-		}
-		for _, st := range cp.stmts {
-			if st.def != nil {
-				in.defs[st.def.name] = st.def
-			}
-		}
-		return nil
-	}
-	for _, s := range prog.Stmts {
-		if d, ok := s.(*DefineStmt); ok {
-			if err := in.compileDef(d); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 func (in *Interp) compileDef(d *DefineStmt) error {
 	def, err := in.buildDef(d)
 	if err != nil {
