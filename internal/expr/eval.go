@@ -100,7 +100,7 @@ func (n *memberNode) eval(env *Env) (Value, error) {
 			return Value{}, err
 		}
 		pt := base.Type.Strip()
-		if pt.Kind != ctypes.KindPointer {
+		if pt == nil || pt.Kind != ctypes.KindPointer {
 			return Value{}, fmt.Errorf("expr: '->%s' on non-pointer %s", n.name, base.Type)
 		}
 		if base.Bits == 0 {
@@ -136,7 +136,7 @@ func (n *indexNode) eval(env *Env) (Value, error) {
 
 	bt := base.Type.Strip()
 	switch {
-	case bt.Kind == ctypes.KindArray && base.HasAddr:
+	case bt != nil && bt.Kind == ctypes.KindArray && base.HasAddr:
 		elem := bt.Elem
 		return MakeLValue(elem, base.Addr+uint64(idx)*elem.Size()), nil
 	default:
@@ -145,7 +145,7 @@ func (n *indexNode) eval(env *Env) (Value, error) {
 			return Value{}, err
 		}
 		pt := base.Type.Strip()
-		if pt.Kind != ctypes.KindPointer {
+		if pt == nil || pt.Kind != ctypes.KindPointer {
 			return Value{}, fmt.Errorf("expr: indexing non-pointer %s", base.Type)
 		}
 		elem := pt.Elem
@@ -169,6 +169,9 @@ func (n *unaryNode) eval(env *Env) (Value, error) {
 		return Value{}, err
 	}
 	if n.op == "sizeof" {
+		if v.Type == nil {
+			return Value{}, fmt.Errorf("expr: sizeof of a value with no C type")
+		}
 		return MakeInt(env.Types().MustLookup("size_t"), v.Type.Size()), nil
 	}
 	v, err = env.Load(v)
@@ -178,7 +181,7 @@ func (n *unaryNode) eval(env *Env) (Value, error) {
 	switch n.op {
 	case "*":
 		pt := v.Type.Strip()
-		if pt.Kind != ctypes.KindPointer {
+		if pt == nil || pt.Kind != ctypes.KindPointer {
 			return Value{}, fmt.Errorf("expr: dereference of non-pointer %s", v.Type)
 		}
 		if v.Bits == 0 {
@@ -484,6 +487,7 @@ func ReadString(env *Env, v Value, max int) (string, error) {
 	}
 	t := v.Type.Strip()
 	switch {
+	case t == nil:
 	case t.Kind == ctypes.KindPointer:
 		if v.Bits == 0 {
 			return "", nil

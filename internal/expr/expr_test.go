@@ -335,3 +335,32 @@ func TestStatsCounted(t *testing.T) {
 		t.Errorf("no traffic recorded: %d reads %d bytes", reads, bytes)
 	}
 }
+
+// TestUntypedOperandsFail: a string — a helper's result or a literal — has
+// no C type, so member access, indexing, dereference and sizeof on it are
+// errors, never a nil-type panic.
+func TestUntypedOperandsFail(t *testing.T) {
+	f := newFixture(t)
+	f.env.RegisterFunc("label", func(e *expr.Env, args []expr.Value) (expr.Value, error) {
+		return expr.MakeString("running"), nil
+	})
+	for _, src := range []string{
+		`label()->x`, `label().x`, `label()[0]`, `*label()`, `sizeof(label())`,
+		`"s"->x`, `"s".x`, `"s"[0]`, `*"s"`, `sizeof("s")`,
+	} {
+		ex, err := expr.Parse(src, f.env.Types())
+		if err != nil {
+			continue // rejected before evaluation: nothing to check
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: panicked: %v", src, p)
+				}
+			}()
+			if v, err := ex.Eval(f.env); err == nil {
+				t.Errorf("%s = %v, want an error", src, v)
+			}
+		}()
+	}
+}
