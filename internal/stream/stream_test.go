@@ -122,16 +122,35 @@ func TestSlowClientCoalescesToLatest(t *testing.T) {
 	}
 }
 
+// TestOneSlowManyFastBackpressure runs an explicit schedule, with no clock
+// in it: after each publish, every fast consumer confirms it received that
+// round's frames before the next publish, so none of them ever backs up;
+// the slow consumer is held behind a gate until every round is published,
+// so its queue overflows into latest-wins coalescing, and then drains.
 func TestOneSlowManyFastBackpressure(t *testing.T) {
 	b := NewBroker(obs.NewObserver(), 4)
 	defer b.Close()
 
 	const fastN = 8
+	const rounds, panes = 40, 3
 	fast := make([]*Client, fastN)
 	for i := range fast {
 		fast[i] = b.Subscribe("json", nil)
 	}
 	slow := b.Subscribe("json", nil)
+
+	roundDone := make(chan struct{}, fastN) // one per fast consumer per round
+	gate := make(chan struct{})             // opens when every round is published
+	slowDone := make(chan struct{})         // the slow consumer has converged
+	// await fails the test instead of hanging it when the schedule stalls.
+	await := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("schedule stalled waiting for %s", what)
+		}
+	}
 
 	var wg sync.WaitGroup
 	type rec struct {
@@ -153,6 +172,9 @@ func TestOneSlowManyFastBackpressure(t *testing.T) {
 				}
 				r.seqs = append(r.seqs, f.Seq)
 				r.panes[f.Pane] = f.Version
+				if len(r.seqs)%panes == 0 {
+					roundDone <- struct{}{}
+				}
 			}
 			fastGot[i] = r
 		}(i)
@@ -162,8 +184,10 @@ func TestOneSlowManyFastBackpressure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		<-gate
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
+		converged := false
 		for {
 			f, ok := slow.Next(ctx)
 			if !ok {
@@ -173,31 +197,30 @@ func TestOneSlowManyFastBackpressure(t *testing.T) {
 				slowCoalesced++
 			}
 			slowPanes[f.Pane] = f.Version
-			time.Sleep(2 * time.Millisecond) // artificially slow consumer
+			if !converged {
+				converged = true
+				for p := 1; p <= panes; p++ {
+					converged = converged && slowPanes[p] == rounds
+				}
+				if converged {
+					close(slowDone)
+				}
+			}
 		}
 	}()
 
-	const rounds, panes = 40, 3
 	for r := 1; r <= rounds; r++ {
 		fs := make([]*Frame, 0, panes)
 		for p := 1; p <= panes; p++ {
 			fs = append(fs, frame(p, r, fmt.Sprintf("p%dv%d", p, r)))
 		}
 		b.Publish(uint64(r), fs, nil)
-		time.Sleep(500 * time.Microsecond)
-	}
-	// Let consumers converge, then close to end their loops.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		idle := slow.depth() == 0
-		for _, c := range fast {
-			idle = idle && c.depth() == 0
+		for range fast {
+			await(roundDone, fmt.Sprintf("the fast consumers to receive round %d", r))
 		}
-		if idle {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	close(gate)
+	await(slowDone, "the slow consumer to drain")
 	b.Close()
 	wg.Wait()
 
