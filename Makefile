@@ -5,7 +5,8 @@
 #   make fmt           fail if any Go file is not gofmt-clean (lists them)
 #   make test          fast test sweep (no race detector)
 #   make bench         the root benchmarks (tables, ablations, extraction
-#                      microbenchmarks), 1 iteration each
+#                      microbenchmarks) and the ViewCL engine pairs in
+#                      internal/viewcl, 1 iteration each
 #   make bench-smoke   one Table 2 extraction benchmark, plus vet and the
 #                      smoke tests of the loopback benchmark under bench/
 #                      (its full runs and A/B gate: bench/README.md)
@@ -52,7 +53,7 @@ bench-smoke:
 	$(GO) -C bench test ./...
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x .
+	$(GO) test -run='^$$' -bench=. -benchtime=1x . ./internal/viewcl
 
 table4:
 	$(GO) run ./cmd/perfbench -json BENCH_1.json

@@ -12,12 +12,11 @@
 //	BenchmarkFig7DirtyPipe     — REACHABLE-set customization
 //	BenchmarkAblation*         — prune/flatten/distill design choices
 //	BenchmarkExprShare         — the §5.4 bottleneck claim: ${...} eval cost
-//	BenchmarkCompiledCold      — all figures through the compiled engine
-//	                             (the pprof entry point); ...InterpretedCold
-//	                             is the tree-walking baseline
-//	BenchmarkSteadyRound*      — incremental rounds: Reuse (unchanged
-//	                             target), Compiled/Interpreted (one mutation
-//	                             per round)
+//	BenchmarkSteadyRoundReuse  — incremental rounds over an unchanged target
+//
+// The engine pairs (BenchmarkCompiledCold/BenchmarkInterpretedCold,
+// BenchmarkSteadyRoundCompiled/BenchmarkSteadyRoundInterpreted) live in
+// internal/viewcl, beside the tree-walking oracle they compare against.
 package visualinux_test
 
 import (
@@ -49,8 +48,7 @@ func BenchmarkKernelBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2Extract measures pure extraction per ULK figure, plus the
-// whole figure set extracted by the parallel worker pool in one op.
+// BenchmarkTable2Extract measures pure extraction per ULK figure.
 func BenchmarkTable2Extract(b *testing.B) {
 	k := kernel()
 	for _, fig := range vclstdlib.Figures() {
@@ -64,14 +62,6 @@ func BenchmarkTable2Extract(b *testing.B) {
 			}
 		})
 	}
-	b.Run("all-parallel", func(b *testing.B) {
-		figs := vclstdlib.Figures()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ExtractFigures(k, figs, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkTable4GDB is the Table 4 fast column.
@@ -482,40 +472,6 @@ func BenchmarkLatencyModelOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkCompiledCold sweeps all Table 2 figures per iteration through the
-// compiled closure-chain engine (the pprof entry point for the extraction
-// core).
-func BenchmarkCompiledCold(b *testing.B) {
-	benchCold(b, false)
-}
-
-// BenchmarkInterpretedCold is the same sweep through the tree-walking
-// interpreter kept behind Interp.Interpret — the pre-compilation baseline.
-func BenchmarkInterpretedCold(b *testing.B) {
-	benchCold(b, true)
-}
-
-func benchCold(b *testing.B, interpret bool) {
-	k := kernelsim.Build(kernelsim.Options{})
-	s := core.SessionOver(k, k.Target())
-	s.Interp.Interpret = interpret
-	figs := vclstdlib.Figures()
-	for _, f := range figs {
-		if _, err := s.Interp.RunSource(f.ID, f.Program); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, f := range figs {
-			if _, err := s.Interp.RunSource(f.ID, f.Program); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkSteadyRoundReuse measures the quiescent serving path: extractor
 // rounds over an unchanged target, where every figure is served whole from
 // its prior result — the path the zero-alloc work pins.
@@ -534,41 +490,6 @@ func BenchmarkSteadyRoundReuse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := x.Round(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSteadyRoundCompiled measures a live steady round: one small
-// mutation and a stop boundary per iteration, so dirtied figures re-extract
-// through their memos with the compiled engine underneath.
-func BenchmarkSteadyRoundCompiled(b *testing.B) {
-	benchSteadyMutating(b, false)
-}
-
-// BenchmarkSteadyRoundInterpreted is the same rounds with the extractor's
-// sessions forced onto the tree-walking interpreter.
-func BenchmarkSteadyRoundInterpreted(b *testing.B) {
-	benchSteadyMutating(b, true)
-}
-
-func benchSteadyMutating(b *testing.B, interpret bool) {
-	k := kernelsim.Build(kernelsim.Options{})
-	x := core.NewIncrementalExtractor(k, k.Target(), vclstdlib.Figures(), nil)
-	x.SetInterpret(interpret)
-	for i := 0; i < 2; i++ {
-		if _, err := x.Round(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := k.PipeWrite(k.DirtyPipe, 64); err != nil {
-			b.Fatal(err)
-		}
-		x.Advance()
 		if _, err := x.Round(); err != nil {
 			b.Fatal(err)
 		}

@@ -85,16 +85,6 @@ func NewIncrementalExtractor(k *kernelsim.Kernel, base target.Target, figs []vcl
 // Snapshot exposes the shared snapshot (for Advance, stats, tests).
 func (x *IncrementalExtractor) Snapshot() *target.Snapshot { return x.snap }
 
-// SetInterpret flips the shared session and every per-figure interpreter
-// between the compiled closure-chain engine and the tree-walking oracle —
-// plumbing for differential tests and engine-comparison benchmarks.
-func (x *IncrementalExtractor) SetInterpret(v bool) {
-	x.Session.Interp.Interpret = v
-	for _, st := range x.states {
-		st.interp.Interpret = v
-	}
-}
-
 // Advance marks the incremental stop boundary after the target ran: cached
 // pages become stale (revalidated lazily by hash) and the write journal, if
 // the chain exposes one, promotes untouched pages back to clean for free.

@@ -1,7 +1,5 @@
 package viewcl
 
-import "visualinux/internal/expr"
-
 // Program is a parsed ViewCL source unit.
 type Program struct {
 	Source string // name for diagnostics
@@ -103,12 +101,12 @@ func (*BoxItem) item()       {}
 // VExpr is a ViewCL-level expression.
 type VExpr interface{ vexpr() }
 
-// CExprNode is a ${...} C expression escape, compiled lazily (the registry
-// is only known at evaluation time).
+// CExprNode is a ${...} C expression escape. Src is parsed by the engine
+// that runs it, against the type registry it runs over; the node itself
+// stays immutable so parsed programs can be shared.
 type CExprNode struct {
-	Src      string
-	Line     int
-	compiled *expr.Expr
+	Src  string
+	Line int
 }
 
 // VarRef references a ViewCL variable: @name.

@@ -106,8 +106,8 @@ var parseCache = newLRUCache(DefaultParseCacheCap)
 
 // ParseCached is Parse behind a process-wide LRU cache keyed by
 // (name, source). The returned Program is shared: callers must treat it as
-// immutable (the compiled engine does; the tree-walking oracle parses
-// privately instead).
+// immutable. Both engines do — a ${...} escape's parsed form lives with the
+// engine that runs it, never on the AST.
 func ParseCached(name, src string) (*Program, error) {
 	key := name + "\x00" + src
 	if p, ok := parseCache.get(key); ok {

@@ -3,6 +3,9 @@ package viewcl
 import (
 	"fmt"
 	"testing"
+
+	"visualinux/internal/expr"
+	"visualinux/internal/kernelsim"
 )
 
 // TestParseCacheBoundedUnderChurn feeds the cache far more distinct
@@ -73,5 +76,34 @@ func TestParseCacheLRUOrder(t *testing.T) {
 	a2, _ := ParseCached("lru-a", "plot ${1}")
 	if a2 != a {
 		t.Fatal("touched entry was evicted instead of the LRU one")
+	}
+}
+
+// TestCompileCacheHoldsNoPins: an interpreter keeps no lowered programs of
+// its own, so a program the shared LRU evicted lowers again on its next run
+// instead of staying pinned for the interpreter's lifetime.
+func TestCompileCacheHoldsNoPins(t *testing.T) {
+	k := kernelsim.Build(kernelsim.Options{})
+	env := expr.NewEnv(k.Target())
+	kernelsim.RegisterHelpers(env)
+	in := New(env)
+	progs := make([]*Program, DefaultCompileCacheCap+1)
+	for i := range progs {
+		src := fmt.Sprintf("define T%d as Box<task_struct> [\n    Text pid\n]\nplot T%d(${&init_task})\n", i, i)
+		p, err := Parse(fmt.Sprintf("evict-%d", i), src)
+		if err != nil {
+			t.Fatalf("parse %d: %v", i, err)
+		}
+		if _, err := in.Run(p); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		progs[i] = p
+	}
+	before := CompileCount()
+	if _, err := in.Run(progs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := CompileCount() - before; got != 1 {
+		t.Fatalf("re-running the evicted program lowered %d times, want 1", got)
 	}
 }

@@ -17,12 +17,12 @@ import (
 // pairs computed here, ${...} escapes are parsed exactly once, construct
 // anchors and container element hints are resolved to offsets at lowering
 // time, and `Text path` items collapse to a precomputed (offset, field) load
-// whenever the path stays inside the defining struct. The tree-walking
-// evaluator in interp.go remains byte-for-byte intact behind Interp.Interpret
-// as the differential oracle; both engines share the same runState,
-// materialize/memo machinery, item builders and container iterators, so
-// their outputs — including span names and error conditions — stay
-// identical.
+// whenever the path stays inside the defining struct. This is the only
+// engine production runs. The tree-walking evaluator that defines ViewCL's
+// reference semantics lives in walker_test.go as the differential oracle;
+// it shares this engine's runState, materialize/memo machinery, item
+// builders and container iterators, so the tests can demand identical
+// outputs — including span names and error conditions.
 
 // cexpr is one compiled ViewCL expression: evaluated against the run and the
 // current frame.
@@ -90,31 +90,6 @@ type compiledProgram struct {
 	lastBoxes atomic.Int64
 	lastViews atomic.Int64
 	lastItems atomic.Int64
-}
-
-// compileProgram resolves prog's lowered form: a per-interpreter map gives
-// the lock-cheap steady-state hit, and misses go through the process-wide
-// shared cache (cache.go) so N sessions running the same figure lower it
-// once. The per-interpreter map also pins entries the shared LRU may have
-// evicted, bounding re-lowering to at most once per interpreter lifetime.
-func (in *Interp) compileProgram(prog *Program) (*compiledProgram, error) {
-	in.compMu.Lock()
-	if cp, ok := in.compiled[prog]; ok {
-		in.compMu.Unlock()
-		return cp, nil
-	}
-	in.compMu.Unlock()
-	cp, err := sharedCompiles.get(in, prog)
-	if err != nil {
-		return nil, err
-	}
-	in.compMu.Lock()
-	if in.compiled == nil {
-		in.compiled = make(map[*Program]*compiledProgram)
-	}
-	in.compiled[prog] = cp
-	in.compMu.Unlock()
-	return cp, nil
 }
 
 func (in *Interp) lower(prog *Program) (*compiledProgram, error) {
@@ -740,6 +715,7 @@ func (c *compiler) compileDefBody(def *boxDef) {
 	c.curThis = nil
 	c.stack = saved
 	def.comp = comp
+	def.build = (*runState).runCompiledViews
 }
 
 // item lowers one view item. def is non-nil only when lowering a definition

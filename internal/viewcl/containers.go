@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"visualinux/internal/ctypes"
 	"visualinux/internal/expr"
@@ -18,63 +17,6 @@ import (
 // forEach closure maps every element to a box (NULL yields keep their slot,
 // preserving positional layouts like maple node slot arrays).
 
-func (r *runState) evalContainer(n *ContainerNode, sc *scope) (vval, error) {
-	sp := r.tr.StartSpan("container:" + n.Kind)
-	defer sp.End()
-	hint := r.containerHint(n)
-	elems, err := r.iterate(n, sc, hint)
-	if err != nil {
-		return vval{}, err
-	}
-	sp.TagUint("elems", uint64(len(elems)))
-	r.batchPrefetch(hint, elems)
-	var ids []string
-	for i, el := range elems {
-		isp := r.tr.StartSpan("iter")
-		isp.TagUint("index", uint64(i))
-		var v vval
-		if n.ForEach != nil {
-			inner := newScope(sc)
-			inner.defineVal(n.ForEach.Var, vval{kind: vC, c: el})
-			inner.defineVal(n.ForEach.Var+"_index", vval{kind: vC,
-				c: expr.MakeInt(r.in.Env.Types().MustLookup("unsigned long"), uint64(i))})
-			for bi := range n.ForEach.Body {
-				inner.define(n.ForEach.Body[bi].Name, n.ForEach.Body[bi].Expr)
-			}
-			v, err = r.eval(n.ForEach.Yield, inner)
-			if err != nil {
-				isp.End()
-				return vval{}, err
-			}
-		} else {
-			// Raw elements become value cells so Container items can show
-			// scalar arrays (pivots, fd bitmaps) without a closure.
-			v, err = r.cellBox(el, i, r.cEnv(newScope(nil)))
-			if err != nil {
-				isp.End()
-				return vval{}, err
-			}
-		}
-		switch v.kind {
-		case vBox:
-			ids = append(ids, v.boxID)
-		case vNull:
-			ids = append(ids, "")
-		case vCont:
-			ids = append(ids, v.elems...)
-		case vC:
-			cb, err := r.cellBox(v.c, i, r.cEnv(newScope(nil)))
-			if err != nil {
-				isp.End()
-				return vval{}, err
-			}
-			ids = append(ids, cb.boxID)
-		}
-		isp.End()
-	}
-	return vval{kind: vCont, elems: ids}, nil
-}
-
 // elemHint describes the embedding element of a pointer-chasing container
 // walk: each node address the walk yields lives inside an element of `size`
 // bytes starting `off` bytes before it. When on, the iterator prefetches the
@@ -85,46 +27,6 @@ type elemHint struct {
 	off  uint64
 	size uint64
 	on   bool
-}
-
-// containerHint derives the element hint from the forEach yield shape:
-// `yield T<ctype.member.path>(@var)` names the embedding C type (through T's
-// Box definition) and the node's offset inside it (through the anchor path).
-// Any other yield shape opts out — the walk cannot know the element extent.
-func (r *runState) containerHint(n *ContainerNode) elemHint {
-	if !r.in.PrefetchHints || n.ForEach == nil {
-		return elemHint{}
-	}
-	yield, ok := n.ForEach.Yield.(*ConstructNode)
-	if !ok {
-		return elemHint{}
-	}
-	arg, ok := yield.Arg.(*VarRef)
-	if !ok || arg.Name != n.ForEach.Var {
-		return elemHint{}
-	}
-	def, ok := r.in.defs[yield.BoxType]
-	if !ok || def.ctype == nil || def.ctype.Size() == 0 {
-		return elemHint{}
-	}
-	h := elemHint{size: def.ctype.Size(), on: true}
-	if yield.Anchor != "" {
-		dot := strings.IndexByte(yield.Anchor, '.')
-		if dot < 0 {
-			return elemHint{}
-		}
-		at, ok := r.in.Env.Types().Lookup(yield.Anchor[:dot])
-		if !ok {
-			return elemHint{}
-		}
-		f, err := at.ResolvePath(yield.Anchor[dot+1:])
-		if err != nil {
-			return elemHint{}
-		}
-		h.off = f.Offset
-		h.size = at.Size()
-	}
-	return h
 }
 
 // prefetchElem pulls the whole embedding element before the iterator touches
@@ -184,29 +86,8 @@ func (r *runState) cellBox(v expr.Value, idx int, env *expr.Env) (vval, error) {
 	return vval{kind: vBox, boxID: id}, nil
 }
 
-// iterate dispatches on the container kind and returns the element values.
-func (r *runState) iterate(n *ContainerNode, sc *scope, hint elemHint) ([]expr.Value, error) {
-	if len(n.Args) == 0 {
-		return nil, errf(n.Line, "%s(...) wants an argument", n.Kind)
-	}
-	args := make([]expr.Value, len(n.Args))
-	for i, a := range n.Args {
-		v, err := r.eval(a, sc)
-		if err != nil {
-			return nil, err
-		}
-		cv, err := r.toCValue(v)
-		if err != nil {
-			return nil, errf(n.Line, "%s arg %d: %v", n.Kind, i, err)
-		}
-		args[i] = cv
-	}
-	return r.iterateKind(n.Kind, args, n.Line, hint)
-}
-
-// iterateKind walks a container shape over already-evaluated arguments;
-// shared by the interpreted and compiled engines (the compiled path computes
-// the element hint once at lowering time instead of per call).
+// iterateKind walks a container shape over already-evaluated arguments,
+// with the element hint computed once at lowering time (staticHint).
 func (r *runState) iterateKind(kind string, args []expr.Value, line int, hint elemHint) ([]expr.Value, error) {
 	switch kind {
 	case "List":
@@ -587,20 +468,10 @@ func (r *runState) iterPipeRing(pipe expr.Value, line int) ([]expr.Value, error)
 	return out, nil
 }
 
-// evalSelectFrom implements Array.selectFrom(container, Type): walk the
+// selectFromVal implements Array.selectFrom(container, Type): walk the
 // already-materialized subgraph under the container value in traversal
 // order and collect all boxes of the given ViewCL type — the paper's
 // distill of an ordered set (e.g. maple tree -> sorted VMA list).
-func (r *runState) evalSelectFrom(n *SelectFromNode, sc *scope) (vval, error) {
-	src, err := r.eval(n.Container, sc)
-	if err != nil {
-		return vval{}, err
-	}
-	return r.selectFromVal(src, n.BoxType, n.Line)
-}
-
-// selectFromVal collects boxes of the given type from an already-evaluated
-// source value; shared by both engines.
 func (r *runState) selectFromVal(src vval, boxType string, line int) (vval, error) {
 	var seeds []string
 	switch src.kind {

@@ -79,8 +79,7 @@ func TestListCycleBounded(t *testing.T) {
 				env := expr.NewEnv(b.Tgt)
 				kernelsim.RegisterHelpers(env)
 				in := viewcl.New(env)
-				in.Interpret = interpret
-				res, err := in.RunSource("cycle", cycleProgram)
+				res, err := runEngine(in, interpret, "cycle", cycleProgram)
 				if err != nil {
 					t.Fatalf("interpret=%v: %v", interpret, err)
 				}
@@ -184,8 +183,7 @@ func TestXArrayCycleBounded(t *testing.T) {
 				env := expr.NewEnv(b.Tgt)
 				kernelsim.RegisterHelpers(env)
 				in := viewcl.New(env)
-				in.Interpret = interpret
-				res, err := in.RunSource("xa-cycle", xaProgram)
+				res, err := runEngine(in, interpret, "xa-cycle", xaProgram)
 				if err != nil {
 					t.Fatalf("interpret=%v: %v", interpret, err)
 				}
@@ -250,9 +248,8 @@ func TestPipeRingCorrupt(t *testing.T) {
 				env := expr.NewEnv(k.Target())
 				kernelsim.RegisterHelpers(env)
 				in := viewcl.New(env)
-				in.Interpret = interpret
 				in.MaxElems = maxElems
-				res, err := in.RunSource("pipe-ring", pipeProgram)
+				res, err := runEngine(in, interpret, "pipe-ring", pipeProgram)
 				if err != nil {
 					t.Fatalf("interpret=%v: %v", interpret, err)
 				}

@@ -13,8 +13,18 @@ import (
 // a pooled per-interpreter execution state (frames, scratch expression
 // environment, reusable run maps), and the run driver. The semantics —
 // lazy where-bindings forced from the reference site, cycle detection,
-// last-definition-wins shadowing — are the interpreter's, re-expressed over
+// last-definition-wins shadowing — are the tree walker's, re-expressed over
 // slots instead of maps so the steady-state round allocates (almost) nothing.
+
+// slotState tracks a lazy binding: unforced, being forced (a second force
+// is a circular binding), or done.
+type slotState int
+
+const (
+	slotUnforced slotState = iota
+	slotForcing
+	slotDone
+)
 
 // cslot is one frame slot: either an already-forced value or the compiled
 // code to produce it. A nil-code unforced slot means "not bound yet this
@@ -34,7 +44,7 @@ type cframe struct {
 }
 
 // forceAt forces slot idx of frame tf. The binding body runs against ref —
-// the frame of the *reference* site — matching the interpreter's force(),
+// the frame of the *reference* site — matching the tree walker's force(),
 // which evaluates a slot's expression in whatever scope looked it up.
 func (r *runState) forceAt(tf *cframe, idx int, ref *cframe) (vval, error) {
 	sl := &tf.slots[idx]
@@ -186,8 +196,9 @@ func (in *Interp) releaseExec(e *execState) {
 }
 
 // runCompiled drives a lowered program: install definitions, bind top-level
-// slots, evaluate plots through the closure chains. Mirrors runAST statement
-// for statement; Result construction is shared via finishRun.
+// slots, evaluate plots through the closure chains. Mirrors the tree
+// walker's run statement for statement; Result construction is shared via
+// finishRun.
 func (in *Interp) runCompiled(cp *compiledProgram) (*Result, error) {
 	e := in.acquireExec()
 	defer in.releaseExec(e)
@@ -275,7 +286,7 @@ func (in *Interp) runCompiled(cp *compiledProgram) (*Result, error) {
 
 // runCompiledViews builds a compiled box instance: @this in slot 0, lazy
 // where-binding slots, views evaluated through the lowered item closures.
-// Error handling matches the interpreted view loop — item failures become
+// Error handling matches the tree walker's view loop — item failures become
 // "<error>" text, a run note, and a memo taint.
 func (r *runState) runCompiledViews(def *boxDef, addr uint64, b *graph.Box, fr *memoFrame) {
 	comp := def.comp

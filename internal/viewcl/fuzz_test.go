@@ -1,10 +1,14 @@
 package viewcl_test
 
 import (
+	"maps"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"visualinux/internal/kernelsim"
+	"visualinux/internal/render"
 	"visualinux/internal/vclstdlib"
 	"visualinux/internal/viewcl"
 )
@@ -92,3 +96,56 @@ func FuzzViewCLParse(f *testing.F) {
 		_, _ = viewcl.Parse("fuzz", src) // errors fine; panics are the failure mode
 	})
 }
+
+// FuzzEngines is the differential fuzzer of the two ViewCL engines: for any
+// source, the compiled engine must do what the tree-walking oracle does.
+// Either both fail with the same error text, or both succeed with the same
+// rendered plot and the same extraction issues. The walker is the
+// reference; a divergence is a compiled-engine bug unless the walker is
+// plainly wrong. Inputs that once diverged stay as seeds under
+// testdata/fuzz/FuzzEngines. The corpus starts from the oracle tests'
+// programs: the 24 figures and case studies, and the error-parity set.
+func FuzzEngines(f *testing.F) {
+	for _, progs := range []map[string]string{oraclePrograms(), oracleErrorPrograms} {
+		for _, id := range slices.Sorted(maps.Keys(progs)) {
+			f.Add(progs[id])
+		}
+	}
+	k := kernelsim.Build(kernelsim.Options{})
+	f.Fuzz(func(t *testing.T, src string) {
+		if _, err := viewcl.Parse("fuzz", src); err != nil {
+			return // both engines share the parser: nothing to compare
+		}
+		var res [2]*viewcl.Result
+		var errs [2]error
+		for e, interpret := range []bool{false, true} {
+			in := stdInterp(t, k)
+			// A small budget keeps hostile inputs (containers of containers)
+			// cheap; both engines get the same one.
+			in.MaxObjects = fuzzMaxObjects
+			in.MaxElems = fuzzMaxElems
+			res[e], errs[e] = runEngine(in, interpret, "fuzz", src)
+		}
+		if (errs[0] == nil) != (errs[1] == nil) {
+			t.Fatalf("one engine failed, the other did not:\ncompiled:    %v\ninterpreted: %v", errs[0], errs[1])
+		}
+		if errs[0] != nil {
+			if errs[0].Error() != errs[1].Error() {
+				t.Fatalf("error text diverges:\ncompiled:    %v\ninterpreted: %v", errs[0], errs[1])
+			}
+			return
+		}
+		if ct, it := render.Text(res[0].Graph), render.Text(res[1].Graph); ct != it {
+			t.Fatalf("plots diverge:\n--- compiled ---\n%s\n--- interpreted ---\n%s", ct, it)
+		}
+		if ce, ie := errStrings(res[0].Errors), errStrings(res[1].Errors); !slices.Equal(ce, ie) {
+			t.Fatalf("issues diverge:\ncompiled:    %q\ninterpreted: %q", ce, ie)
+		}
+	})
+}
+
+// The fuzzer's budgets: boxes per plot and elements per container.
+const (
+	fuzzMaxObjects = 2000
+	fuzzMaxElems   = 64
+)

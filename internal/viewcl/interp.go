@@ -19,7 +19,9 @@ type Flag struct {
 	Name string
 }
 
-// Interp evaluates ViewCL programs against a debug target.
+// Interp evaluates ViewCL programs against a debug target. Programs run
+// through the compiled engine (compile.go, exec.go); the tree-walking
+// reference evaluator the tests compare it against lives in walker_test.go.
 type Interp struct {
 	Env    *expr.Env
 	Flags  map[string][]Flag              // flag:<id> decorator sets
@@ -47,18 +49,7 @@ type Interp struct {
 	// their page-granular ReadSet so callers can skip whole figures.
 	Memo *Memo
 
-	// Interpret selects the original tree-walking evaluator instead of the
-	// compiled closure chains. It exists as the differential oracle: both
-	// engines must produce byte-identical plots, and the interpreted path is
-	// the reference the compiled one is benchmarked against.
-	Interpret bool
-
 	defs map[string]*boxDef
-
-	// Compiled-program cache (per interpreter: closures bind this
-	// interpreter's type registry and definition table).
-	compMu   sync.Mutex
-	compiled map[*Program]*compiledProgram
 
 	// One reusable execution state (frames, scratch env, run maps). A second
 	// concurrent Run simply allocates a fresh one.
@@ -82,14 +73,17 @@ func New(env *expr.Env) *Interp {
 	return in
 }
 
-// boxDef is a resolved Box declaration. comp holds the compiled form of its
-// views (nil when the definition was registered by the tree-walking oracle).
+// boxDef is a resolved Box declaration. build fills a fresh instance's
+// views; the engine that registered the definition sets it (the compiled
+// engine's is runCompiledViews over comp, the lowered views), so buildBox
+// never asks which engine is running.
 type boxDef struct {
 	name  string
 	ctype *ctypes.Type
 	views []*resolvedView
 	where []Binding // merged define-level + per-view where clauses
 	comp  *compiledDef
+	build func(r *runState, def *boxDef, addr uint64, b *graph.Box, fr *memoFrame)
 }
 
 type resolvedView struct {
@@ -112,15 +106,6 @@ type Result struct {
 	// fresh materializations.
 	BoxesReused int
 	BoxesBuilt  int
-}
-
-func (in *Interp) compileDef(d *DefineStmt) error {
-	def, err := in.buildDef(d)
-	if err != nil {
-		return err
-	}
-	in.defs[d.Name] = def
-	return nil
 }
 
 // buildDef resolves a define statement (ctype, view inheritance, merged
@@ -155,74 +140,18 @@ func (in *Interp) buildDef(d *DefineStmt) (*boxDef, error) {
 
 // Run evaluates a full program: definitions, bindings, plot statements.
 // The returned graph contains every box materialized while evaluating the
-// plotted roots. The program is lowered to compiled closure chains (cached
-// per interpreter) unless Interpret selects the tree-walking oracle.
+// plotted roots. The program is lowered to compiled closure chains once per
+// type registry, through the process-wide compile cache (cache.go).
 func (in *Interp) Run(prog *Program) (*Result, error) {
-	if in.Interpret {
-		return in.runAST(prog)
-	}
-	cp, err := in.compileProgram(prog)
+	cp, err := sharedCompiles.get(in, prog)
 	if err != nil {
 		return nil, err
 	}
 	return in.runCompiled(cp)
 }
 
-// runAST is the original tree-walking evaluator, kept byte-for-byte as the
-// differential oracle and performance baseline for the compiled path.
-func (in *Interp) runAST(prog *Program) (*Result, error) {
-	run := &runState{
-		in:   in,
-		g:    graph.New(prog.Source),
-		memo: make(map[memoKey]string),
-	}
-	if in.Memo != nil {
-		run.rec = &recorder{Layer: target.Layer{Target: in.Env.Target}, run: run}
-		run.pages = make(map[uint64]bool)
-	}
-	if in.Obs != nil {
-		run.tr = in.Obs.NewTrace("vplot:" + prog.Source)
-		// Attach the tracer down the target chain so link transactions
-		// appear as leaf spans of whichever box/view span issued them.
-		if target.AttachTracer(in.Env.Target, run.tr) {
-			defer target.AttachTracer(in.Env.Target, nil)
-		}
-	}
-	reads0, bytes0 := in.Env.Target.Stats().Snapshot()
-	t0 := time.Now()
-
-	top := newScope(nil)
-	for _, s := range prog.Stmts {
-		switch st := s.(type) {
-		case *DefineStmt:
-			if err := in.compileDef(st); err != nil {
-				return nil, err
-			}
-		case *BindStmt:
-			top.define(st.Name, st.Expr)
-		case *PlotStmt:
-			sp := run.tr.StartSpan("plot:" + plotName(st.Expr))
-			v, err := run.eval(st.Expr, top)
-			if err != nil {
-				return nil, fmt.Errorf("plot: %w", err)
-			}
-			rootID, err := run.plotRoot(v, plotName(st.Expr))
-			if err != nil {
-				return nil, err
-			}
-			if run.g.RootID == "" {
-				run.g.RootID = rootID
-			}
-			run.g.Roots = append(run.g.Roots, rootID)
-			sp.End()
-		}
-	}
-
-	return in.finishRun(run, t0, reads0, bytes0)
-}
-
 // finishRun computes the run's stats, read set and trace export; shared by
-// the compiled and interpreted engines so Result is shaped identically.
+// both engines so Result is shaped identically.
 func (in *Interp) finishRun(run *runState, t0 time.Time, reads0, bytes0 uint64) (*Result, error) {
 	reads1, bytes1 := in.Env.Target.Stats().Snapshot()
 	run.g.Stats = graph.Stats{
@@ -250,17 +179,11 @@ func (in *Interp) finishRun(run *runState, t0 time.Time, reads0, bytes0 uint64) 
 	return res, nil
 }
 
-// RunSource parses and runs in one step. On the compiled path the parse is
-// served from a process-wide cache (figure programs are static strings run
+// RunSource parses and runs in one step. The parse is served from a
+// process-wide cache (figure programs are static strings run
 // once per stop event), so steady-state rounds never re-lex their source.
 func (in *Interp) RunSource(name, src string) (*Result, error) {
-	var prog *Program
-	var err error
-	if in.Interpret {
-		prog, err = Parse(name, src)
-	} else {
-		prog, err = ParseCached(name, src)
-	}
+	prog, err := ParseCached(name, src)
 	if err != nil {
 		return nil, err
 	}
@@ -296,48 +219,6 @@ func (v vval) isNull() bool {
 	return v.kind == vNull || (v.kind == vC && !v.c.HasAddr && !v.c.IsStr && v.c.Bits == 0)
 }
 
-// --- scopes ------------------------------------------------------------------
-
-type slotState int
-
-const (
-	slotUnforced slotState = iota
-	slotForcing
-	slotDone
-)
-
-type slot struct {
-	expr  VExpr
-	val   vval
-	state slotState
-}
-
-type scope struct {
-	parent *scope
-	vars   map[string]*slot
-}
-
-func newScope(parent *scope) *scope {
-	return &scope{parent: parent, vars: make(map[string]*slot)}
-}
-
-func (s *scope) define(name string, e VExpr) {
-	s.vars[name] = &slot{expr: e}
-}
-
-func (s *scope) defineVal(name string, v vval) {
-	s.vars[name] = &slot{val: v, state: slotDone}
-}
-
-func (s *scope) lookup(name string) (*slot, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if sl, ok := cur.vars[name]; ok {
-			return sl, true
-		}
-	}
-	return nil, false
-}
-
 // --- run state ----------------------------------------------------------------
 
 // memoKey identifies one box instance: definition name + object address.
@@ -367,7 +248,7 @@ type runState struct {
 	reused int
 	built  int
 
-	// Compiled-engine state (nil/zero on the interpreted oracle path).
+	// Compiled-engine state (nil/zero on the tree walker's runs).
 	exec     *execState // pooled frames, scratch env, reusable run maps
 	curFrame *cframe    // frame the pooled env's ${...} resolver walks from
 
@@ -484,47 +365,6 @@ func (r *runState) notef(line int, format string, args ...any) {
 	r.errs = append(r.errs, errf(line, format, args...))
 }
 
-// force evaluates a scope slot (lazily, with cycle detection).
-func (r *runState) force(name string, sl *slot, sc *scope) (vval, error) {
-	switch sl.state {
-	case slotDone:
-		return sl.val, nil
-	case slotForcing:
-		return vval{}, fmt.Errorf("viewcl: circular binding @%s", name)
-	}
-	sl.state = slotForcing
-	v, err := r.eval(sl.expr, sc)
-	if err != nil {
-		sl.state = slotUnforced
-		return vval{}, err
-	}
-	sl.val = v
-	sl.state = slotDone
-	return v, nil
-}
-
-// cEnv builds an expression environment whose resolver walks the ViewCL
-// scope chain, so ${...} escapes see @bindings.
-func (r *runState) cEnv(sc *scope) *expr.Env {
-	env := &expr.Env{Target: r.tgt(), Funcs: r.in.Env.Funcs, Vars: r.in.Env.Vars}
-	env.Resolver = func(name string) (expr.Value, bool) {
-		sl, ok := sc.lookup(name)
-		if !ok {
-			return expr.Value{}, false
-		}
-		v, err := r.force(name, sl, sc)
-		if err != nil {
-			return expr.Value{}, false
-		}
-		cv, err := r.toCValue(v)
-		if err != nil {
-			return expr.Value{}, false
-		}
-		return cv, true
-	}
-	return env
-}
-
 // toCValue converts a ViewCL value for use inside a C expression.
 func (r *runState) toCValue(v vval) (expr.Value, error) {
 	switch v.kind {
@@ -545,78 +385,6 @@ func (r *runState) toCValue(v vval) (expr.Value, error) {
 	default:
 		return expr.Value{}, fmt.Errorf("viewcl: container value cannot enter a C expression")
 	}
-}
-
-// eval evaluates a ViewCL expression.
-func (r *runState) eval(e VExpr, sc *scope) (vval, error) {
-	switch n := e.(type) {
-	case *NullNode:
-		return vval{kind: vNull}, nil
-	case *NumberNode:
-		return vval{kind: vC, c: expr.MakeInt(r.in.Env.Types().MustLookup("unsigned long"), n.V)}, nil
-	case *StringNode:
-		return vval{kind: vC, c: expr.MakeString(n.S)}, nil
-	case *VarRef:
-		sl, ok := sc.lookup(n.Name)
-		if !ok {
-			return vval{}, errf(n.Line, "unbound variable @%s", n.Name)
-		}
-		return r.force(n.Name, sl, sc)
-	case *CExprNode:
-		if n.compiled == nil {
-			ex, err := expr.Parse(n.Src, r.in.Env.Types())
-			if err != nil {
-				return vval{}, errf(n.Line, "%v", err)
-			}
-			n.compiled = ex
-		}
-		v, err := n.compiled.Eval(r.cEnv(sc))
-		if err != nil {
-			return vval{}, errf(n.Line, "%v", err)
-		}
-		return vval{kind: vC, c: v}, nil
-	case *SwitchNode:
-		return r.evalSwitch(n, sc)
-	case *ConstructNode:
-		return r.evalConstruct(n, sc)
-	case *ContainerNode:
-		return r.evalContainer(n, sc)
-	case *SelectFromNode:
-		return r.evalSelectFrom(n, sc)
-	case *InlineBoxNode:
-		return r.evalInlineBox(n, sc)
-	}
-	return vval{}, fmt.Errorf("viewcl: unhandled expression %T", e)
-}
-
-func (r *runState) evalSwitch(n *SwitchNode, sc *scope) (vval, error) {
-	scrut, err := r.eval(n.Scrutinee, sc)
-	if err != nil {
-		return vval{}, err
-	}
-	sv, err := r.toCValue(scrut)
-	if err != nil {
-		return vval{}, errf(n.Line, "switch scrutinee: %v", err)
-	}
-	for _, cs := range n.Cases {
-		for _, cv := range cs.Values {
-			v, err := r.eval(cv, sc)
-			if err != nil {
-				return vval{}, err
-			}
-			c, err := r.toCValue(v)
-			if err != nil {
-				return vval{}, err
-			}
-			if cMatch(sv, c) {
-				return r.eval(cs.Result, sc)
-			}
-		}
-	}
-	if n.Otherwise != nil {
-		return r.eval(n.Otherwise, sc)
-	}
-	return vval{kind: vNull}, nil
 }
 
 func cMatch(a, b expr.Value) bool {
@@ -644,59 +412,6 @@ func addrOf(v expr.Value) (uint64, bool) {
 		return v.Bits, v.Bits != 0
 	}
 	return 0, false
-}
-
-func (r *runState) evalConstruct(n *ConstructNode, sc *scope) (vval, error) {
-	def, ok := r.in.defs[n.BoxType]
-	if !ok {
-		return vval{}, errf(n.Line, "unknown Box type %q", n.BoxType)
-	}
-	av, err := r.eval(n.Arg, sc)
-	if err != nil {
-		return vval{}, err
-	}
-	if av.isNull() {
-		return vval{kind: vNull}, nil
-	}
-	if av.kind == vBox {
-		return av, nil // already materialized
-	}
-	cv, err := r.toCValue(av)
-	if err != nil {
-		return vval{}, errf(n.Line, "%s(...): %v", n.BoxType, err)
-	}
-	// Pointer lvalues (container slots, array elements) designate the
-	// pointer cell; the box lives at the pointed-to object.
-	if cv.HasAddr && cv.Type.IsPointer() {
-		cv, err = r.cEnv(sc).Load(cv)
-		if err != nil {
-			return vval{}, errf(n.Line, "%s(...): %v", n.BoxType, err)
-		}
-	}
-	addr, ok := addrOf(cv)
-	if !ok {
-		return vval{kind: vNull}, nil
-	}
-	if n.Anchor != "" {
-		dot := indexByte(n.Anchor, '.')
-		if dot < 0 {
-			return vval{}, errf(n.Line, "anchor %q must be type.member", n.Anchor)
-		}
-		at, ok := r.in.Env.Types().Lookup(n.Anchor[:dot])
-		if !ok {
-			return vval{}, errf(n.Line, "anchor: unknown type %q", n.Anchor[:dot])
-		}
-		f, err := at.ResolvePath(n.Anchor[dot+1:])
-		if err != nil {
-			return vval{}, errf(n.Line, "anchor: %v", err)
-		}
-		addr -= f.Offset
-	}
-	id, err := r.materialize(def, addr)
-	if err != nil {
-		return vval{}, err
-	}
-	return vval{kind: vBox, boxID: id}, nil
 }
 
 // materialize creates (or returns the memoized) box instance for def@addr,
@@ -813,37 +528,7 @@ func (r *runState) buildBox(key memoKey, def *boxDef, addr uint64) (string, erro
 	// Text/Link item, which is where the KGDB latency model bleeds.
 	target.ReadStruct(r.tgt(), addr, def.ctype)
 
-	if def.comp != nil && r.exec != nil {
-		// Compiled instance: slot frame with @this at slot 0 and lazy
-		// where-binding slots, views evaluated through the closure chain.
-		r.runCompiledViews(def, addr, b, fr)
-	} else {
-		// Instance scope: @this plus lazy where-bindings.
-		sc := newScope(nil)
-		sc.defineVal("this", vval{kind: vC, c: expr.MakePointer(def.ctype, addr)})
-		for i := range def.where {
-			sc.define(def.where[i].Name, def.where[i].Expr)
-		}
-
-		for _, rv := range def.views {
-			vsp := r.tr.StartSpan("view:" + rv.name)
-			gv := &graph.View{Name: rv.name}
-			for _, item := range rv.items {
-				gi, err := r.evalItem(item, sc)
-				if err != nil {
-					// Non-fatal: record the issue, keep the item as error
-					// text. The error may be transient, so the box is not
-					// memoizable.
-					r.notef(0, "%s.%s: %v", def.name, itemName(item), err)
-					gi = graph.Item{Kind: graph.ItemText, Name: itemName(item), Value: "<error>"}
-					fr.taint()
-				}
-				gv.Items = append(gv.Items, gi)
-			}
-			b.AddView(gv)
-			vsp.End()
-		}
-	}
+	def.build(r, def, addr, b, fr)
 	if sp != nil {
 		reads1, _ := r.tgt().Stats().Snapshot()
 		sp.TagUint("reads", reads1-reads0)
@@ -869,58 +554,9 @@ func itemName(it ItemDecl) string {
 	return "?"
 }
 
-// evalItem evaluates one view item into its graph form.
-func (r *runState) evalItem(it ItemDecl, sc *scope) (graph.Item, error) {
-	switch x := it.(type) {
-	case *TextItem:
-		var cv expr.Value
-		var err error
-		if x.Expr != nil {
-			var v vval
-			v, err = r.eval(x.Expr, sc)
-			if err == nil {
-				cv, err = r.toCValue(v)
-			}
-		} else {
-			src := "@this->" + x.Path
-			var ex *expr.Expr
-			ex, err = expr.Parse(src, r.in.Env.Types())
-			if err == nil {
-				cv, err = ex.Eval(r.cEnv(sc))
-			}
-		}
-		if err != nil {
-			return graph.Item{}, err
-		}
-		return r.textItem(x.Name, x.Fmt, cv, r.cEnv(sc)), nil
-
-	case *LinkItem:
-		v, err := r.eval(x.Target, sc)
-		if err != nil {
-			return graph.Item{}, err
-		}
-		return r.linkItem(x.Name, v)
-
-	case *ContainerItem:
-		v, err := r.eval(x.Expr, sc)
-		if err != nil {
-			return graph.Item{}, err
-		}
-		return r.containerItem(x.Name, v)
-
-	case *BoxItem:
-		v, err := r.eval(x.Expr, sc)
-		if err != nil {
-			return graph.Item{}, err
-		}
-		return r.boxItem(x.Name, v), nil
-	}
-	return graph.Item{}, fmt.Errorf("unhandled item %T", it)
-}
-
 // textItem, linkItem, containerItem and boxItem turn evaluated values into
-// graph items; shared by the interpreted and compiled engines so both emit
-// identical item bytes and identical error conditions.
+// graph items; shared by the compiled engine and the tree walker so both
+// emit identical item bytes and identical error conditions.
 
 func (r *runState) textItem(name string, f *Format, cv expr.Value, env *expr.Env) graph.Item {
 	text, raw, isNum, isStr := r.in.decorate(cv, f, env)
@@ -969,31 +605,6 @@ func (r *runState) boxItem(name string, v vval) graph.Item {
 	return gi
 }
 
-// evalInlineBox materializes an anonymous virtual box closing over sc.
-func (r *runState) evalInlineBox(n *InlineBoxNode, sc *scope) (vval, error) {
-	if len(r.g.Boxes) >= r.in.MaxObjects {
-		return vval{}, fmt.Errorf("viewcl: object budget exceeded")
-	}
-	id := fmt.Sprintf("box#%d", r.nextVboxN())
-	b := r.g.NewBoxIn(id, "Box", "", 0)
-	r.g.Add(b)
-	inner := newScope(sc)
-	for i := range n.Where {
-		inner.define(n.Where[i].Name, n.Where[i].Expr)
-	}
-	gv := &graph.View{Name: "default"}
-	for _, item := range n.Items {
-		gi, err := r.evalItem(item, inner)
-		if err != nil {
-			r.notef(n.Line, "inline box %s: %v", itemName(item), err)
-			gi = graph.Item{Kind: graph.ItemText, Name: itemName(item), Value: "<error>"}
-		}
-		gv.Items = append(gv.Items, gi)
-	}
-	b.AddView(gv)
-	return vval{kind: vBox, boxID: id}, nil
-}
-
 // plotRoot turns a plotted value into a root box (wrapping containers in a
 // virtual box).
 func (r *runState) plotRoot(v vval, name string) (string, error) {
@@ -1028,13 +639,4 @@ func indexByte(s string, b byte) int {
 		}
 	}
 	return -1
-}
-
-// readCString is a tiny convenience shared with decorators.
-func readCString(t target.Target, addr uint64, max int) string {
-	s, err := target.ReadCString(t, addr, max)
-	if err != nil {
-		return ""
-	}
-	return s
 }

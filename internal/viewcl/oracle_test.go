@@ -1,4 +1,4 @@
-package vclstdlib_test
+package viewcl_test
 
 import (
 	"runtime"
@@ -16,10 +16,42 @@ import (
 
 // The compiled ViewCL engine (closure chains, slot frames, pooled run state)
 // must be observationally identical to the tree-walking interpreter it
-// replaced — the interpreter is kept behind Interp.Interpret exactly so it
-// can serve as the differential oracle here. "Identical" means byte-equal
-// rendered plots and equal extraction-issue lists, across every stdlib
-// figure and case study, cold and across a stop→mutate→resume memo cycle.
+// replaced — the interpreter is kept in walker_test.go, reached through
+// RunWalker/RunSourceWalker, exactly so it can serve as the differential
+// oracle here. "Identical" means byte-equal rendered plots and equal
+// extraction-issue lists, across every stdlib figure and case study, cold
+// and across a stop→mutate→resume memo cycle.
+
+// stdInterp is an interpreter over k's target.
+func stdInterp(t testing.TB, k *kernelsim.Kernel) *viewcl.Interp {
+	t.Helper()
+	return interpOver(k.Target())
+}
+
+// interpOver is an interpreter over tg with the simulated kernel's helpers
+// and flag:<id> decorator sets, as a session builds it.
+func interpOver(tg target.Target) *viewcl.Interp {
+	env := expr.NewEnv(tg)
+	kernelsim.RegisterHelpers(env)
+	in := viewcl.New(env)
+	for id, set := range kernelsim.FlagSets() {
+		var fl []viewcl.Flag
+		for _, b := range set {
+			fl = append(fl, viewcl.Flag{Mask: b.Mask, Name: b.Name})
+		}
+		in.Flags[id] = fl
+	}
+	return in
+}
+
+// runEngine runs src through the compiled engine, or through the
+// tree-walking oracle when interpret is set.
+func runEngine(in *viewcl.Interp, interpret bool, name, src string) (*viewcl.Result, error) {
+	if interpret {
+		return in.RunSourceWalker(name, src)
+	}
+	return in.RunSource(name, src)
+}
 
 // oraclePrograms is the full corpus both engines must agree on.
 func oraclePrograms() map[string]string {
@@ -48,15 +80,14 @@ func TestCompiledMatchesInterpretedOracle(t *testing.T) {
 	for id, prog := range oraclePrograms() {
 		id, prog := id, prog
 		t.Run(id, func(t *testing.T) {
-			comp := newInterp(t, k)
-			intp := newInterp(t, k)
-			intp.Interpret = true
+			comp := stdInterp(t, k)
+			intp := stdInterp(t, k)
 
 			cres, err := comp.RunSource(id, prog)
 			if err != nil {
 				t.Fatalf("compiled: %v", err)
 			}
-			ires, err := intp.RunSource(id, prog)
+			ires, err := intp.RunSourceWalker(id, prog)
 			if err != nil {
 				t.Fatalf("interpreted: %v", err)
 			}
@@ -79,27 +110,27 @@ func TestCompiledMatchesInterpretedOracle(t *testing.T) {
 
 // Error programs must fail identically too: same message, same evaluation
 // order (definition lookup before argument evaluation, anchors after).
-func TestOracleErrorParity(t *testing.T) {
-	k := kernelsim.Build(kernelsim.Options{})
-	bad := map[string]string{
-		"unknown-type": `plot NoSuchBox(${init_task})`,
-		"unbound-var":  `plot @nobody`,
-		"circular": `define T: task_struct { Text pid }
+var oracleErrorPrograms = map[string]string{
+	"unknown-type": `plot NoSuchBox(${init_task})`,
+	"unbound-var":  `plot @nobody`,
+	"circular": `define T: task_struct { Text pid }
 x = @y
 y = @x
 plot T(${&init_task})` + "\n" + `plot @x`,
-		"bad-anchor": `define T: task_struct { Text pid }
+	"bad-anchor": `define T: task_struct { Text pid }
 plot T<task_struct.no_such_field>(${&init_task})`,
-		"scalar-plot": `plot ${init_task.pid}`,
-	}
-	for id, prog := range bad {
+	"scalar-plot": `plot ${init_task.pid}`,
+}
+
+func TestOracleErrorParity(t *testing.T) {
+	k := kernelsim.Build(kernelsim.Options{})
+	for id, prog := range oracleErrorPrograms {
 		id, prog := id, prog
 		t.Run(id, func(t *testing.T) {
-			comp := newInterp(t, k)
-			intp := newInterp(t, k)
-			intp.Interpret = true
+			comp := stdInterp(t, k)
+			intp := stdInterp(t, k)
 			_, cerr := comp.RunSource(id, prog)
-			_, ierr := intp.RunSource(id, prog)
+			_, ierr := intp.RunSourceWalker(id, prog)
 			if (cerr == nil) != (ierr == nil) {
 				t.Fatalf("one engine failed, the other did not: compiled=%v interpreted=%v", cerr, ierr)
 			}
@@ -110,23 +141,13 @@ plot T<task_struct.no_such_field>(${&init_task})`,
 	}
 }
 
-// memoOracle builds one engine (compiled or interpreted) with the full
-// incremental wiring: snapshot-backed reads and a cross-run memo.
-func memoOracle(t testing.TB, k *kernelsim.Kernel, interpret bool) (*target.Snapshot, *viewcl.Interp) {
+// memoOracle builds one interpreter with the full incremental wiring:
+// snapshot-backed reads and a cross-run memo.
+func memoOracle(t testing.TB, k *kernelsim.Kernel) (*target.Snapshot, *viewcl.Interp) {
 	t.Helper()
 	snap := target.NewSnapshot(k.Target())
-	env := expr.NewEnv(snap)
-	kernelsim.RegisterHelpers(env)
-	in := viewcl.New(env)
-	for id, set := range kernelsim.FlagSets() {
-		var fl []viewcl.Flag
-		for _, b := range set {
-			fl = append(fl, viewcl.Flag{Mask: b.Mask, Name: b.Name})
-		}
-		in.Flags[id] = fl
-	}
+	in := interpOver(snap)
 	in.Memo = viewcl.NewMemo(snap)
-	in.Interpret = interpret
 	return snap, in
 }
 
@@ -139,11 +160,11 @@ func TestOracleMemoCycleMatches(t *testing.T) {
 	victim := k.ByPID[100]
 	k.Symbol("stackrot_mm", k.At("mm_struct", victim.Get("mm")))
 
-	csnap, cin := memoOracle(t, k, false)
-	isnap, iin := memoOracle(t, k, true)
+	csnap, cin := memoOracle(t, k)
+	isnap, iin := memoOracle(t, k)
 
 	run := func(in *viewcl.Interp, phase string) *viewcl.Result {
-		res, err := in.RunSource("stackrot", vclstdlib.StackRotProgram)
+		res, err := runEngine(in, in == iin, "stackrot", vclstdlib.StackRotProgram)
 		if err != nil {
 			t.Fatalf("%s: %v", phase, err)
 		}
@@ -192,13 +213,12 @@ func TestCompiledColdAllocs(t *testing.T) {
 	}
 	k := kernelsim.Build(kernelsim.Options{})
 	run := func(interpret bool) float64 {
-		in := newInterp(t, k)
-		in.Interpret = interpret
-		if _, err := in.RunSource(fig.ID, fig.Program); err != nil { // warm-up
+		in := stdInterp(t, k)
+		if _, err := runEngine(in, interpret, fig.ID, fig.Program); err != nil { // warm-up
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := in.RunSource(fig.ID, fig.Program); err != nil {
+			if _, err := runEngine(in, interpret, fig.ID, fig.Program); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -218,13 +238,12 @@ func TestCompiledColdAllocs(t *testing.T) {
 func TestCompiledColdFaster(t *testing.T) {
 	k := kernelsim.Build(kernelsim.Options{})
 	figs := vclstdlib.Figures()
-	engines := []*viewcl.Interp{newInterp(t, k), newInterp(t, k)}
-	engines[1].Interpret = true
+	engines := []*viewcl.Interp{stdInterp(t, k), stdInterp(t, k)}
 	sweep := func(in *viewcl.Interp) time.Duration {
 		runtime.GC()
 		t0 := time.Now()
 		for _, fig := range figs {
-			if _, err := in.RunSource(fig.ID, fig.Program); err != nil {
+			if _, err := runEngine(in, in == engines[1], fig.ID, fig.Program); err != nil {
 				t.Fatalf("%s: %v", fig.ID, err)
 			}
 		}
@@ -250,6 +269,9 @@ func TestCompiledColdFaster(t *testing.T) {
 
 // minColdSpeedup is TestCompiledColdFaster's bound (race_test.go lowers it).
 var minColdSpeedup = 2.0
+
+// raceBuild is set by race_test.go when the race detector is on.
+var raceBuild = false
 
 // A corrupt CFS run-queue tree whose root links to itself must not recurse
 // the RBTree walk into a fatal stack overflow: both engines stop at the depth
@@ -277,9 +299,8 @@ func TestRBTreeSelfLoopBounded(t *testing.T) {
 
 			var texts []string
 			for _, interpret := range []bool{false, true} {
-				in := newInterp(t, k)
-				in.Interpret = interpret
-				res, err := in.RunSource(fig.ID, fig.Program)
+				in := stdInterp(t, k)
+				res, err := runEngine(in, interpret, fig.ID, fig.Program)
 				if err != nil {
 					t.Fatalf("interpret=%v: %v", interpret, err)
 				}

@@ -7,6 +7,7 @@ import (
 	"visualinux/internal/expr"
 	"visualinux/internal/graph"
 	"visualinux/internal/kernelsim"
+	"visualinux/internal/vclstdlib"
 	"visualinux/internal/viewcl"
 )
 
@@ -282,5 +283,33 @@ plot @t1
 	name, _ := fb.Member("name")
 	if name.Value != "syslog" {
 		t.Errorf("file name = %q, want syslog (init's fd 3)", name.Value)
+	}
+}
+
+// maxWarmRunAllocs is the warm RunSource allocation count of figure 6-1 as
+// measured when the compile cache became the one shared LRU: a warm run
+// finds its lowered program there, and that lookup must cost nothing more
+// than the per-interpreter map it replaced.
+const maxWarmRunAllocs = 627
+
+func TestWarmRunAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector makes sync.Pool drop items at random, so allocation counts vary")
+	}
+	fig, ok := vclstdlib.FigureByID("6-1")
+	if !ok {
+		t.Fatal("figure 6-1 missing")
+	}
+	_, in := newInterp(t)
+	if _, err := in.RunSource(fig.ID, fig.Program); err != nil { // cold: lowers
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := in.RunSource(fig.ID, fig.Program); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxWarmRunAllocs {
+		t.Errorf("warm run of figure 6-1 allocates %.0f objects, want <= %d", allocs, maxWarmRunAllocs)
 	}
 }
