@@ -63,19 +63,3 @@ func TestFleetTargetPanicContained(t *testing.T) {
 		t.Fatalf("healthy target: %+v", got)
 	}
 }
-
-// ExtractFigures over a nil kernel panics inside every figure's task; the
-// call returns the recovered panic instead of ending the process.
-func TestExtractFiguresPanicSurfaces(t *testing.T) {
-	figs := vclstdlib.Figures()[:2]
-	out, err := ExtractFigures(nil, figs, 1)
-	var tp *TaskPanic
-	if !errors.As(err, &tp) {
-		t.Fatalf("err %v, want a *TaskPanic", err)
-	}
-	for i, p := range out {
-		if p != nil {
-			t.Fatalf("figure %s produced a pane", figs[i].ID)
-		}
-	}
-}

@@ -17,30 +17,34 @@ var badFigure = vclstdlib.Figure{
 	Program: "plot { this is not ViewCL",
 }
 
-// TestExtractFiguresPartial checks the all-figures helpers keep the panes
+// TestRoundKeepsGoodFigures checks the all-figures round keeps the panes
 // that extracted when one figure fails: a 1-bad / N-good workspace yields N
 // panes plus a joined error naming the bad one, not nil.
-func TestExtractFiguresPartial(t *testing.T) {
+func TestRoundKeepsGoodFigures(t *testing.T) {
 	k := kernelsim.Build(kernelsim.Options{})
 	good := vclstdlib.Figures()
 	figs := append(append([]vclstdlib.Figure{}, good...), badFigure)
 
-	panesOut, err := core.ExtractFigures(k, figs, 4)
+	x := core.NewIncrementalExtractor(k, k.Target(), figs, nil)
+	out, err := x.Round()
 	if err == nil {
 		t.Fatal("broken figure produced no error")
 	}
 	if !strings.Contains(err.Error(), "broken") {
 		t.Errorf("error %v does not name the broken figure", err)
 	}
-	if len(panesOut) != len(figs) {
-		t.Fatalf("panes = %d, want %d slots", len(panesOut), len(figs))
+	if len(out) != len(figs) {
+		t.Fatalf("results = %d, want %d slots", len(out), len(figs))
 	}
-	for i, p := range panesOut[:len(good)] {
-		if p == nil {
+	for i, r := range out[:len(good)] {
+		if r.Pane == nil {
 			t.Fatalf("good figure %s lost to the broken one", figs[i].ID)
 		}
 	}
-	if panesOut[len(good)] != nil {
+	if out[len(good)].Pane != nil {
 		t.Fatal("broken figure produced a pane")
+	}
+	if n := len(x.Session.Tree.Panes()); n != len(good) {
+		t.Fatalf("session holds %d panes, want %d", n, len(good))
 	}
 }

@@ -48,9 +48,9 @@ var (
 )
 
 // DefaultPool returns the shared process pool (GOMAXPROCS workers), started
-// on first use. Every extraction in the process — ad-hoc ExtractFigures
-// calls and managed-session rounds alike — funnels through it, which is
-// what makes the fairness guarantee global rather than per-API.
+// on first use. Every managed-session round and fleet fan-out in the
+// process funnels through it, which is what makes the fairness guarantee
+// global rather than per-API.
 func DefaultPool() *Pool {
 	defaultPoolOnce.Do(func() { defaultPool = NewPool(0) })
 	return defaultPool
