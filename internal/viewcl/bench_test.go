@@ -27,7 +27,7 @@ func BenchmarkInterpretedCold(b *testing.B) {
 
 func benchCold(b *testing.B, interpret bool) {
 	k := kernelsim.Build(kernelsim.Options{})
-	in := stdInterp(b, k)
+	in := interpOver(k.Target())
 	figs := vclstdlib.Figures()
 	for _, f := range figs {
 		if _, err := runEngine(in, interpret, f.ID, f.Program); err != nil {

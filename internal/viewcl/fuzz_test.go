@@ -119,7 +119,7 @@ func FuzzEngines(f *testing.F) {
 		var res [2]*viewcl.Result
 		var errs [2]error
 		for e, interpret := range []bool{false, true} {
-			in := stdInterp(t, k)
+			in := interpOver(k.Target())
 			// A small budget keeps hostile inputs (containers of containers)
 			// cheap; both engines get the same one.
 			in.MaxObjects = fuzzMaxObjects

@@ -22,12 +22,6 @@ import (
 // extraction-issue lists, across every stdlib figure and case study, cold
 // and across a stop→mutate→resume memo cycle.
 
-// stdInterp is an interpreter over k's target.
-func stdInterp(t testing.TB, k *kernelsim.Kernel) *viewcl.Interp {
-	t.Helper()
-	return interpOver(k.Target())
-}
-
 // interpOver is an interpreter over tg with the simulated kernel's helpers
 // and flag:<id> decorator sets, as a session builds it.
 func interpOver(tg target.Target) *viewcl.Interp {
@@ -80,8 +74,8 @@ func TestCompiledMatchesInterpretedOracle(t *testing.T) {
 	for id, prog := range oraclePrograms() {
 		id, prog := id, prog
 		t.Run(id, func(t *testing.T) {
-			comp := stdInterp(t, k)
-			intp := stdInterp(t, k)
+			comp := interpOver(k.Target())
+			intp := interpOver(k.Target())
 
 			cres, err := comp.RunSource(id, prog)
 			if err != nil {
@@ -127,8 +121,8 @@ func TestOracleErrorParity(t *testing.T) {
 	for id, prog := range oracleErrorPrograms {
 		id, prog := id, prog
 		t.Run(id, func(t *testing.T) {
-			comp := stdInterp(t, k)
-			intp := stdInterp(t, k)
+			comp := interpOver(k.Target())
+			intp := interpOver(k.Target())
 			_, cerr := comp.RunSource(id, prog)
 			_, ierr := intp.RunSourceWalker(id, prog)
 			if (cerr == nil) != (ierr == nil) {
@@ -213,7 +207,7 @@ func TestCompiledColdAllocs(t *testing.T) {
 	}
 	k := kernelsim.Build(kernelsim.Options{})
 	run := func(interpret bool) float64 {
-		in := stdInterp(t, k)
+		in := interpOver(k.Target())
 		if _, err := runEngine(in, interpret, fig.ID, fig.Program); err != nil { // warm-up
 			t.Fatal(err)
 		}
@@ -238,7 +232,7 @@ func TestCompiledColdAllocs(t *testing.T) {
 func TestCompiledColdFaster(t *testing.T) {
 	k := kernelsim.Build(kernelsim.Options{})
 	figs := vclstdlib.Figures()
-	engines := []*viewcl.Interp{stdInterp(t, k), stdInterp(t, k)}
+	engines := []*viewcl.Interp{interpOver(k.Target()), interpOver(k.Target())}
 	sweep := func(in *viewcl.Interp) time.Duration {
 		runtime.GC()
 		t0 := time.Now()
@@ -299,7 +293,7 @@ func TestRBTreeSelfLoopBounded(t *testing.T) {
 
 			var texts []string
 			for _, interpret := range []bool{false, true} {
-				in := stdInterp(t, k)
+				in := interpOver(k.Target())
 				res, err := runEngine(in, interpret, fig.ID, fig.Program)
 				if err != nil {
 					t.Fatalf("interpret=%v: %v", interpret, err)

@@ -14,17 +14,7 @@ import (
 func newInterp(t *testing.T) (*kernelsim.Kernel, *viewcl.Interp) {
 	t.Helper()
 	k := kernelsim.Build(kernelsim.Options{})
-	env := expr.NewEnv(k.Target())
-	kernelsim.RegisterHelpers(env)
-	in := viewcl.New(env)
-	for id, set := range kernelsim.FlagSets() {
-		var fl []viewcl.Flag
-		for _, b := range set {
-			fl = append(fl, viewcl.Flag{Mask: b.Mask, Name: b.Name})
-		}
-		in.Flags[id] = fl
-	}
-	return k, in
+	return k, interpOver(k.Target())
 }
 
 // The paper's §1 motivating program: plot the CFS run queue of CPU 0.
