@@ -42,7 +42,6 @@ type config struct {
 	maxSessions                 int
 	sessionMem, memBudget       int64
 	idleTTL                     time.Duration
-	privateBuilds               bool
 }
 
 func main() {
@@ -58,7 +57,6 @@ func main() {
 	flag.Int64Var(&c.sessionMem, "session-mem", 0, "per-session simulated-kernel footprint cap in bytes; larger creates are rejected (0 = unbounded)")
 	flag.Int64Var(&c.memBudget, "mem-budget", 0, "total simulated-kernel bytes across managed sessions; LRU sessions other than the default are evicted to fit (0 = unbounded)")
 	flag.DurationVar(&c.idleTTL, "idle-ttl", 0, "evict managed sessions other than the default idle this long; a background sweeper runs at ttl/4 (0 = never)")
-	flag.BoolVar(&c.privateBuilds, "private-builds", false, "build each managed session's kernel privately instead of forking the shared CoW template image (debugging escape hatch; admission is ~10x slower and nothing dedups)")
 	flag.StringVar(&c.coreFile, "core", "", "attach post-mortem: the default session serves a VLCORE01 core dump instead of a live simulated kernel (read-only; rounds are rejected)")
 	flag.Parse()
 
@@ -95,7 +93,6 @@ func start(c config) (*app, error) {
 		SessionBudget: clampBytes(c.sessionMem),
 		MemBudget:     clampBytes(c.memBudget),
 		IdleTTL:       c.idleTTL,
-		PrivateBuilds: c.privateBuilds,
 	}, o)
 	ms, err := mgr.Create(core.DefaultSession, opts)
 	if ms == nil {

@@ -18,14 +18,11 @@ import (
 // post-mortem core images alike — merged back into one provenance-tagged
 // result set. The fan-out runs through the global bounded pool under each
 // session's fairness key, so a wide fleet query shares workers with the
-// sessions' own extraction rounds instead of stampeding past them.
+// sessions' own extraction rounds instead of stampeding past them. Every
+// per-session read runs under that session's read lock, so fleet reads
+// coexist with per-session mutations and wait out a session's admission.
 type Fleet struct {
 	Mgr *SessionManager
-	// Guard, when set, wraps each per-session query body. The serving
-	// layer passes the tenant's read lock here so fleet reads coexist
-	// with per-session mutations; library users (tests, benches) that
-	// serialize externally may leave it nil.
-	Guard func(id string, fn func())
 
 	queries  atomic.Int64
 	errors   atomic.Int64
@@ -102,30 +99,29 @@ func (f *Fleet) Query(q FleetQuery) (*FleetResult, error) {
 
 	// One outer goroutine per target, each blocking in the pool under its
 	// session key: the pool's round-robin then interleaves fleet work with
-	// the sessions' own rounds. The guard (tenant read lock) is taken
-	// BEFORE entering the pool — the same lock→pool order the serving
-	// layer's stop-event rounds use — so pool workers themselves never
-	// block on tenant locks. (Tasks must not nest pool Runs, so the query
-	// body itself never touches the pool.)
+	// the sessions' own rounds. The session's read lock is taken BEFORE
+	// entering the pool — the same lock→pool order stop events use — so
+	// pool workers themselves never block on session locks. (Tasks must
+	// not nest pool Runs, so the query body itself never touches the pool.)
 	results := make([]TargetResult, len(ids))
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			f.guarded(id, func() {
-				ms, ok := f.Mgr.Attach(id)
-				if !ok {
-					results[i] = TargetResult{Target: id, Err: "no such session"}
-					return
-				}
-				err := DefaultPool().Run(ms.Session.poolKey(), 1, 1, func(int) {
-					results[i] = f.queryOne(ms, q)
-				})
-				if err != nil {
-					results[i] = TargetResult{Target: id, Source: string(ms.Source), Err: err.Error()}
-				}
+			ms, ok := f.Mgr.Attach(id)
+			if !ok {
+				results[i] = TargetResult{Target: id, Err: "no such session"}
+				return
+			}
+			ms.RLock()
+			defer ms.RUnlock()
+			err := DefaultPool().Run(ms.Session.poolKey(), 1, 1, func(int) {
+				results[i] = f.queryOne(ms, q)
 			})
+			if err != nil {
+				results[i] = TargetResult{Target: id, Source: string(ms.Source), Err: err.Error()}
+			}
 		}(i, id)
 	}
 	wg.Wait()
@@ -145,18 +141,8 @@ func (f *Fleet) Query(q FleetQuery) (*FleetResult, error) {
 	return res, nil
 }
 
-// guarded runs fn under the serving layer's per-session guard when one is
-// installed.
-func (f *Fleet) guarded(id string, fn func()) {
-	if f.Guard != nil {
-		f.Guard(id, fn)
-	} else {
-		fn()
-	}
-}
-
 // queryOne runs the program against one session's figure pane. The caller
-// holds the session guard.
+// holds the session's read lock.
 func (f *Fleet) queryOne(ms *ManagedSession, q FleetQuery) TargetResult {
 	tr := TargetResult{Target: ms.ID}
 	tr.Source = string(ms.Source)
@@ -288,11 +274,8 @@ func (f *Fleet) rankRunqueues(question string) (*FleetAnswer, error) {
 		}
 		best := -1.0
 		detail := ""
-		readRanks := func() {
-			p, ok := ms.Session.Tree.Pane(tr.Pane)
-			if !ok {
-				return
-			}
+		ms.RLock()
+		if p, ok := ms.Session.Tree.Pane(tr.Pane); ok {
 			for _, ref := range tr.Refs {
 				b, ok := p.Graph.Get(ref.BoxID)
 				if !ok {
@@ -304,7 +287,7 @@ func (f *Fleet) rankRunqueues(question string) (*FleetAnswer, error) {
 				}
 			}
 		}
-		f.guarded(tr.Target, readRanks)
+		ms.RUnlock()
 		if best >= 0 {
 			ans.Ranking = append(ans.Ranking, FleetRank{Target: tr.Target, Value: best, Detail: detail})
 		}
@@ -331,14 +314,13 @@ func (f *Fleet) rankSlowest(question string, pane int) (*FleetAnswer, error) {
 		}
 		var d *vchat.Diagnosis
 		var err error
-		body := func() {
-			if pane > 0 {
-				d, err = ms.Session.Diagnose(pane)
-			} else {
-				d, err = ms.Session.DiagnoseSlowest()
-			}
+		ms.RLock()
+		if pane > 0 {
+			d, err = ms.Session.Diagnose(pane)
+		} else {
+			d, err = ms.Session.DiagnoseSlowest()
 		}
-		f.guarded(info.ID, body)
+		ms.RUnlock()
 		if err != nil || d == nil {
 			continue
 		}

@@ -33,7 +33,6 @@ type IncrementalExtractor struct {
 	// round. The bench harness uses it to clock per-figure link cost.
 	OnFigure func(i int, fig vclstdlib.Figure, reused bool, res *viewcl.Result)
 
-	k      *kernelsim.Kernel
 	snap   *target.Snapshot
 	o      *obs.Observer
 	states []*figState
@@ -70,7 +69,7 @@ func NewIncrementalExtractor(k *kernelsim.Kernel, base target.Target, figs []vcl
 	if o != nil {
 		s.EnableObs(o)
 	}
-	x := &IncrementalExtractor{Session: s, k: k, snap: snap, o: o}
+	x := &IncrementalExtractor{Session: s, snap: snap, o: o}
 	for _, fig := range figs {
 		ws := SessionOver(k, snap)
 		if o != nil {

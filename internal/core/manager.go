@@ -14,6 +14,7 @@ import (
 	"visualinux/internal/kernelsim"
 	"visualinux/internal/mem"
 	"visualinux/internal/obs"
+	"visualinux/internal/stream"
 	"visualinux/internal/vclstdlib"
 )
 
@@ -22,7 +23,9 @@ import (
 // IDs, sharing every piece of immutable infrastructure (the ctypes
 // registry, the parsed+compiled ViewCL stdlib, the global extraction pool)
 // while keeping all mutable state — kernel image, snapshot, memo, pane
-// tree, stream broker — strictly per session.
+// tree, stream broker, serialization cache — strictly per session. It is
+// the one registry of sessions: the serving layer resolves every request
+// through Attach and keeps no per-session state of its own.
 //
 // Admission control is capacity-based: a configurable session-count cap, a
 // per-session kernel footprint cap, and a total memory budget under which
@@ -30,6 +33,10 @@ import (
 // reaped by TTL, either on demand (every Create sweeps first) or from a
 // caller's periodic SweepIdle. The session named DefaultSession is pinned:
 // neither the idle sweep nor the memory LRU ever evicts it.
+//
+// Lock order: a session's lock before the manager's, never the reverse.
+// Create holds the newcomer's write lock across admission; nothing that
+// holds mu takes a session lock.
 type SessionManager struct {
 	opts ManagerOptions
 	// obs is the serving process's observer, handed to DefaultSession.
@@ -39,13 +46,7 @@ type SessionManager struct {
 	// registry (nil when the manager runs unobserved).
 	Tenants *obs.TenantMetrics
 
-	// OnEvict, when set, fires after a session leaves the map — for any
-	// reason other than an explicit Delete — while still holding the
-	// manager lock. The serving layer uses it to tear down per-session
-	// serving state (brokers, caches). Keep it cheap.
-	OnEvict func(id string, ms *ManagedSession)
-
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	sessions map[string]*ManagedSession
 }
 
@@ -63,7 +64,7 @@ type ManagerOptions struct {
 	Now           func() time.Time // injectable clock for TTL tests; nil = time.Now
 	// PrivateBuilds admits each session with its own privately built kernel
 	// instead of forking the shared template image — the pre-CoW behavior,
-	// kept as an escape hatch and as the byte-identity reference in tests.
+	// kept as the byte-identity and budget reference in tests.
 	PrivateBuilds bool
 }
 
@@ -77,9 +78,20 @@ const DefaultMaxSessions = 256
 const DefaultSession = "default"
 
 // ManagedSession is one resident tenant: a full single-session pipeline
-// (kernel, incremental extractor, workload) plus the bookkeeping the
-// manager evicts and reports by.
+// (kernel, incremental extractor, workload), its serving state (the one
+// lock, the stream broker, the serialization cache and publish state; see
+// publish.go), and the bookkeeping the manager evicts and reports by.
 type ManagedSession struct {
+	// RWMutex is the session's one lock. Mutations (v-commands, imports,
+	// stop events) take the write side; reads (panes, exports, stream
+	// subscribe, diagnosis, fleet queries) take the read side and run
+	// concurrently. Create holds the write side from admission until the
+	// cold round's panes are published, so a reader that resolves a
+	// session still being admitted waits for it instead of seeing it
+	// half-built. Rounds run by the manager's own methods (Round,
+	// StepRound) do not take it: their callers serialize.
+	sync.RWMutex
+
 	ID      string
 	Session *Session
 	// Source records the attach mode. Kernel and Workload are nil for
@@ -104,6 +116,31 @@ type ManagedSession struct {
 	// shrinks as pages are shared and grows as CoW breaks privatize them.
 	MemBytes uint64
 	Created  time.Time
+
+	// Broker fans pane deltas out to the session's stream subscribers. It
+	// is built at admission and closed when the session leaves the
+	// manager, which disconnects every subscriber.
+	Broker *stream.Broker
+	// RenderStall, when set, is invoked at the top of every cache-miss
+	// serialization. It is a test hook that lets a test park one reader
+	// mid-render and prove others proceed; nil outside tests.
+	RenderStall func(paneID int, format string)
+
+	// cacheMu guards paneCache only. It is deliberately not held across
+	// rendering: two readers racing to fill the same entry both render
+	// and the last write wins, which costs one duplicate encode but keeps
+	// slow renders from serializing unrelated readers.
+	cacheMu sync.Mutex
+	// paneCache keeps the last serialized body per pane+format, keyed by
+	// the same version/epoch ETag served to clients: an unchanged pane is
+	// neither re-rendered nor re-serialized. The stream fan-out
+	// serializes through the same cache, so a GET and a pushed frame at
+	// the same epoch share one encode.
+	paneCache map[paneKey]*CachedPane
+	// lastPub tracks the (version, epoch) each pane was last published at,
+	// and round counts fan-out rounds. Both are guarded by the write lock.
+	lastPub map[int]pubState
+	round   uint64
 
 	lastUsed atomic.Int64 // unix nanos
 	rounds   atomic.Int64
@@ -214,9 +251,11 @@ func resolveFigures(ids []string) ([]vclstdlib.Figure, error) {
 // Create admits a new session: builds its kernel, applies admission
 // control, and runs the cold extraction round (through the global pool,
 // under the session's fairness key) so the returned session is immediately
-// servable. A non-nil error with a non-nil session means the session is
-// resident but some figures failed to extract — the serving layer reports
-// those as warnings.
+// servable. The session's write lock is held from before admission until
+// the cold round's panes are recorded as published: a concurrent reader
+// that finds the session in the registry waits for it. A non-nil error
+// with a non-nil session means the session is resident but some figures
+// failed to extract — the serving layer reports those as warnings.
 func (m *SessionManager) Create(id string, opts SessionOptions) (*ManagedSession, error) {
 	if id == "" {
 		return nil, errors.New("empty session ID")
@@ -277,8 +316,16 @@ func (m *SessionManager) Create(id string, opts SessionOptions) (*ManagedSession
 	}
 	ms.MemBytes = memBytes
 	ms.Session = ms.Extractor.Session
+	ms.Broker = stream.NewBroker(so, 0)
+	// The vchat diagnosis layer answers "why is my stream laggy?" from the
+	// broker's health snapshot.
+	ms.Session.StreamHealth = ms.Broker.Health
+	ms.paneCache = make(map[paneKey]*CachedPane)
+	ms.lastPub = make(map[int]pubState)
 	ms.lastUsed.Store(ms.Created.UnixNano())
 
+	ms.Lock()
+	defer ms.Unlock()
 	if err := m.admit(ms); err != nil {
 		ms.Mem.Release()
 		return nil, err
@@ -286,8 +333,11 @@ func (m *SessionManager) Create(id string, opts SessionOptions) (*ManagedSession
 
 	// Cold round: extract every figure once so panes exist before the first
 	// client request. Runs on the pool so N concurrent creates share the
-	// worker population fairly with already-running sessions.
+	// worker population fairly with already-running sessions. The startup
+	// panes are then recorded as published: a first subscriber gets them in
+	// its catch-up snapshot, not again after the first round.
 	_, xerr := ms.Round()
+	ms.PublishLocked(nil)
 	return ms, xerr
 }
 
@@ -333,12 +383,19 @@ func (m *SessionManager) admit(ms *ManagedSession) error {
 
 // Attach resolves a live session and marks it used (the TTL clock resets).
 func (m *SessionManager) Attach(id string) (*ManagedSession, bool) {
-	m.mu.Lock()
-	ms, ok := m.sessions[id]
-	m.mu.Unlock()
+	ms, ok := m.Lookup(id)
 	if ok {
 		ms.Touch()
 	}
+	return ms, ok
+}
+
+// Lookup resolves a live session without marking it used, for surfaces
+// that report on a session rather than serve it.
+func (m *SessionManager) Lookup(id string) (*ManagedSession, bool) {
+	m.mu.RLock()
+	ms, ok := m.sessions[id]
+	m.mu.RUnlock()
 	return ms, ok
 }
 
@@ -354,8 +411,8 @@ func (ms *ManagedSession) Rounds() int64 { return ms.rounds.Load() }
 // Round drives one extraction round — cold the first time, delta after —
 // scheduled on the global pool under the session's key, so a tenant
 // free-running rounds shares workers fairly with every other tenant. The
-// caller (the serving layer) must serialize rounds per session, as it
-// already does for single-session stop events.
+// caller must serialize rounds per session (StopEvent does, under the
+// session's write lock).
 //
 // A round that panics returns the recovered *TaskPanic, and so does every
 // later round: the session is quarantined until it is deleted.
@@ -398,8 +455,7 @@ func (ms *ManagedSession) StepRound() ([]RoundResult, error) {
 	return ms.Round()
 }
 
-// Delete removes a session by request. Unlike eviction it does not fire
-// OnEvict: the caller tearing the session down is the serving layer itself.
+// Delete removes a session by request and reports whether it was resident.
 func (m *SessionManager) Delete(id string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -465,13 +521,14 @@ func (m *SessionManager) evictLocked(ms *ManagedSession) {
 	if m.Tenants != nil {
 		m.Tenants.Evicted.Inc()
 	}
-	if m.OnEvict != nil {
-		m.OnEvict(ms.ID, ms)
-	}
 }
 
+// removeLocked takes ms out of the registry, on eviction and on delete,
+// and tears its serving state down: every stream subscriber is
+// disconnected and later publishes are no-ops.
 func (m *SessionManager) removeLocked(ms *ManagedSession) {
 	delete(m.sessions, ms.ID)
+	ms.Broker.Close()
 	// Drop the session's CoW store references so its share stops counting
 	// against the budget. The memory stays readable: an in-flight round on
 	// another goroutine finishes against the still-immutable pages.
@@ -500,8 +557,8 @@ func (m *SessionManager) publishGaugesLocked() {
 
 // Len reports the resident session count.
 func (m *SessionManager) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	return len(m.sessions)
 }
 
@@ -522,8 +579,8 @@ func (m *SessionManager) totalMemLocked() uint64 {
 // sum over resident sessions of OwnedBytes(); the lifecycle invariant test
 // holds the manager to it.
 func (m *SessionManager) TotalMem() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	return m.totalMemLocked()
 }
 
@@ -555,8 +612,8 @@ type SessionInfo struct {
 
 // List snapshots every resident session, sorted by ID.
 func (m *SessionManager) List() []SessionInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	now := m.now()
 	out := make([]SessionInfo, 0, len(m.sessions))
 	for _, ms := range m.sessions {

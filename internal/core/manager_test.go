@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -44,9 +45,6 @@ func TestSessionLifecycleMatrix(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	m := NewSessionManager(ManagerOptions{IdleTTL: time.Minute, Now: clk.now}, obs.NewObserver())
 
-	var evicted []string
-	m.OnEvict = func(id string, _ *ManagedSession) { evicted = append(evicted, id) }
-
 	// Create + cold extract.
 	ms, err := m.Create("alpha", tinySession())
 	if err != nil {
@@ -71,13 +69,13 @@ func TestSessionLifecycleMatrix(t *testing.T) {
 		t.Fatalf("recently used session swept: %v", ids)
 	}
 
-	// Idle past the TTL: the sweep evicts it and fires the teardown hook.
+	// Idle past the TTL: the sweep evicts it and tears its broker down.
 	clk.advance(2 * time.Minute)
 	if ids := m.SweepIdle(); len(ids) != 1 || ids[0] != "alpha" {
 		t.Fatalf("sweep = %v, want [alpha]", ids)
 	}
-	if len(evicted) != 1 || evicted[0] != "alpha" {
-		t.Fatalf("OnEvict saw %v", evicted)
+	if _, ok := ms.Broker.Subscribe("json", nil).Next(context.Background()); ok {
+		t.Fatal("the evicted session's broker still delivers frames")
 	}
 	if _, ok := m.Attach("alpha"); ok {
 		t.Fatal("attach resolved an evicted session")
@@ -111,8 +109,6 @@ func TestSessionManagerMemBudgetEviction(t *testing.T) {
 	per := probe.OwnedBytes()
 
 	m := NewSessionManager(ManagerOptions{MemBudget: 2*per + per/2, Now: clk.now, PrivateBuilds: true}, obs.NewObserver())
-	var evicted []string
-	m.OnEvict = func(id string, _ *ManagedSession) { evicted = append(evicted, id) }
 
 	if _, err := m.Create("a", tinySession()); err != nil {
 		t.Fatal(err)
@@ -128,8 +124,10 @@ func TestSessionManagerMemBudgetEviction(t *testing.T) {
 	if _, err := m.Create("c", tinySession()); err != nil {
 		t.Fatalf("create under memory pressure: %v", err)
 	}
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Fatalf("evicted %v, want the LRU session [b]", evicted)
+	for id, want := range map[string]bool{"a": true, "b": false, "c": true} {
+		if _, ok := m.Lookup(id); ok != want {
+			t.Fatalf("%s resident = %v, want %v: the LRU session b alone is evicted", id, ok, want)
+		}
 	}
 	if m.Len() != 2 {
 		t.Fatalf("len = %d, want 2", m.Len())

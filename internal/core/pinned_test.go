@@ -73,8 +73,6 @@ func TestDefaultSessionPinned(t *testing.T) {
 	m := core.NewSessionManager(core.ManagerOptions{
 		MemBudget: 2*per + per/2, IdleTTL: time.Minute, Now: clk.now, PrivateBuilds: true,
 	}, o)
-	var evicted []string
-	m.OnEvict = func(id string, _ *core.ManagedSession) { evicted = append(evicted, id) }
 	deflt, err := m.Create(core.DefaultSession, tinyOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +89,13 @@ func TestDefaultSessionPinned(t *testing.T) {
 	if err := createWithin(t, m, "b"); err != nil {
 		t.Fatalf("create under memory pressure: %v", err)
 	}
-	if len(evicted) != 1 || evicted[0] != "a" {
-		t.Fatalf("LRU evicted %v, want [a]", evicted)
+	for id, want := range map[string]bool{core.DefaultSession: true, "a": false, "b": true} {
+		if _, ok := m.Lookup(id); ok != want {
+			t.Fatalf("%s resident = %v, want %v: the LRU evicts a alone", id, ok, want)
+		}
+	}
+	if n := m.Tenants.Evicted.Value(); n != 1 {
+		t.Fatalf("evicted counter = %d, want 1", n)
 	}
 
 	clk.advance(2 * time.Minute)

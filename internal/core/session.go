@@ -41,9 +41,9 @@ type Session struct {
 	// EnableObs / ObservedSessionOver.
 	Obs *obs.Observer
 
-	// StreamHealth, when set by the serving layer, snapshots the stream
-	// broker's per-client state — the source the vchat stream-lag
-	// diagnosis answers from. Nil outside a serving process.
+	// StreamHealth, when set, snapshots the stream broker's per-client
+	// state — the source the vchat stream-lag diagnosis answers from. The
+	// session manager sets it at admission; nil for unmanaged sessions.
 	StreamHealth func() *stream.Health
 
 	programs     map[int]string // pane ID -> ViewCL source (primary panes)

@@ -527,15 +527,6 @@ func (r *Registry) MustLookup(name string) *Type {
 	return t
 }
 
-// Names returns all registered type names (unordered).
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.types))
-	for n := range r.types {
-		out = append(out, n)
-	}
-	return out
-}
-
 // EnumeratorValue searches all registered enums for an enumerator called
 // name, mirroring C's flat enumerator namespace. Used by ${maple_leaf_64}
 // style expressions.

@@ -53,15 +53,6 @@ func MakeLValue(t *ctypes.Type, addr uint64) Value {
 // MakeString builds a synthetic string value.
 func MakeString(s string) Value { return Value{IsStr: true, Str: s} }
 
-// IsZero reports whether the value is a zero scalar (NULL, 0, false).
-// Lvalues are never zero: they designate an object.
-func (v Value) IsZero() bool {
-	if v.IsStr {
-		return v.Str == ""
-	}
-	return !v.HasAddr && v.Bits == 0
-}
-
 // Uint returns the scalar payload as unsigned.
 func (v Value) Uint() uint64 { return v.Bits }
 

@@ -28,10 +28,6 @@ type SharedPage struct {
 	refs atomic.Int64
 }
 
-// Data returns the page contents. The slice is shared and immutable; callers
-// must not write through it.
-func (p *SharedPage) Data() []byte { return p.data }
-
 // Refs returns the current reference count.
 func (p *SharedPage) Refs() int64 { return p.refs.Load() }
 

@@ -48,17 +48,15 @@ func (s *Server) handleSessionsDebug(w http.ResponseWriter, r *http.Request) {
 	rows := make([]sessionHealth, 0, len(infos))
 	for _, info := range infos {
 		row := sessionHealth{SessionInfo: info}
-		s.tmu.RLock()
-		t := s.tenants[info.ID]
-		s.tmu.RUnlock()
-		if t != nil {
-			t.mu.RLock()
-			if t.session.Tree != nil {
-				row.Panes = len(t.session.Tree.Panes())
+		// Lookup, not Attach: reporting on a session does not keep it alive.
+		if ms, ok := s.mgr.Lookup(info.ID); ok {
+			ms.RLock()
+			if ms.Session.Tree != nil {
+				row.Panes = len(ms.Session.Tree.Panes())
 			}
-			row.StreamRound = t.round
-			t.mu.RUnlock()
-			row.StreamClients = t.broker.ClientCount()
+			row.StreamRound = ms.FanoutRound()
+			ms.RUnlock()
+			row.StreamClients = ms.Broker.ClientCount()
 		}
 		row.Default = info.ID == core.DefaultSession
 		rows = append(rows, row)
@@ -86,20 +84,20 @@ func (s *Server) handleSessionsDebug(w http.ResponseWriter, r *http.Request) {
 // pane's retained span trees — the machine-readable twin of the vchat
 // diagnosis path. GET /debug/diagnose/3 — pane 3; GET
 // /debug/diagnose/slowest — whichever pane's latest round was slowest.
-func (s *Server) handleDiagnose(t *tenant, rest string, w http.ResponseWriter, r *http.Request) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+func (s *Server) handleDiagnose(ms *core.ManagedSession, rest string, w http.ResponseWriter, r *http.Request) {
+	ms.RLock()
+	defer ms.RUnlock()
 	var d *vchat.Diagnosis
 	var err error
 	if rest == "slowest" || rest == "" {
-		d, err = t.session.DiagnoseSlowest()
+		d, err = ms.Session.DiagnoseSlowest()
 	} else {
 		id, convErr := strconv.Atoi(rest)
 		if convErr != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad pane id %q", rest))
 			return
 		}
-		d, err = t.session.Diagnose(id)
+		d, err = ms.Session.Diagnose(id)
 	}
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
@@ -116,8 +114,8 @@ func (s *Server) handleDiagnose(t *tenant, rest string, w http.ResponseWriter, r
 // snapshots as JSON, oldest first — the push counterpart of /debug/metrics,
 // so a UI can draw sparklines without running its own scraper. The ring
 // fills via Observer.StartMetricsHistory (vlserver's -metrics-interval).
-func (s *Server) handleMetricsHistory(t *tenant, w http.ResponseWriter, r *http.Request) {
-	o := t.session.Obs
+func (s *Server) handleMetricsHistory(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
+	o := ms.Session.Obs
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cap":    o.History.Cap(),
 		"points": o.History.Points(),
@@ -127,17 +125,17 @@ func (s *Server) handleMetricsHistory(t *tenant, w http.ResponseWriter, r *http.
 // handleMetrics writes the session's registry in Prometheus text
 // exposition format: snapshot hit ratio, link transactions and bytes,
 // per-stage and per-figure latency histograms.
-func (s *Server) handleMetrics(t *tenant, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	t.session.Obs.Registry.WritePrometheus(w)
+	ms.Session.Obs.Registry.WritePrometheus(w)
 }
 
 // handleTrace returns the span tree of a pane's last extraction as JSON.
 // GET /debug/trace/3 — pane 3; GET /debug/trace/last — most recent.
-func (s *Server) handleTrace(t *tenant, rest string, w http.ResponseWriter, r *http.Request) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	traces := t.session.Obs.Traces
+func (s *Server) handleTrace(ms *core.ManagedSession, rest string, w http.ResponseWriter, r *http.Request) {
+	ms.RLock()
+	defer ms.RUnlock()
+	traces := ms.Session.Obs.Traces
 	if rest == "last" || rest == "" {
 		rec, ok := traces.Latest()
 		if !ok {
@@ -165,9 +163,9 @@ const slowLogRows = 16
 
 // handleSlowLog returns each pane's slowest extraction (label, duration,
 // trace), slowest first.
-func (s *Server) handleSlowLog(t *tenant, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSlowLog(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
 	rows := []obs.SlowEntry{}
-	for _, rec := range t.session.Obs.Traces.Slowest(slowLogRows) {
+	for _, rec := range ms.Session.Obs.Traces.Slowest(slowLogRows) {
 		rows = append(rows, obs.SlowEntry{
 			Label: fmt.Sprintf("pane %d (%s)", rec.Pane, rec.Figure),
 			DurMS: rec.DurMS, Seq: rec.Seq, Trace: rec.Trace,

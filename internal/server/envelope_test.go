@@ -30,11 +30,10 @@ func serveDefault(t *testing.T, figureIDs []string) *Server {
 	return NewManaged(mgr, ms)
 }
 
-// defaultTenant is the serving state of the server's default session.
-func defaultTenant(srv *Server) *tenant {
-	srv.tmu.RLock()
-	defer srv.tmu.RUnlock()
-	return srv.tenants[core.DefaultSession]
+// defaultTenant is the server's default session.
+func defaultTenant(srv *Server) *core.ManagedSession {
+	ms, _ := srv.mgr.Lookup(core.DefaultSession)
+	return ms
 }
 
 // liveServer serves an observed default session over the given figures
@@ -49,7 +48,7 @@ func liveServer(t *testing.T, figureIDs ...string) (srv *Server, step func()) {
 	return srv, func() {
 		t.Helper()
 		pid++
-		if _, err := defaultTenant(srv).ms.Kernel.SpawnTask(pid, "steptest", 1); err != nil {
+		if _, err := defaultTenant(srv).Kernel.SpawnTask(pid, "steptest", 1); err != nil {
 			t.Fatalf("spawn: %v", err)
 		}
 		if err := srv.StreamRound(core.DefaultSession); err != nil {
@@ -80,14 +79,14 @@ func wantEvent(t *testing.T, f *stream.Frame) []byte {
 func TestPaneSerializeAllocs(t *testing.T) {
 	srv, _ := liveServer(t)
 	tn := defaultTenant(srv)
-	ps := tn.session.Tree.Panes()
+	ps := tn.Session.Tree.Panes()
 	for _, p := range ps {
-		tn.serializePane(p, "json")
+		tn.SerializePane(p, "json")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		tn.session.Tree.BumpEpoch() // every pane's ETag moves: all misses
+		tn.Session.Tree.BumpEpoch() // every pane's ETag moves: all misses
 		for _, p := range ps {
-			if _, hit := tn.serializePane(p, "json"); hit {
+			if _, hit := tn.SerializePane(p, "json"); hit {
 				t.Fatalf("pane %d: cache hit after an epoch bump", p.ID)
 			}
 		}
@@ -104,11 +103,11 @@ func TestPaneSerializeAllocs(t *testing.T) {
 // for every flag combination and for bodies that exercise every escape.
 func TestStreamEventMatchesMarshal(t *testing.T) {
 	srv, _ := liveServer(t, "7-1")
-	p, _ := defaultTenant(srv).session.Tree.Pane(1)
+	p, _ := defaultTenant(srv).Session.Tree.Pane(1)
 	bodies := map[string]string{"escapes": "\x00\x1f\b\f\n\r\t\"\\<&>\u2028\u2029\xff\xc0 é日本\U0001F600", "empty": ""}
 	for _, format := range []string{"json", "text", "dot"} {
-		c, _ := defaultTenant(srv).serializePane(p, format)
-		bodies[format] = string(c.body)
+		c, _ := defaultTenant(srv).SerializePane(p, format)
+		bodies[format] = string(c.Body)
 	}
 	for name, body := range bodies {
 		for _, flags := range []struct{ snapshot, coalesced bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
@@ -133,10 +132,10 @@ func TestStreamEnvelopeQuotedOnce(t *testing.T) {
 	srv, step := liveServer(t, "7-1", "3-6")
 	tn := defaultTenant(srv)
 	subscribe := func(format string) *stream.Client {
-		tn.mu.RLock()
-		defer tn.mu.RUnlock()
-		c := tn.broker.Subscribe(format, nil)
-		tn.broker.SnapshotTo(c, tn.snapshotFrames(c))
+		tn.RLock()
+		defer tn.RUnlock()
+		c := tn.Broker.Subscribe(format, nil)
+		tn.Broker.SnapshotTo(c, tn.SnapshotFrames(c))
 		return c
 	}
 	fast := []*stream.Client{subscribe("json"), subscribe("json"), subscribe("text"), subscribe("dot")}
@@ -184,7 +183,7 @@ func TestStreamEnvelopeQuotedOnce(t *testing.T) {
 	}
 	for _, c := range append(fast, slow) {
 		check(c)
-		tn.broker.Unsubscribe(c)
+		tn.Broker.Unsubscribe(c)
 	}
 	t.Logf("frames checked: %v", kinds)
 	for _, want := range []string{"snapshot json", "snapshot text", "snapshot dot",
@@ -207,7 +206,7 @@ func TestStreamWireEnvelope(t *testing.T) {
 	// An epoch bump republishes every pane: each round is one delta per pane.
 	bump := func() {
 		tn := defaultTenant(srv)
-		if err := srv.streamRound(tn, func() error { tn.session.Tree.BumpEpoch(); return nil }); err != nil {
+		if err := tn.StopEvent(func() error { tn.Session.Tree.BumpEpoch(); return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,24 +15,6 @@ import (
 // dumps alike) and returns the provenance-tagged merge; /debug/fleet
 // reports the fan-out health counters beside the member list.
 
-// fleetGuard wraps one session's slice of a fleet query in that tenant's
-// read lock, so fleet reads coexist with per-session mutations (vchat
-// UPDATEs, stop-event rounds). Sessions without serving state — admitted
-// through the manager API directly, e.g. by tests — run unguarded; their
-// callers serialize externally.
-func (s *Server) fleetGuard(id string, fn func()) {
-	s.tmu.RLock()
-	t := s.tenants[id]
-	s.tmu.RUnlock()
-	if t == nil {
-		fn()
-		return
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	fn()
-}
-
 // handleFleetQuery serves the cross-target query. POST takes a
 // core.FleetQuery JSON body; GET takes ?figure=&q=[&sessions=a,b][&set=]
 // for quick curl use. Both return the merged core.FleetResult.

@@ -3,8 +3,12 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"visualinux/internal/core"
@@ -239,5 +243,83 @@ func TestVChatFleetIntent(t *testing.T) {
 	}
 	if len(ans.Ranking) != 2 || ans.Ranking[0].Target != "skewed" {
 		t.Fatalf("ranking: %+v", ans.Ranking)
+	}
+}
+
+// TestFleetQueryDuringAdmission overlaps POST /sessions admissions with
+// POST /fleet/query over HTTP. A fleet query lists every resident session,
+// including one whose cold round is still running; it must wait for that
+// round under the session's lock and answer from the finished panes, never
+// read the extractor while the round writes it (a DATA RACE under -race)
+// or report the figure as not attached.
+func TestFleetQueryDuringAdmission(t *testing.T) {
+	mgr := core.NewSessionManager(core.ManagerOptions{}, obs.NewObserver())
+	ts := httptest.NewServer(NewManaged(mgr, nil))
+	defer ts.Close()
+	post := func(path, body string) (int, []byte) {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		return resp.StatusCode, out
+	}
+	if code, out := post("/sessions", `{"id":"seed","procs":2,"figures":["7-1"]}`); code != 201 {
+		t.Fatalf("seed: %d %s", code, out)
+	}
+
+	const admissions = 8
+	var admitting, querying sync.WaitGroup
+	admitted := make(chan struct{})
+	for i := 0; i < admissions; i++ {
+		admitting.Add(1)
+		go func(i int) {
+			defer admitting.Done()
+			if code, out := post("/sessions", fmt.Sprintf(`{"id":"adm%d","procs":2,"figures":["7-1"]}`, i)); code != 201 {
+				t.Errorf("adm%d: %d %s", i, code, out)
+			}
+		}(i)
+	}
+	go func() { admitting.Wait(); close(admitted) }()
+	query := func() {
+		code, out := post("/fleet/query", `{"figure":"7-1","query":"rqs = SELECT rq FROM *"}`)
+		if code != 200 {
+			t.Errorf("fleet query: %d %s", code, out)
+			return
+		}
+		var res fleetResult
+		if err := json.Unmarshal(out, &res); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, tr := range res.Targets {
+			if tr.Err != "" || tr.Count == 0 {
+				t.Errorf("target %s answered from a half-built session: count %d, error %q", tr.Target, tr.Count, tr.Err)
+			}
+		}
+	}
+	for q := 0; q < 2; q++ {
+		querying.Add(1)
+		go func() {
+			defer querying.Done()
+			for {
+				select {
+				case <-admitted:
+					return
+				default:
+					query()
+				}
+			}
+		}()
+	}
+	querying.Wait()
+	query() // every admission is finished: all nine answer
+	if mgr.Len() != admissions+1 {
+		t.Fatalf("resident %d, want %d", mgr.Len(), admissions+1)
 	}
 }

@@ -19,7 +19,7 @@ func TestConcurrentReadersNotSerialized(t *testing.T) {
 	release := make(chan struct{})
 	stalled := make(chan struct{})
 	var once sync.Once
-	defaultTenant(srv).renderStall = func(paneID int, format string) {
+	defaultTenant(srv).RenderStall = func(paneID int, format string) {
 		if paneID == 1 {
 			once.Do(func() { close(stalled) })
 			<-release

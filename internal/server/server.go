@@ -11,7 +11,11 @@
 // full single-session surface (v-commands, panes, stream, debug) re-rooted
 // per session. The historical un-prefixed routes are a rewrite onto
 // /sessions/default/..., the managed session named core.DefaultSession,
-// so a single-session deployment never notices.
+// so a single-session deployment never notices. The server keeps only
+// HTTP: decoding, routing, status codes and SSE writing. Every request
+// resolves its session through the manager, and everything that lives and
+// dies with a session (its lock, stream broker and serialization cache)
+// is the core.ManagedSession's.
 package server
 
 import (
@@ -21,7 +25,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 
 	"visualinux/internal/core"
 	"visualinux/internal/vchat"
@@ -30,38 +33,21 @@ import (
 // Server exposes sessions over HTTP.
 type Server struct {
 	mux *http.ServeMux
-	// mgr admits, evicts, and accounts the managed sessions.
+	// mgr admits, evicts, and accounts the managed sessions; it is the
+	// one registry every request resolves its session in.
 	mgr *core.SessionManager
 
-	// tmu guards the tenant registry. Lock order: the manager's lock may
-	// be held when tmu is taken (OnEvict), never the reverse — so tenant
-	// resolution must not call into the manager while holding tmu.
-	tmu     sync.RWMutex
-	tenants map[string]*tenant
-
 	// fleet fans ViewQL queries across the managed sessions (/fleet/query,
-	// /debug/fleet, and the cross-target vchat intent). Its guard routes
-	// each per-session read through the tenant's read lock.
+	// /debug/fleet, and the cross-target vchat intent).
 	fleet *core.Fleet
 }
 
-// NewManaged serves the sessions of mgr. resident, when non-nil, is a
-// session the caller admitted in-process (typically core.DefaultSession):
-// the server builds its serving state so it is addressable under
-// /sessions/{its-id}/ like a tenant created with POST /sessions.
+// NewManaged serves the sessions of mgr. Every session mgr admits, before
+// or after this call, is addressable under /sessions/{id}/ with no further
+// setup. resident is unused and may be nil; the parameter stays so that
+// existing callers keep compiling.
 func NewManaged(mgr *core.SessionManager, resident *core.ManagedSession) *Server {
-	srv := &Server{
-		mux:     http.NewServeMux(),
-		mgr:     mgr,
-		tenants: make(map[string]*tenant),
-	}
-	if resident != nil {
-		srv.tenants[resident.ID] = newTenant(resident)
-	}
-	// Evictions (idle TTL, memory pressure) tear down the serving state —
-	// stream clients are disconnected, caches dropped. Explicit deletes go
-	// through the DELETE handler, which does its own teardown.
-	mgr.OnEvict = func(id string, _ *core.ManagedSession) { srv.dropTenant(id) }
+	srv := &Server{mux: http.NewServeMux(), mgr: mgr}
 	srv.mux.HandleFunc("/", srv.handleIndex)
 	// Legacy single-session routes: a rewrite onto /sessions/default.
 	legacy := func(w http.ResponseWriter, r *http.Request) {
@@ -74,87 +60,63 @@ func NewManaged(mgr *core.SessionManager, resident *core.ManagedSession) *Server
 	srv.mux.HandleFunc("/sessions", srv.handleSessions)
 	srv.mux.HandleFunc("/sessions/", srv.handleSessionPath)
 	// The fleet scope: one ViewQL query, every session.
-	srv.fleet = &core.Fleet{Mgr: mgr, Guard: srv.fleetGuard}
+	srv.fleet = &core.Fleet{Mgr: mgr}
 	srv.mux.HandleFunc("/fleet/query", srv.handleFleetQuery)
 	srv.registerDebug()
 	return srv
 }
 
-// tenantByID resolves a tenant, counting the request against the session's
-// idle TTL.
-func (s *Server) tenantByID(id string) *tenant {
-	s.tmu.RLock()
-	t := s.tenants[id]
-	s.tmu.RUnlock()
-	if t != nil {
-		t.ms.Touch()
-	}
-	return t
-}
-
-// serveSession resolves session id and dispatches the tenant-relative
-// path to it, or answers 404.
+// serveSession resolves session id, counting the request against its idle
+// TTL, and dispatches the session-relative path to it, or answers 404.
 func (s *Server) serveSession(id, path string, w http.ResponseWriter, r *http.Request) {
-	t := s.tenantByID(id)
-	if t == nil {
+	ms, ok := s.mgr.Attach(id)
+	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
 		return
 	}
-	s.dispatch(t, path, w, r)
+	s.dispatch(ms, path, w, r)
 }
 
-// dropTenant removes a tenant from the registry and closes its serving
-// state. Safe to call for IDs with no tenant (manager-only sessions).
-func (s *Server) dropTenant(id string) {
-	s.tmu.Lock()
-	t := s.tenants[id]
-	delete(s.tenants, id)
-	s.tmu.Unlock()
-	if t != nil {
-		t.close()
-	}
-}
-
-// dispatch routes one request for a resolved tenant. path is the
-// tenant-relative route: the part after /sessions/{id}, which for a legacy
+// dispatch routes one request for a resolved session. path is the
+// session-relative route: the part after /sessions/{id}, which for a legacy
 // request is r.URL.Path itself.
-func (s *Server) dispatch(t *tenant, path string, w http.ResponseWriter, r *http.Request) {
+func (s *Server) dispatch(ms *core.ManagedSession, path string, w http.ResponseWriter, r *http.Request) {
 	if s.mgr.Tenants != nil {
-		s.mgr.Tenants.Requests(t.ms.ID).Inc()
+		s.mgr.Tenants.Requests(ms.ID).Inc()
 	}
 	switch {
 	case path == "/stream":
-		s.handleStream(t, w, r)
+		s.handleStream(ms, w, r)
 	case path == "/api/vplot":
-		s.handleVPlot(t, w, r)
+		s.handleVPlot(ms, w, r)
 	case path == "/api/vctrl":
-		s.handleVCtrl(t, w, r)
+		s.handleVCtrl(ms, w, r)
 	case path == "/api/vchat":
-		s.handleVChat(t, w, r)
+		s.handleVChat(ms, w, r)
 	case path == "/api/panes":
-		s.handlePanes(t, w, r)
+		s.handlePanes(ms, w, r)
 	case path == "/api/pane":
-		s.handlePane(t, w, r)
+		s.handlePane(ms, w, r)
 	case path == "/api/figures":
-		s.handleFigures(t, w, r)
+		s.handleFigures(ms, w, r)
 	case path == "/api/session/export":
-		s.handleExport(t, w, r)
+		s.handleExport(ms, w, r)
 	case path == "/api/session/import":
-		s.handleImport(t, w, r)
+		s.handleImport(ms, w, r)
 	case path == "/round":
-		s.handleRound(t, w, r)
+		s.handleRound(ms, w, r)
 	case path == "/debug/metrics":
-		s.handleMetrics(t, w, r)
+		s.handleMetrics(ms, w, r)
 	case path == "/debug/metrics/history":
-		s.handleMetricsHistory(t, w, r)
+		s.handleMetricsHistory(ms, w, r)
 	case strings.HasPrefix(path, "/debug/trace/"):
-		s.handleTrace(t, strings.TrimPrefix(path, "/debug/trace/"), w, r)
+		s.handleTrace(ms, strings.TrimPrefix(path, "/debug/trace/"), w, r)
 	case path == "/debug/slowlog":
-		s.handleSlowLog(t, w, r)
+		s.handleSlowLog(ms, w, r)
 	case strings.HasPrefix(path, "/debug/diagnose"):
-		s.handleDiagnose(t, strings.TrimPrefix(strings.TrimPrefix(path, "/debug/diagnose"), "/"), w, r)
+		s.handleDiagnose(ms, strings.TrimPrefix(strings.TrimPrefix(path, "/debug/diagnose"), "/"), w, r)
 	case path == "/debug/stream":
-		s.handleStreamDebug(t, w, r)
+		s.handleStreamDebug(ms, w, r)
 	default:
 		http.NotFound(w, r)
 	}
@@ -162,10 +124,10 @@ func (s *Server) dispatch(t *tenant, path string, w http.ResponseWriter, r *http
 
 // handleExport serializes the session's pane/plot state (paper §4.2
 // persistence). Read-only: concurrent with other readers.
-func (s *Server) handleExport(t *tenant, w http.ResponseWriter, r *http.Request) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	data, err := t.session.Export()
+func (s *Server) handleExport(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
+	ms.RLock()
+	defer ms.RUnlock()
+	data, err := ms.Session.Export()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -175,7 +137,7 @@ func (s *Server) handleExport(t *tenant, w http.ResponseWriter, r *http.Request)
 }
 
 // handleImport restores an exported session into a fresh one.
-func (s *Server) handleImport(t *tenant, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleImport(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
@@ -185,17 +147,17 @@ func (s *Server) handleImport(t *tenant, w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.session.Import(body); err != nil {
+	ms.Lock()
+	defer ms.Unlock()
+	if err := ms.Session.Import(body); err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	// The restored tree restarts version/epoch numbering: cached
 	// serializations and publish states from before the import could carry
 	// ETags identical to the new panes' while holding the old bytes.
-	t.clearPaneCache()
-	t.publishAfterMutation()
+	ms.ClearPaneCache()
+	ms.PublishLocked(nil)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "restored"})
 }
 
@@ -233,7 +195,7 @@ type vplotReq struct {
 	Figure  string `json:"figure"`  // stdlib figure ID, e.g. "7-1"
 }
 
-func (s *Server) handleVPlot(t *tenant, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleVPlot(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
@@ -243,18 +205,18 @@ func (s *Server) handleVPlot(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	ms.Lock()
+	defer ms.Unlock()
 	var err error
 	var paneID int
 	if req.Figure != "" {
-		p, e := t.session.VPlotFigure(req.Figure)
+		p, e := ms.Session.VPlotFigure(req.Figure)
 		if e == nil {
 			paneID = p.ID
 		}
 		err = e
 	} else {
-		p, e := t.session.VPlot(req.Name, req.Program)
+		p, e := ms.Session.VPlot(req.Name, req.Program)
 		if e == nil {
 			paneID = p.ID
 		}
@@ -264,7 +226,7 @@ func (s *Server) handleVPlot(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	t.publishAfterMutation()
+	ms.PublishLocked(nil)
 	writeJSON(w, http.StatusOK, map[string]any{"pane": paneID})
 }
 
@@ -273,7 +235,7 @@ type vctrlReq struct {
 	Command string `json:"command"`
 }
 
-func (s *Server) handleVCtrl(t *tenant, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleVCtrl(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
@@ -283,14 +245,14 @@ func (s *Server) handleVCtrl(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out, err := t.session.VCtrl(req.Command)
+	ms.Lock()
+	defer ms.Unlock()
+	out, err := ms.Session.VCtrl(req.Command)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	t.publishAfterMutation()
+	ms.PublishLocked(nil)
 	writeJSON(w, http.StatusOK, map[string]string{"output": out})
 }
 
@@ -300,7 +262,7 @@ type vchatReq struct {
 	Message string `json:"message"`
 }
 
-func (s *Server) handleVChat(t *tenant, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleVChat(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
@@ -314,8 +276,8 @@ func (s *Server) handleVChat(t *tenant, w http.ResponseWriter, r *http.Request) 
 		req.Pane = 1
 	}
 	// Fleet questions span sessions, so they must be routed before this
-	// tenant's write lock is taken: the fleet guard re-acquires per-tenant
-	// read locks (including this one) during the fan-out.
+	// session's write lock is taken: the fan-out takes every session's
+	// read lock, this one's included.
 	if intent, _ := vchat.Classify(req.Message); intent == vchat.IntentFleet {
 		ans, err := s.fleet.Chat(req.Message)
 		if err != nil {
@@ -329,14 +291,14 @@ func (s *Server) handleVChat(t *tenant, w http.ResponseWriter, r *http.Request) 
 		})
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kind, out, err := t.session.VChatAnswer(req.Pane, req.Message)
+	ms.Lock()
+	defer ms.Unlock()
+	kind, out, err := ms.Session.VChatAnswer(req.Pane, req.Message)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	t.publishAfterMutation()
+	ms.PublishLocked(nil)
 	// Visualization requests keep the historical {"viewql": ...} shape;
 	// diagnostic questions answer {"kind":"diagnosis","answer":...}.
 	if kind == core.AnswerViewQL {
@@ -346,9 +308,9 @@ func (s *Server) handleVChat(t *tenant, w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, map[string]string{"kind": kind, "answer": out})
 }
 
-func (s *Server) handlePanes(t *tenant, w http.ResponseWriter, r *http.Request) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+func (s *Server) handlePanes(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
+	ms.RLock()
+	defer ms.RUnlock()
 	type paneInfo struct {
 		ID      int    `json:"id"`
 		Kind    string `json:"kind"`
@@ -359,31 +321,31 @@ func (s *Server) handlePanes(t *tenant, w http.ResponseWriter, r *http.Request) 
 		Epoch   int    `json:"epoch"`
 	}
 	var out []paneInfo
-	if t.session.Tree != nil {
-		for _, p := range t.session.Tree.Panes() {
+	if ms.Session.Tree != nil {
+		for _, p := range ms.Session.Tree.Panes() {
 			out = append(out, paneInfo{
 				ID: p.ID, Kind: p.Kind.String(), Title: p.Title,
 				Boxes: len(p.Graph.Boxes), Summary: p.Graph.Summary(),
-				Version: p.Version, Epoch: t.session.Tree.Epoch(),
+				Version: p.Version, Epoch: ms.Session.Tree.Epoch(),
 			})
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handlePane(t *tenant, w http.ResponseWriter, r *http.Request) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+func (s *Server) handlePane(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
+	ms.RLock()
+	defer ms.RUnlock()
 	var id int
 	if _, err := fmt.Sscanf(r.URL.Query().Get("id"), "%d", &id); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad pane id"))
 		return
 	}
-	if t.session.Tree == nil {
+	if ms.Session.Tree == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no panes"))
 		return
 	}
-	p, ok := t.session.Tree.Pane(id)
+	p, ok := ms.Session.Tree.Pane(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no pane %d", id))
 		return
@@ -396,15 +358,15 @@ func (s *Server) handlePane(t *tenant, w http.ResponseWriter, r *http.Request) {
 	// the pane's content is replaced (incremental re-extraction), the epoch
 	// when shared display attributes mutate (ViewQL/expand/vchat). A client
 	// revalidating an unchanged pane costs a 304, not a re-serialization.
-	etag := t.paneETag(p, format)
+	etag := ms.PaneETag(p, format)
 	w.Header().Set("ETag", etag)
 	if etagMatches(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	c, _ := t.serializePane(p, format)
-	w.Header().Set("Content-Type", c.ctype)
-	_, _ = w.Write(c.body)
+	c, _ := ms.SerializePane(p, format)
+	w.Header().Set("Content-Type", c.CType)
+	_, _ = w.Write(c.Body)
 }
 
 // etagMatches reports whether an If-None-Match header value matches the
@@ -430,7 +392,7 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-func (s *Server) handleFigures(t *tenant, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFigures(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, core.FigureIDs())
 }
 

@@ -113,25 +113,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, err)
 		return
 	}
-	t := newTenant(ms)
-	s.tmu.Lock()
-	s.tenants[ms.ID] = t
-	s.tmu.Unlock()
-	// Between admission and tenant registration another create can push the
-	// manager over budget and evict this very session — whose OnEvict fired
-	// against a not-yet-registered tenant. Re-verify residency and undo.
-	if cur, ok := s.mgr.Attach(ms.ID); !ok || cur != ms {
-		s.dropTenant(ms.ID)
-		writeErr(w, http.StatusTooManyRequests,
-			fmt.Errorf("%w: session evicted during admission", core.ErrMemBudget))
-		return
-	}
-	t.mu.RLock()
+	ms.RLock()
 	panes := 0
-	if t.session.Tree != nil {
-		panes = len(t.session.Tree.Panes())
+	if ms.Session.Tree != nil {
+		panes = len(ms.Session.Tree.Panes())
 	}
-	t.mu.RUnlock()
+	ms.RUnlock()
 	resp := map[string]any{
 		"id":        ms.ID,
 		"source":    string(ms.Source),
@@ -179,15 +166,10 @@ func (s *Server) handleSessionByID(id string, w http.ResponseWriter, r *http.Req
 			writeErr(w, http.StatusConflict, fmt.Errorf("session %q is pinned", id))
 			return
 		}
-		deleted := s.mgr.Delete(id)
-		s.tmu.RLock()
-		_, hadTenant := s.tenants[id]
-		s.tmu.RUnlock()
-		if !deleted && !hadTenant {
+		if !s.mgr.Delete(id) {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
 			return
 		}
-		s.dropTenant(id)
 		writeJSON(w, http.StatusOK, map[string]string{"status": "deleted", "id": id})
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or DELETE only"))
@@ -198,12 +180,12 @@ func (s *Server) handleSessionByID(id string, w http.ResponseWriter, r *http.Req
 // canned workload one step, take a stop event, re-extract incrementally,
 // and fan pane deltas out to the session's stream clients — the HTTP
 // trigger for what vlserver's -run-interval loop does on a timer.
-func (s *Server) handleRound(t *tenant, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRound(ms *core.ManagedSession, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
 	}
-	if err := s.streamRound(t, t.stepRound); err != nil {
+	if err := stepRound(ms); err != nil {
 		code := http.StatusInternalServerError
 		var panicked *core.TaskPanic
 		switch {
@@ -221,6 +203,6 @@ func (s *Server) handleRound(t *tenant, w http.ResponseWriter, r *http.Request) 
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "stepped",
-		"rounds": t.ms.Rounds(),
+		"rounds": ms.Rounds(),
 	})
 }

@@ -81,16 +81,15 @@ func TestSessionFabric64Tenants(t *testing.T) {
 
 	// Every tenant's kernel shares one ctypes registry.
 	shared := kernelsim.SharedRegistry()
-	srv.tmu.RLock()
-	if len(srv.tenants) != tenants {
-		t.Errorf("tenant registry holds %d, want %d", len(srv.tenants), tenants)
+	if mgr.Len() != tenants {
+		t.Errorf("session registry holds %d, want %d", mgr.Len(), tenants)
 	}
-	for id, tn := range srv.tenants {
-		if tn.ms.Kernel.Reg != shared {
-			t.Errorf("session %s built a private ctypes registry", id)
+	for i := 0; i < tenants; i++ {
+		id := fmt.Sprintf("s%d", i)
+		if ms, ok := mgr.Attach(id); !ok || ms.Kernel.Reg != shared {
+			t.Errorf("session %s missing or built a private ctypes registry", id)
 		}
 	}
-	srv.tmu.RUnlock()
 
 	// The fleet listing sees all of them.
 	if code, body := do(srv, "GET", "/sessions", ""); code != 200 {

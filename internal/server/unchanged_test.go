@@ -16,15 +16,15 @@ import (
 func TestUnchangedRoundPublishesNothing(t *testing.T) {
 	srv := serveDefault(t, []string{"3-6", "7-1"})
 	tn := defaultTenant(srv)
-	k, x, o := tn.ms.Kernel, tn.ms.Extractor, tn.ms.Obs
+	k, x, o := tn.Kernel, tn.Extractor, tn.Obs
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	tn.mu.RLock()
-	c := tn.broker.Subscribe("json", nil)
-	tn.broker.SnapshotTo(c, tn.snapshotFrames(c))
-	tn.mu.RUnlock()
-	defer tn.broker.Unsubscribe(c)
+	tn.RLock()
+	c := tn.Broker.Subscribe("json", nil)
+	tn.Broker.SnapshotTo(c, tn.SnapshotFrames(c))
+	tn.RUnlock()
+	defer tn.Broker.Unsubscribe(c)
 	drained, cancel := context.WithCancel(context.Background())
 	cancel() // Next returns what is deliverable, then stops
 	drain := func() []*stream.Frame {
@@ -44,10 +44,10 @@ func TestUnchangedRoundPublishesNothing(t *testing.T) {
 	}
 	round := func(mutate func()) {
 		t.Helper()
-		err := srv.streamRound(tn, func() error {
+		err := tn.StopEvent(func() error {
 			mutate()
 			x.Advance()
-			_, err := tn.ms.Round()
+			_, err := tn.Round()
 			return err
 		})
 		if err != nil {

@@ -71,8 +71,12 @@ func (r *runState) batchPrefetch(hint elemHint, elems []expr.Value) {
 	target.PrefetchBatch(r.tgt(), ranges)
 }
 
-// cellBox wraps a raw scalar element as a small virtual box.
+// cellBox wraps a raw scalar element as a small virtual box. Cells count
+// against the object budget like every other box.
 func (r *runState) cellBox(v expr.Value, idx int, env *expr.Env) (vval, error) {
+	if len(r.g.Boxes) >= r.in.MaxObjects {
+		return vval{}, fmt.Errorf("viewcl: object budget exceeded (%d boxes)", r.in.MaxObjects)
+	}
 	id := "cell#" + strconv.Itoa(r.nextVboxN())
 	text, raw, isNum, isStr := r.in.decorate(v, nil, env)
 	b := r.g.NewBoxIn(id, "cell", "", 0)

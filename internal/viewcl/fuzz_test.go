@@ -104,13 +104,15 @@ func FuzzViewCLParse(f *testing.F) {
 // reference; a divergence is a compiled-engine bug unless the walker is
 // plainly wrong. Inputs that once diverged stay as seeds under
 // testdata/fuzz/FuzzEngines. The corpus starts from the oracle tests'
-// programs: the 24 figures and case studies, and the error-parity set.
+// programs: the 24 figures and case studies, the error-parity set, and the
+// cell-budget program.
 func FuzzEngines(f *testing.F) {
 	for _, progs := range []map[string]string{oraclePrograms(), oracleErrorPrograms} {
 		for _, id := range slices.Sorted(maps.Keys(progs)) {
 			f.Add(progs[id])
 		}
 	}
+	f.Add(cellBudgetProgram)
 	k := kernelsim.Build(kernelsim.Options{})
 	f.Fuzz(func(t *testing.T, src string) {
 		if _, err := viewcl.Parse("fuzz", src); err != nil {

@@ -135,6 +135,30 @@ func TestOracleErrorParity(t *testing.T) {
 	}
 }
 
+// cellBudgetProgram yields one raw-scalar container per list node: every
+// element becomes a cell box, up to MaxElems² of them.
+const cellBudgetProgram = `plot List(${&init_task.tasks}).forEach |n| { yield Array(${init_task.comm}) }`
+
+// Cell boxes count against MaxObjects: with a budget of 10 the program
+// above fails on both engines with the same error instead of plotting
+// hundreds of cells.
+func TestCellBoxObjectBudget(t *testing.T) {
+	k := kernelsim.Build(kernelsim.Options{})
+	var errs [2]error
+	for e, interpret := range []bool{false, true} {
+		in := interpOver(k.Target())
+		in.MaxObjects, in.MaxElems = 10, 64
+		res, err := runEngine(in, interpret, "cells", cellBudgetProgram)
+		if err == nil {
+			t.Fatalf("interpret=%v: plotted %d boxes past a budget of 10 with no error", interpret, len(res.Graph.Boxes))
+		}
+		errs[e] = err
+	}
+	if !strings.Contains(errs[0].Error(), "object budget exceeded") || errs[0].Error() != errs[1].Error() {
+		t.Fatalf("want the same object-budget error from both engines:\ncompiled:    %v\ninterpreted: %v", errs[0], errs[1])
+	}
+}
+
 // memoOracle builds one interpreter with the full incremental wiring:
 // snapshot-backed reads and a cross-run memo.
 func memoOracle(t testing.TB, k *kernelsim.Kernel) (*target.Snapshot, *viewcl.Interp) {
