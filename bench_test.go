@@ -55,7 +55,7 @@ func BenchmarkTable2Extract(b *testing.B) {
 		fig := fig
 		b.Run(fig.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := core.SessionOver(k, k.Target())
+				s := core.NewSession(k.Target(), nil)
 				if _, err := s.VPlot(fig.ID, fig.Program); err != nil {
 					b.Fatal(err)
 				}
@@ -157,7 +157,7 @@ func BenchmarkTable3Synthesis(b *testing.B) {
 		if fig.Objective == nil {
 			continue
 		}
-		s := core.SessionOver(k, k.Target())
+		s := core.NewSession(k.Target(), nil)
 		if _, err := s.VPlot(fig.ID, fig.Program); err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func BenchmarkTable3Synthesis(b *testing.B) {
 
 // BenchmarkFig2Focus measures the cross-pane focus search over two panes.
 func BenchmarkFig2Focus(b *testing.B) {
-	s := core.SessionOver(kernel(), kernel().Target())
+	s := core.NewSession(kernel().Target(), nil)
 	if _, err := s.VPlotFigure("3-4"); err != nil {
 		b.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func BenchmarkFig4Customize(b *testing.B) {
 	k := kernel()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := core.SessionOver(k, k.Target())
+		s := core.NewSession(k.Target(), nil)
 		p, err := s.VPlot("maple", vclstdlib.MapleTreeProgram)
 		if err != nil {
 			b.Fatal(err)
@@ -213,7 +213,7 @@ func BenchmarkFig7DirtyPipe(b *testing.B) {
 	k := kernel()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := core.SessionOver(k, k.Target())
+		s := core.NewSession(k.Target(), nil)
 		p, err := s.VPlot("dirtypipe", vclstdlib.DirtyPipeProgram)
 		if err != nil {
 			b.Fatal(err)
@@ -261,7 +261,7 @@ plot @root
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := core.SessionOver(k, k.Target())
+				s := core.NewSession(k.Target(), nil)
 				if _, err := s.VPlot(c.name, c.prog); err != nil {
 					b.Fatal(err)
 				}
@@ -305,7 +305,7 @@ plot @root
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := core.SessionOver(k, k.Target())
+				s := core.NewSession(k.Target(), nil)
 				if _, err := s.VPlot(c.name, c.prog); err != nil {
 					b.Fatal(err)
 				}
@@ -356,7 +356,7 @@ plot @root
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := core.SessionOver(k, k.Target())
+				s := core.NewSession(k.Target(), nil)
 				if _, err := s.VPlot(c.name, c.prog); err != nil {
 					b.Fatal(err)
 				}
@@ -385,7 +385,7 @@ func BenchmarkExprShare(b *testing.B) {
 
 // BenchmarkRenderText measures the rendering path (claimed negligible).
 func BenchmarkRenderText(b *testing.B) {
-	s := core.SessionOver(kernel(), kernel().Target())
+	s := core.NewSession(kernel().Target(), nil)
 	if _, err := s.VPlotFigure("9-2"); err != nil {
 		b.Fatal(err)
 	}

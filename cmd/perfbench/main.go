@@ -8,7 +8,6 @@
 // Usage:
 //
 //	perfbench                    # virtual-clock KGDB accounting (fast)
-//	perfbench -sleep             # really sleep per read (live wall-clock)
 //	perfbench -perread 5ms       # tune the modeled round-trip latency
 //	perfbench -procs 10          # scale the workload population
 //	perfbench -json BENCH_1.json # also write per-figure results as JSON
@@ -51,7 +50,6 @@ type benchRecord struct {
 }
 
 func main() {
-	sleep := flag.Bool("sleep", false, "really sleep per read instead of virtual accounting")
 	rsp := flag.Bool("rsp", false, "also measure extraction through a real GDB-RSP loopback socket")
 	jsonOut := flag.String("json", "", "write per-figure results to this JSON file (e.g. BENCH_1.json)")
 	steadyJSONOut := flag.String("steadyjson", "", "write the steady-state incremental re-extraction report to this JSON file (e.g. BENCH_4.json)")
@@ -64,7 +62,7 @@ func main() {
 	flag.Parse()
 
 	model := target.LatencyModel{PerRead: *perRead, PerByte: *perByte, PerContinuation: *perCont,
-		PerHashCheck: target.DefaultKGDB.PerHashCheck, Sleep: *sleep}
+		PerHashCheck: target.DefaultKGDB.PerHashCheck}
 	opts := kernelsim.Options{Processes: *procs, Churn: *churn}
 
 	uncached, err := perf.Table4Uncached(opts, model)

@@ -26,7 +26,8 @@ func main() {
 	dotID := flag.String("dot", "", "emit Graphviz dot for a figure")
 	flag.Parse()
 
-	s, _ := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(k.Target(), nil)
 
 	fmt.Println("Table 2: representative ULK figures ported to the simulated Linux 6.1 state")
 	fmt.Printf("%-4s %-12s %-52s %5s %8s  %s\n", "#", "figure", "description", "LOC", "paperLOC", "delta")

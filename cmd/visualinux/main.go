@@ -19,6 +19,7 @@ import (
 	"visualinux/internal/gdbrsp"
 	"visualinux/internal/kernelsim"
 	"visualinux/internal/obs"
+	"visualinux/internal/target"
 )
 
 func main() {
@@ -29,10 +30,8 @@ func main() {
 	saveCore := flag.String("savecore", "", "write the simulated kernel's memory image to a dump file and exit")
 	flag.Parse()
 
-	var session *core.Session
-	var k *kernelsim.Kernel
 	if *saveCore != "" {
-		k = kernelsim.Build(kernelsim.Options{Processes: *procs})
+		k := kernelsim.Build(kernelsim.Options{Processes: *procs})
 		f, err := os.Create(*saveCore)
 		if err == nil {
 			err = coredump.Dump(k.Target(), f)
@@ -47,50 +46,57 @@ func main() {
 		fmt.Printf("visualinux: core dump written to %s\n", *saveCore)
 		return
 	}
-	if *corePath != "" {
+
+	// Pick the base target for the mode; every mode then reads it through
+	// the same observed chain (a tap under a snapshot), so vtrace shows
+	// which reads really reached the kernel, the stub or the dump.
+	var base target.Target
+	switch {
+	case *corePath != "":
 		fmt.Printf("visualinux: post-mortem attach to %s...\n", *corePath)
-		f, err := os.Open(*corePath)
+		tgt, err := loadCore(*corePath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "visualinux: %v\n", err)
 			os.Exit(1)
 		}
-		reg := kernelsim.RegisterTypes(ctypes.NewRegistry())
-		tgt, err := coredump.Load(f, reg)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "visualinux: %v\n", err)
-			os.Exit(1)
-		}
-		// Build a local kernel only for the Kernel handle the CLI banner
-		// uses; the target is purely the dump.
-		k = kernelsim.Build(kernelsim.Options{Processes: *procs})
-		session = core.SessionOver(k, tgt).EnableObs(obs.NewObserver())
-		r := cli.New(session, k, os.Stdout)
-		runREPL(r, *oneShot)
-		return
-	}
-	if *remote != "" {
+		base = tgt
+	case *remote != "":
 		fmt.Printf("visualinux: loading local symbols and attaching to %s over RSP...\n", *remote)
-		k = kernelsim.Build(kernelsim.Options{Processes: *procs})
+		k := kernelsim.Build(kernelsim.Options{Processes: *procs})
 		client, err := gdbrsp.Dial(*remote, k.Reg, k.Target().Symbols())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "visualinux: %v\n", err)
 			os.Exit(1)
 		}
 		defer client.Close()
-		// Observe the remote chain too: Instrumented under a Snapshot, so
-		// vtrace shows which reads really crossed the RSP link.
-		session, _ = core.ObservedSessionOver(k, client, obs.NewObserver())
-	} else {
+		base = client
+		attached(k)
+	default:
 		fmt.Println("visualinux: building simulated kernel state...")
-		session, k, _ = core.NewObservedKernelSession(kernelsim.Options{Processes: *procs}, obs.NewObserver())
+		k := kernelsim.Build(kernelsim.Options{Processes: *procs})
+		base = k.Target()
+		attached(k)
 	}
+	o := obs.NewObserver()
+	runREPL(cli.New(core.NewSession(target.NewObservedSnapshot(base, o), o), os.Stdout), *oneShot)
+}
+
+// loadCore reads a dump written with -savecore, binding it to a locally
+// rebuilt type registry the way GDB pairs a vmcore with vmlinux.
+func loadCore(path string) (*target.Sim, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return coredump.Load(f, kernelsim.RegisterTypes(ctypes.NewRegistry()))
+}
+
+// attached prints the attach banner from the local kernel build.
+func attached(k *kernelsim.Kernel) {
 	pages, bytes := k.Mem.Footprint()
 	fmt.Printf("attached: %d tasks, %d mapped pages (%d KiB). Type 'help'.\n",
 		len(k.Tasks), pages, bytes/1024)
-
-	r := cli.New(session, k, os.Stdout)
-	runREPL(r, *oneShot)
 }
 
 // runREPL drives the runner either from -c one-shot commands or stdin.

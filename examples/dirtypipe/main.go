@@ -23,7 +23,8 @@ import (
 
 func main() {
 	fmt.Println("== Visualinux case study (3): Dirty Pipe (CVE-2022-0847) ==")
-	session, kernel := core.NewKernelSession(kernelsim.Options{})
+	kernel := kernelsim.Build(kernelsim.Options{})
+	session := core.NewSession(kernel.Target(), nil)
 
 	pane, err := session.VPlot("dirtypipe", vclstdlib.DirtyPipeProgram)
 	if err != nil {

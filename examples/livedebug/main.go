@@ -56,7 +56,7 @@ func main() {
 	k.Symbol("live_pipe", k.At("pipe_inode_info", pipe.Addr))
 
 	plot := func(label string) *graph.Graph {
-		session := core.SessionOver(k, k.Target())
+		session := core.NewSession(k.Target(), nil)
 		p, err := session.VPlot(label, pipeProgram)
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
@@ -109,7 +109,7 @@ func main() {
 	victim := k.ByPID[100]
 	k.Symbol("stackrot_mm", k.At("mm_struct", victim.Get("mm")))
 	plotSR := func(label string) {
-		session := core.SessionOver(k, k.Target())
+		session := core.NewSession(k.Target(), nil)
 		p, err := session.VPlot(label, vclstdlib.StackRotProgram)
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)

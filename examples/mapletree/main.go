@@ -19,7 +19,8 @@ import (
 
 func main() {
 	fmt.Println("== Visualinux case study (1): the maple tree ==")
-	session, _ := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	session := core.NewSession(k.Target(), nil)
 
 	pane, err := session.VPlot("maple", vclstdlib.MapleTreeProgram)
 	if err != nil {

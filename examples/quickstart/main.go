@@ -21,7 +21,8 @@ import (
 
 func main() {
 	fmt.Println("== Visualinux quickstart: the CFS run queue, visually ==")
-	session, kernel := core.NewKernelSession(kernelsim.Options{})
+	kernel := kernelsim.Build(kernelsim.Options{})
+	session := core.NewSession(kernel.Target(), nil)
 	fmt.Printf("simulated kernel: %d tasks\n\n", len(kernel.Tasks))
 
 	// (1) vplot: evaluate the ViewCL program from the paper's §1.

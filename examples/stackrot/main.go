@@ -22,7 +22,8 @@ import (
 
 func main() {
 	fmt.Println("== Visualinux case study (2): StackRot (CVE-2023-3269) ==")
-	session, kernel := core.NewKernelSession(kernelsim.Options{})
+	kernel := kernelsim.Build(kernelsim.Options{})
+	session := core.NewSession(kernel.Target(), nil)
 
 	pane, err := session.VPlot("stackrot", vclstdlib.StackRotProgram)
 	if err != nil {

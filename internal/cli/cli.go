@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"visualinux/internal/core"
-	"visualinux/internal/kernelsim"
 	"visualinux/internal/vclstdlib"
 )
 
@@ -48,7 +47,6 @@ var CaseStudies = map[string]string{
 // Runner executes REPL commands against a session.
 type Runner struct {
 	Session *core.Session
-	Kernel  *kernelsim.Kernel
 	Out     io.Writer
 	// ReadFile is swappable for tests; defaults to os.ReadFile.
 	ReadFile  func(string) ([]byte, error)
@@ -56,9 +54,9 @@ type Runner struct {
 }
 
 // New builds a runner with OS-backed file access.
-func New(session *core.Session, k *kernelsim.Kernel, out io.Writer) *Runner {
+func New(session *core.Session, out io.Writer) *Runner {
 	return &Runner{
-		Session: session, Kernel: k, Out: out,
+		Session: session, Out: out,
 		ReadFile:  os.ReadFile,
 		WriteFile: func(path string, data []byte) error { return os.WriteFile(path, data, 0o644) },
 	}

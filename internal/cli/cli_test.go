@@ -10,13 +10,15 @@ import (
 	"visualinux/internal/core"
 	"visualinux/internal/kernelsim"
 	"visualinux/internal/obs"
+	"visualinux/internal/target"
 )
 
 func newRunner(t *testing.T) (*cli.Runner, *bytes.Buffer) {
 	t.Helper()
-	s, k := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(k.Target(), nil)
 	var out bytes.Buffer
-	r := cli.New(s, k, &out)
+	r := cli.New(s, &out)
 	// In-memory files for save/load and vplot file.
 	files := map[string][]byte{}
 	r.ReadFile = func(p string) ([]byte, error) {
@@ -112,9 +114,10 @@ func TestSaveLoad(t *testing.T) {
 	}
 
 	// Fresh runner sharing the file map? Each runner has its own; copy.
-	s2, k2 := core.NewKernelSession(kernelsim.Options{})
+	k2 := kernelsim.Build(kernelsim.Options{})
+	s2 := core.NewSession(k2.Target(), nil)
 	var out2 bytes.Buffer
-	r2 := cli.New(s2, k2, &out2)
+	r2 := cli.New(s2, &out2)
 	r2.ReadFile = r.ReadFile
 	out2.Reset()
 	r2.Exec("load sess.json")
@@ -159,9 +162,11 @@ func TestVTrace(t *testing.T) {
 	}
 
 	// Observed session: vtrace before any plot, then after.
-	s, k, _ := core.NewObservedKernelSession(kernelsim.Options{}, obs.NewObserver())
+	k := kernelsim.Build(kernelsim.Options{})
+	o := obs.NewObserver()
+	s := core.NewSession(target.NewObservedSnapshot(k.Target(), o), o)
 	var buf bytes.Buffer
-	ro := cli.New(s, k, &buf)
+	ro := cli.New(s, &buf)
 	if got := run(t, ro, &buf, "vtrace"); !strings.Contains(got, "no extractions traced yet") {
 		t.Errorf("vtrace before plots: %q", got)
 	}

@@ -21,7 +21,7 @@ const stepLookRounds = 64
 // target: a graph no earlier round has touched.
 func coldGraph(t *testing.T, k *kernelsim.Kernel, fig vclstdlib.Figure) *graph.Graph {
 	t.Helper()
-	p, err := core.SessionOver(k, k.Target()).VPlotFigure(fig.ID)
+	p, err := core.NewSession(k.Target(), nil).VPlotFigure(fig.ID)
 	if err != nil {
 		t.Fatalf("cold extraction of %s: %v", fig.ID, err)
 	}

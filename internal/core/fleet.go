@@ -21,6 +21,9 @@ import (
 // sessions' own extraction rounds instead of stampeding past them. Every
 // per-session read runs under that session's read lock, so fleet reads
 // coexist with per-session mutations and wait out a session's admission.
+// A fleet read reports on a session rather than using it: it resolves
+// sessions with Lookup, so a dashboard polling the fleet never resets a
+// session's idle clock.
 type Fleet struct {
 	Mgr *SessionManager
 
@@ -109,14 +112,14 @@ func (f *Fleet) Query(q FleetQuery) (*FleetResult, error) {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			ms, ok := f.Mgr.Attach(id)
+			ms, ok := f.Mgr.Lookup(id)
 			if !ok {
 				results[i] = TargetResult{Target: id, Err: "no such session"}
 				return
 			}
 			ms.RLock()
 			defer ms.RUnlock()
-			err := DefaultPool().Run(ms.Session.poolKey(), 1, 1, func(int) {
+			err := DefaultPool().Run(ms.Session.poolKey(), func() {
 				results[i] = f.queryOne(ms, q)
 			})
 			if err != nil {
@@ -268,7 +271,7 @@ func (f *Fleet) rankRunqueues(question string) (*FleetAnswer, error) {
 		if tr.Err != "" {
 			continue
 		}
-		ms, ok := f.Mgr.Attach(tr.Target)
+		ms, ok := f.Mgr.Lookup(tr.Target)
 		if !ok {
 			continue
 		}
@@ -308,7 +311,7 @@ func (f *Fleet) rankRunqueues(question string) (*FleetAnswer, error) {
 func (f *Fleet) rankSlowest(question string, pane int) (*FleetAnswer, error) {
 	ans := &FleetAnswer{Question: question}
 	for _, info := range f.Mgr.List() {
-		ms, ok := f.Mgr.Attach(info.ID)
+		ms, ok := f.Mgr.Lookup(info.ID)
 		if !ok {
 			continue
 		}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"visualinux/internal/coredump"
 	"visualinux/internal/kernelsim"
@@ -218,6 +220,36 @@ func TestFleetChatRunqueue(t *testing.T) {
 	}
 	if _, err := f.Chat("what does pane 1 show?"); err == nil {
 		t.Fatal("non-fleet question accepted")
+	}
+}
+
+// TestFleetReadsKeepNoSessionAlive checks a fleet read reports on a
+// session without using it: a dashboard asking the fleet something every
+// 50 s must not hold two otherwise idle sessions past a 60 s idle TTL.
+func TestFleetReadsKeepNoSessionAlive(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	m := NewSessionManager(ManagerOptions{IdleTTL: time.Minute, Now: clk.now}, obs.NewObserver())
+	for _, id := range []string{"a", "b"} {
+		if _, err := m.Create(id, tinySession()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := &Fleet{Mgr: m}
+	for i := 0; i < 3; i++ {
+		clk.advance(50 * time.Second)
+		if _, err := f.Query(FleetQuery{Figure: "7-1", Query: "tasks = SELECT task_struct FROM *"}); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"which target has the longest runqueue?", "which fleet member is slowest?"} {
+			if _, err := f.Chat(q); err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
+		}
+	}
+	ids := m.SweepIdle()
+	sort.Strings(ids)
+	if len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
+		t.Fatalf("after 150 s of fleet reads alone the sweep evicted %v, want [a b]", ids)
 	}
 }
 

@@ -56,27 +56,18 @@ type RoundResult struct {
 }
 
 // NewIncrementalExtractor builds the pipeline over base (the kernel's raw
-// target, or a latency-wrapped view of it): base → Instrumented → Snapshot,
-// then one memoizing interpreter per figure, all reporting into o (nil
-// disables observability).
+// target, or a latency-wrapped view of it): target.NewObservedSnapshot's
+// chain, then one memoizing interpreter per figure, all reporting into o
+// (nil disables observability). k is unused and may be nil (the
+// interpreters read the kernel through base alone); the parameter stays
+// so that existing callers keep compiling.
 func NewIncrementalExtractor(k *kernelsim.Kernel, base target.Target, figs []vclstdlib.Figure, o *obs.Observer) *IncrementalExtractor {
-	var chain target.Target = base
-	if o != nil {
-		chain = target.Instrument(base, o)
-	}
-	snap := target.NewSnapshot(chain).Instrument(o)
-	s := SessionOver(k, snap)
-	if o != nil {
-		s.EnableObs(o)
-	}
-	x := &IncrementalExtractor{Session: s, snap: snap, o: o}
+	snap := target.NewObservedSnapshot(base, o)
+	x := &IncrementalExtractor{Session: NewSession(snap, o), snap: snap, o: o}
 	for _, fig := range figs {
-		ws := SessionOver(k, snap)
-		if o != nil {
-			ws.EnableObs(o)
-		}
-		ws.Interp.Memo = viewcl.NewMemo(snap)
-		x.states = append(x.states, &figState{fig: fig, interp: ws.Interp})
+		in := newInterp(snap, o)
+		in.Memo = viewcl.NewMemo(snap)
+		x.states = append(x.states, &figState{fig: fig, interp: in})
 	}
 	return x
 }

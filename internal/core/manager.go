@@ -422,7 +422,7 @@ func (ms *ManagedSession) Round() ([]RoundResult, error) {
 	}
 	var out []RoundResult
 	var err error
-	perr := DefaultPool().Run(ms.Session.poolKey(), 1, 1, func(int) {
+	perr := DefaultPool().Run(ms.Session.poolKey(), func() {
 		t0 := time.Now()
 		out, err = ms.Extractor.Round()
 		if ms.mgr != nil && ms.mgr.Tenants != nil {

@@ -17,7 +17,9 @@ import (
 // pulled across the link.
 func TestObservedSessionHitRatio(t *testing.T) {
 	o := obs.NewObserver()
-	s, _, snap := core.NewObservedKernelSession(kernelsim.Options{}, o)
+	k := kernelsim.Build(kernelsim.Options{})
+	snap := target.NewObservedSnapshot(k.Target(), o)
+	s := core.NewSession(snap, o)
 
 	if _, err := s.VPlotFigure("7-1"); err != nil {
 		t.Fatalf("first vplot: %v", err)
@@ -59,7 +61,9 @@ func TestObservedSessionHitRatio(t *testing.T) {
 // extraction refills from the link.
 func TestSnapshotInvalidations(t *testing.T) {
 	o := obs.NewObserver()
-	s, _, snap := core.NewObservedKernelSession(kernelsim.Options{}, o)
+	k := kernelsim.Build(kernelsim.Options{})
+	snap := target.NewObservedSnapshot(k.Target(), o)
+	s := core.NewSession(snap, o)
 	if _, err := s.VPlotFigure("7-1"); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,8 @@ func TestSnapshotInvalidations(t *testing.T) {
 // reachable as the pane's last round, the latest round and a slowest row.
 func TestVPlotTraceRecorded(t *testing.T) {
 	o := obs.NewObserver()
-	s, _, _ := core.NewObservedKernelSession(kernelsim.Options{}, o)
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(target.NewObservedSnapshot(k.Target(), o), o)
 	p, err := s.VPlotFigure("7-1")
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +139,7 @@ func TestPrefetchHintsOnStdlibFigures(t *testing.T) {
 		k := kernelsim.Build(kernelsim.Options{})
 		o := obs.NewObserver()
 		counted := target.WithStats(k.Target())
-		inst := target.Instrument(counted, o)
-		snap := target.NewSnapshot(inst).Instrument(o)
-		s := core.SessionOver(k, snap).EnableObs(o)
+		s := core.NewSession(target.NewObservedSnapshot(counted, o), o)
 		s.Interp.PrefetchHints = hints
 		if _, err := s.VPlotFigure(fig); err != nil {
 			t.Fatalf("vplot %s (hints=%v): %v", fig, hints, err)

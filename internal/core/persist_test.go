@@ -10,7 +10,8 @@ import (
 
 func TestSessionPersistence(t *testing.T) {
 	// First session: two panes, customizations, named sets, a secondary.
-	s1, k := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s1 := core.NewSession(k.Target(), nil)
 	if _, err := s1.VPlotFigure("3-4"); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestSessionPersistence(t *testing.T) {
 
 	// Second session over the SAME kernel (the paper's "reuse across
 	// debugging sessions": reattach and replay the view setup).
-	s2 := core.SessionOver(k, k.Target())
+	s2 := core.NewSession(k.Target(), nil)
 	if err := s2.Import(data); err != nil {
 		t.Fatalf("import: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestSessionPersistence(t *testing.T) {
 		t.Errorf("import into non-fresh session accepted")
 	}
 	// Corrupt data must error.
-	s3 := core.SessionOver(k, k.Target())
+	s3 := core.NewSession(k.Target(), nil)
 	if err := s3.Import([]byte("{nope")); err == nil {
 		t.Errorf("corrupt import accepted")
 	}
@@ -90,7 +91,8 @@ func TestSessionPersistence(t *testing.T) {
 // pane a client still holds. Import must push ID allocation past the
 // imported maximum.
 func TestImportReservesPaneIDs(t *testing.T) {
-	s1, k := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s1 := core.NewSession(k.Target(), nil)
 	if _, err := s1.VPlotFigure("3-4"); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestImportReservesPaneIDs(t *testing.T) {
 	// Simulate a gapped saved state: the second pane was exported as ID 7.
 	gapped := strings.Replace(string(data), `"id": 2`, `"id": 7`, 1)
 
-	s2 := core.SessionOver(k, k.Target())
+	s2 := core.NewSession(k.Target(), nil)
 	if err := s2.Import([]byte(gapped)); err != nil {
 		t.Fatalf("import: %v", err)
 	}
@@ -119,7 +121,8 @@ func TestImportReservesPaneIDs(t *testing.T) {
 }
 
 func TestVPlotAuto(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(k.Target(), nil)
 	p, prog, err := s.VPlotAuto("task_struct", "&init_task")
 	if err != nil {
 		t.Fatalf("auto: %v", err)

@@ -119,71 +119,25 @@ type TaskPanic struct {
 
 func (p *TaskPanic) Error() string { return fmt.Sprintf("task panicked: %v", p.Value) }
 
-// Run executes task(0..n-1) on the pool under key with at most limit of
-// them in flight at once (limit <= 0 means no per-call cap beyond the
-// pool's worker count), and returns when all have completed. The cap is
-// enforced by completion-driven dispatch — a finishing task enqueues its
-// successor — so a capped call never parks a pool worker on a semaphore.
-//
-// A task that panics is recovered on its worker, which lives on, and the
-// remaining tasks still run; Run then returns the first panic as a
-// *TaskPanic.
-func (p *Pool) Run(key string, n, limit int, task func(int)) error {
-	if n <= 0 {
-		return nil
-	}
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	var mu sync.Mutex
-	next := 0
-	var panicked *TaskPanic
-	var launch func()
-	launch = func() {
-		mu.Lock()
-		if next >= n {
-			mu.Unlock()
-			return
-		}
-		i := next
-		next++
-		mu.Unlock()
-		p.Submit(key, func() {
-			defer func() {
-				if v := recover(); v != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = &TaskPanic{Value: v, Stack: debug.Stack()}
-					}
-					mu.Unlock()
-				}
-				wg.Done()
-				launch()
-			}()
-			task(i)
-		})
-	}
-	for i := 0; i < limit; i++ {
-		launch()
-	}
-	wg.Wait()
-	if panicked != nil {
-		return panicked
+// Run executes task on the pool under key and returns when it has
+// completed. A task that panics is recovered on its worker, which lives
+// on, and Run returns the panic as a *TaskPanic.
+func (p *Pool) Run(key string, task func()) error {
+	done := make(chan *TaskPanic, 1)
+	p.Submit(key, func() {
+		defer func() {
+			var tp *TaskPanic
+			if v := recover(); v != nil {
+				tp = &TaskPanic{Value: v, Stack: debug.Stack()}
+			}
+			done <- tp
+		}()
+		task()
+	})
+	if tp := <-done; tp != nil {
+		return tp
 	}
 	return nil
-}
-
-// Pending reports the number of queued (not yet running) tasks.
-func (p *Pool) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, q := range p.queues {
-		n += len(q)
-	}
-	return n
 }
 
 // Close stops the workers once the queues drain. Submissions after Close

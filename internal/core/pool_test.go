@@ -59,30 +59,8 @@ func TestPoolRoundRobinFairness(t *testing.T) {
 	}
 }
 
-// TestPoolRunCapsInFlight checks the per-call limit: Run(n=12, limit=2) on
-// a wide pool never has more than 2 tasks of that call running at once.
-func TestPoolRunCapsInFlight(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
-
-	var cur, peak atomic.Int32
-	p.Run("capped", 12, 2, func(int) {
-		n := cur.Add(1)
-		for {
-			old := peak.Load()
-			if n <= old || peak.CompareAndSwap(old, n) {
-				break
-			}
-		}
-		cur.Add(-1)
-	})
-	if got := peak.Load(); got > 2 {
-		t.Fatalf("limit=2 but %d tasks ran concurrently", got)
-	}
-}
-
-// TestPoolRunCompletes checks every index runs exactly once, concurrently
-// submitted from many goroutines under distinct keys.
+// TestPoolRunCompletes checks every task runs exactly once, submitted
+// concurrently from many goroutines under distinct keys.
 func TestPoolRunCompletes(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -94,10 +72,14 @@ func TestPoolRunCompletes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var ran [32]atomic.Int32
-			p.Run(key, len(ran), 0, func(i int) { ran[i].Add(1) })
+			for i := range ran {
+				if err := p.Run(key, func() { ran[i].Add(1) }); err != nil {
+					t.Errorf("key %s task %d: %v", key, i, err)
+				}
+			}
 			for i := range ran {
 				if ran[i].Load() != 1 {
-					t.Errorf("key %s index %d ran %d times", key, i, ran[i].Load())
+					t.Errorf("key %s task %d ran %d times", key, i, ran[i].Load())
 				}
 			}
 		}()
@@ -189,19 +171,15 @@ func TestManagedSessionOnePoolKey(t *testing.T) {
 }
 
 // A panicking task is recovered on its worker: Run returns it as a
-// *TaskPanic with the value and stack, the call's other tasks still run,
-// and the pool's only worker goes on to serve an ordinary task.
+// *TaskPanic with the value and stack, and the pool's only worker goes on
+// to serve an ordinary task.
 func TestPoolRunRecoversPanic(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
 
-	var ran atomic.Int32
-	err := p.Run("k", 3, 1, func(i int) {
-		if i == 1 {
-			var m map[string]int
-			m["boom"]++ // a nil-map write: a runtime panic, as a bug would raise
-		}
-		ran.Add(1)
+	err := p.Run("k", func() {
+		var m map[string]int
+		m["boom"]++ // a nil-map write: a runtime panic, as a bug would raise
 	})
 	var tp *TaskPanic
 	if !errors.As(err, &tp) {
@@ -210,26 +188,33 @@ func TestPoolRunRecoversPanic(t *testing.T) {
 	if !strings.Contains(fmt.Sprint(tp.Value), "nil map") || !strings.Contains(string(tp.Stack), "TestPoolRunRecoversPanic") {
 		t.Fatalf("panic value %v, stack:\n%s", tp.Value, tp.Stack)
 	}
-	if ran.Load() != 2 {
-		t.Fatalf("%d of the call's other 2 tasks ran", ran.Load())
-	}
 
+	var ran atomic.Int32
 	done := make(chan error, 1)
-	go func() { done <- p.Run("k", 1, 1, func(int) { ran.Add(1) }) }()
+	go func() { done <- p.Run("k", func() { ran.Add(1) }) }()
 	select {
 	case err := <-done:
-		if err != nil || ran.Load() != 3 {
+		if err != nil || ran.Load() != 1 {
 			t.Fatalf("ordinary task after the panic: err %v, ran %d", err, ran.Load())
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the pool's worker did not survive the panic")
 	}
 
-	// Tasks of one call panicking on several workers at once: Run keeps
-	// the first and returns once every task has finished.
+	// Tasks panicking on several workers at once: each Run returns its
+	// own task's panic.
 	wide := NewPool(4)
 	defer wide.Close()
-	if err := wide.Run("k", 8, 0, func(int) { panic("each") }); !errors.As(err, &tp) || tp.Value != "each" {
-		t.Fatalf("concurrent panics: Run returned %v", err)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var tp *TaskPanic
+			if err := wide.Run("k", func() { panic(i) }); !errors.As(err, &tp) || tp.Value != i {
+				t.Errorf("concurrent panic %d: Run returned %v", i, err)
+			}
+		}()
 	}
+	wg.Wait()
 }

@@ -23,7 +23,6 @@ import (
 	"visualinux/internal/vchat"
 	"visualinux/internal/vclstdlib"
 	"visualinux/internal/viewcl"
-	"visualinux/internal/viewql"
 )
 
 // Session is one interactive Visualinux debugging session.
@@ -37,8 +36,8 @@ type Session struct {
 	History []string
 
 	// Obs, when set, makes every VPlot produce a span tree, retained per
-	// pane in Obs.Traces, and bump the shared metrics registry. Set it via
-	// EnableObs / ObservedSessionOver.
+	// pane in Obs.Traces, and bump the shared metrics registry. NewSession
+	// sets it.
 	Obs *obs.Observer
 
 	// StreamHealth, when set, snapshots the stream broker's per-client
@@ -53,38 +52,24 @@ type Session struct {
 	baseline   map[string]float64 // figure -> steady-state ms (e.g. BENCH_4.json)
 }
 
-// NewSession creates a session over an arbitrary target whose expression
-// environment has already been configured (helpers registered).
-func NewSession(t target.Target, env *expr.Env) *Session {
-	in := viewcl.New(env)
+// NewSession wires a session over t: an expression environment with the
+// kernel's helpers, an interpreter with its flag sets, and an empty pane
+// tree. A non-nil o traces and measures every extraction from then on; the
+// caller builds t's observed chain (target.NewObservedSnapshot) to match.
+func NewSession(t target.Target, o *obs.Observer) *Session {
+	in := newInterp(t, o)
 	return &Session{
-		Target: t, Env: env, Interp: in,
+		Target: t, Env: in.Env, Interp: in, Obs: o,
 		programs:     make(map[int]string),
 		secondarySrc: make(map[int]int),
 	}
 }
 
-// EnableObs attaches an observer: extractions from now on are traced and
-// measured. Safe to call once, right after session construction.
-func (s *Session) EnableObs(o *obs.Observer) *Session {
-	s.Obs = o
-	s.Interp.Obs = o
-	return s
-}
-
-// NewKernelSession builds a simulated kernel and a fully wired session over
-// it — the one-call analogue of "attach GDB to the QEMU guest".
-func NewKernelSession(opts kernelsim.Options) (*Session, *kernelsim.Kernel) {
-	k := kernelsim.Build(opts)
-	s := SessionOver(k, k.Target())
-	return s, k
-}
-
-// The kernelsim flag vocabularies never change at runtime, so every session
-// shares one immutable conversion instead of rebuilding the slices per
-// session (the server creates a session per figure per client). The shared
-// slices are never mutated; each session's Flags map stays private, so tests
-// overriding an entry only affect their own interpreter.
+// The kernelsim flag vocabularies never change at runtime, so every
+// interpreter shares one immutable conversion instead of rebuilding the
+// slices per interpreter (the extractor builds one per figure). The shared
+// slices are never mutated; each interpreter's Flags map stays private, so
+// tests overriding an entry only affect their own interpreter.
 var (
 	flagSetsOnce sync.Once
 	sharedFlags  map[string][]viewcl.Flag
@@ -104,37 +89,17 @@ func sharedFlagSets() map[string][]viewcl.Flag {
 	return sharedFlags
 }
 
-// SessionOver wires a session over any target view of a built kernel
-// (fast or latency-wrapped), sharing the kernel's type registry.
-func SessionOver(k *kernelsim.Kernel, t target.Target) *Session {
+// newInterp builds an interpreter over t the way every session runs one:
+// the kernelsim helpers registered, the shared flag sets, observed by o.
+func newInterp(t target.Target, o *obs.Observer) *viewcl.Interp {
 	env := expr.NewEnv(t)
 	kernelsim.RegisterHelpers(env)
-	s := NewSession(t, env)
+	in := viewcl.New(env)
 	for id, fl := range sharedFlagSets() {
-		s.Interp.Flags[id] = fl
+		in.Flags[id] = fl
 	}
-	return s
-}
-
-// ObservedSessionOver wires a session over base with the full observability
-// chain: base → Instrumented (per-transaction spans + link counters) →
-// Snapshot (page cache, hit/miss counters) → session, all reporting into o.
-// The snapshot is returned so callers can Invalidate between target runs.
-func ObservedSessionOver(k *kernelsim.Kernel, base target.Target, o *obs.Observer, tags ...obs.Tag) (*Session, *target.Snapshot) {
-	inst := target.Instrument(base, o, tags...)
-	snap := target.NewSnapshot(inst).Instrument(o)
-	s := SessionOver(k, snap)
-	s.EnableObs(o)
-	return s, snap
-}
-
-// NewObservedKernelSession builds a simulated kernel plus an observed
-// session over its raw target — the zero-config entry point for the server
-// and CLI binaries.
-func NewObservedKernelSession(opts kernelsim.Options, o *obs.Observer) (*Session, *kernelsim.Kernel, *target.Snapshot) {
-	k := kernelsim.Build(opts)
-	s, snap := ObservedSessionOver(k, k.Target(), o)
-	return s, k, snap
+	in.Obs = o
+	return in
 }
 
 func (s *Session) log(cmd string) { s.History = append(s.History, cmd) }
@@ -444,18 +409,6 @@ func (s *Session) VChat(paneID int, text string) (string, error) {
 	return prog, nil
 }
 
-// Graphs returns the graphs of all panes (for the HTTP server).
-func (s *Session) Graphs() map[int]*graph.Graph {
-	out := make(map[int]*graph.Graph)
-	if s.Tree == nil {
-		return out
-	}
-	for _, p := range s.Tree.Panes() {
-		out[p.ID] = p.Graph
-	}
-	return out
-}
-
 // ApplyViewQL applies a ViewQL program directly to a pane (programmatic
 // convenience mirroring `vctrl viewql`).
 func (s *Session) ApplyViewQL(paneID int, program string) error {
@@ -463,16 +416,4 @@ func (s *Session) ApplyViewQL(paneID int, program string) error {
 		return fmt.Errorf("no panes")
 	}
 	return s.Tree.Refine(paneID, program)
-}
-
-// Engine returns a pane's ViewQL engine.
-func (s *Session) Engine(paneID int) (*viewql.Engine, bool) {
-	if s.Tree == nil {
-		return nil, false
-	}
-	p, ok := s.Tree.Pane(paneID)
-	if !ok {
-		return nil, false
-	}
-	return p.Engine, true
 }

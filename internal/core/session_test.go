@@ -10,7 +10,8 @@ import (
 )
 
 func TestVPlotAndVCtrl(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(k.Target(), nil)
 	p, err := s.VPlotFigure("7-1")
 	if err != nil {
 		t.Fatalf("vplot: %v", err)
@@ -40,7 +41,8 @@ func TestVPlotAndVCtrl(t *testing.T) {
 // TestFigure2 reproduces experiment E4: two panes (parent tree + sched
 // tree), then the cross-pane focus operation finds the same task in both.
 func TestFigure2(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(k.Target(), nil)
 	if _, err := s.VPlotFigure("3-4"); err != nil {
 		t.Fatalf("vplot 3-4: %v", err)
 	}
@@ -67,7 +69,8 @@ func TestFigure2(t *testing.T) {
 }
 
 func TestSecondaryPane(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(k.Target(), nil)
 	if _, err := s.VPlotFigure("3-4"); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,8 @@ func TestSecondaryPane(t *testing.T) {
 }
 
 func TestVChatEndToEnd(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(k.Target(), nil)
 	if _, err := s.VPlotFigure("3-4"); err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +130,15 @@ func TestVChatEndToEnd(t *testing.T) {
 }
 
 func TestAllFiguresThroughSession(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(k.Target(), nil)
 	for _, id := range core.FigureIDs() {
 		if _, err := s.VPlotFigure(id); err != nil {
 			t.Errorf("figure %s: %v", id, err)
 		}
 	}
-	if len(s.Graphs()) != len(vclstdlib.Figures()) {
-		t.Errorf("panes = %d, want %d", len(s.Graphs()), len(vclstdlib.Figures()))
+	if len(s.Tree.Panes()) != len(vclstdlib.Figures()) {
+		t.Errorf("panes = %d, want %d", len(s.Tree.Panes()), len(vclstdlib.Figures()))
 	}
 	if len(s.History) == 0 {
 		t.Errorf("history not recorded")
@@ -141,7 +146,8 @@ func TestAllFiguresThroughSession(t *testing.T) {
 }
 
 func TestErrorsSurface(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(k.Target(), nil)
 	if _, err := s.VPlot("bad", "this is not viewcl"); err == nil {
 		t.Errorf("no error for bad program")
 	}
@@ -163,7 +169,8 @@ func TestErrorsSurface(t *testing.T) {
 }
 
 func TestVCtrlExpand(t *testing.T) {
-	s, _ := core.NewKernelSession(kernelsim.Options{})
+	k := kernelsim.Build(kernelsim.Options{})
+	s := core.NewSession(k.Target(), nil)
 	if _, err := s.VPlotFigure("3-4"); err != nil {
 		t.Fatal(err)
 	}

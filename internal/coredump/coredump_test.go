@@ -77,12 +77,12 @@ func TestPostMortemDebugging(t *testing.T) {
 	tgt := dumpAndLoad(t, k)
 
 	fig, _ := vclstdlib.FigureByID("9-2")
-	live := core.SessionOver(k, k.Target())
+	live := core.NewSession(k.Target(), nil)
 	pl, err := live.VPlot("live", fig.Program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := core.SessionOver(k, tgt)
+	post := core.NewSession(tgt, nil)
 	pp, err := post.VPlot("postmortem", fig.Program)
 	if err != nil {
 		t.Fatalf("post-mortem extraction: %v", err)

@@ -39,7 +39,7 @@ const defaultTimeout = 10 * time.Second
 // (NAK storm, noise, timeout, broken socket) as opposed to the stub cleanly
 // reporting an error reply. errors.Is/As through Err.
 type LinkError struct {
-	Op  string // "send", "ack", "recv"
+	Op  string // "send", "ack", "recv"; "sync" once the client is desynchronized
 	Err error
 }
 
@@ -51,6 +51,12 @@ var ErrNakLimit = errors.New("retransmit limit exceeded (stub keeps NAK-ing)")
 
 // ErrAckNoise reports a stub that streamed garbage instead of an ack.
 var ErrAckNoise = errors.New("no ack within noise budget")
+
+// ErrDesync refuses every round trip after a link failure. RSP has no
+// field that pairs a reply with its request, so once a round trip fails
+// part way a late reply may still be on the line, and the next request
+// would take it as its own answer. The caller must dial again.
+var ErrDesync = errors.New("client out of sync after an earlier link failure; dial again")
 
 // Client implements target.Target over an RSP connection: memory reads go
 // over the wire as $m packets; types and symbols are provided locally,
@@ -87,6 +93,9 @@ type Client struct {
 	hasDirty   bool // stub advertises qXfer:dirty-ranges:read+
 
 	timeout time.Duration
+	// desync is set by the first failed round trip; every later one is
+	// refused with ErrDesync.
+	desync bool
 
 	// Per-client packet buffers, reused under mu: the request payload, its
 	// frame, and the reply payload (valid until the next round trip).
@@ -184,11 +193,25 @@ func (c *Client) roundTrip(payload string) (string, error) {
 
 // roundTripLocked sends the request payload req and returns the reply
 // payload, which aliases c.reply: it is valid until the next round trip.
-// The '+' that acks the reply is buffered, not flushed: it leaves in the
-// same write as the next request frame ("+$m...#cs"), so a round trip costs
-// the client one write and the stub one wake-up. The byte stream is the
-// same as flushing the ack on its own.
+// A failed round trip desynchronizes the client: it and every later one
+// return a *LinkError, the later ones wrapping ErrDesync.
 func (c *Client) roundTripLocked(req []byte) ([]byte, error) {
+	if c.desync {
+		return nil, &LinkError{Op: "sync", Err: ErrDesync}
+	}
+	reply, err := c.exchangeLocked(req)
+	if err != nil {
+		c.desync = true
+	}
+	return reply, err
+}
+
+// exchangeLocked runs one round trip on the wire. The '+' that acks the
+// reply is buffered, not flushed: it leaves in the same write as the next
+// request frame ("+$m...#cs"), so a round trip costs the client one write
+// and the stub one wake-up. The byte stream is the same as flushing the
+// ack on its own.
+func (c *Client) exchangeLocked(req []byte) ([]byte, error) {
 	if c.timeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}

@@ -76,12 +76,12 @@ func TestFigureOverWire(t *testing.T) {
 	k, client := dialKernel(t)
 	fig, _ := vclstdlib.FigureByID("7-1")
 
-	direct := core.SessionOver(k, k.Target())
+	direct := core.NewSession(k.Target(), nil)
 	pd, err := direct.VPlot("direct", fig.Program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := core.SessionOver(k, client)
+	remote := core.NewSession(client, nil)
 	pr, err := remote.VPlot("remote", fig.Program)
 	if err != nil {
 		t.Fatalf("extraction over RSP: %v", err)
@@ -117,8 +117,8 @@ func TestFigureOverWire(t *testing.T) {
 }
 
 func TestStackRotOverWire(t *testing.T) {
-	k, client := dialKernel(t)
-	s := core.SessionOver(k, client)
+	_, client := dialKernel(t)
+	s := core.NewSession(client, nil)
 	p, err := s.VPlot("stackrot", vclstdlib.StackRotProgram)
 	if err != nil {
 		t.Fatalf("stackrot over RSP: %v", err)

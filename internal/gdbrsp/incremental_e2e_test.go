@@ -61,7 +61,7 @@ func TestIncrementalOverWire(t *testing.T) {
 					t.Fatalf("round %d: %v", round, err)
 				}
 				for i, rr := range out {
-					cold := core.SessionOver(k, k.Target())
+					cold := core.NewSession(k.Target(), nil)
 					p, err := cold.VPlotFigure(figs[i].ID)
 					if err != nil {
 						t.Fatalf("round %d cold %s: %v", round, figs[i].ID, err)

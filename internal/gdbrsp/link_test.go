@@ -160,6 +160,82 @@ func TestLinkTimeout(t *testing.T) {
 	}
 }
 
+// stallOnce is a backing target whose first read at addr waits stall
+// before answering, then closes released.
+type stallOnce struct {
+	target.Target
+	addr     uint64
+	stall    time.Duration
+	once     sync.Once
+	released chan struct{}
+}
+
+func (s *stallOnce) ReadMemory(addr uint64, buf []byte) error {
+	if addr == s.addr {
+		s.once.Do(func() {
+			time.Sleep(s.stall)
+			close(s.released)
+		})
+	}
+	return s.Target.ReadMemory(addr, buf)
+}
+
+// TestLateReplyIsNotAnAnswer checks a client whose read timed out refuses
+// later reads instead of taking the stub's late reply as their answer:
+// RSP cannot pair a reply with its request, so after a failed round trip
+// the client is out of sync until it is dialed again.
+func TestLateReplyIsNotAnAnswer(t *testing.T) {
+	const base = uint64(0x5100_0000)
+	m := mem.New()
+	want := make([]byte, 3*16)
+	for i := range want {
+		want[i] = byte(i + 1)
+	}
+	m.Write(base, want)
+	sim := target.NewSim(m, ctypes.NewRegistry())
+	backing := &stallOnce{Target: sim, addr: base, stall: 150 * time.Millisecond, released: make(chan struct{})}
+	srv, err := Serve("127.0.0.1:0", backing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := Dial(srv.Addr(), sim.Types(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.SetTimeout(50 * time.Millisecond)
+
+	var buf [16]byte
+	err = client.ReadMemory(base, buf[:])
+	var le *LinkError
+	if !errors.As(err, &le) {
+		t.Fatalf("stalled read returned %v, want a *LinkError", err)
+	}
+	<-backing.released // the late reply is now on its way to the client
+	for i := 1; i <= 2; i++ {
+		addr := base + uint64(16*i)
+		err := client.ReadMemory(addr, buf[:])
+		if err == nil {
+			t.Fatalf("read %d after the timeout returned no error and %x (want %x or an error)",
+				i, buf, want[16*i:16*i+16])
+		}
+		if !errors.As(err, &le) || !errors.Is(err, ErrDesync) {
+			t.Fatalf("read %d after the timeout returned %v, want a *LinkError wrapping ErrDesync", i, err)
+		}
+	}
+
+	// Dialing again gives a client that reads the right bytes.
+	fresh, err := Dial(srv.Addr(), sim.Types(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.ReadMemory(base+16, buf[:]); err != nil || !bytes.Equal(buf[:], want[16:32]) {
+		t.Fatalf("fresh client read %x, %v; want %x", buf, err, want[16:32])
+	}
+}
+
 // TestClientRejectsOversizeReply checks the client enforces the negotiated
 // PacketSize on replies: a stub that negotiates small and then over-delivers
 // is a protocol violation, not free bandwidth.

@@ -53,7 +53,7 @@ type Pair struct {
 // the row. The kernel target is wrapped with an isolated Stats view so
 // concurrent measurements never race on diffing one shared counter.
 func MeasureFigure(k *kernelsim.Kernel, fig vclstdlib.Figure) (Row, error) {
-	s := core.SessionOver(k, target.WithStats(k.Target()))
+	s := core.NewSession(target.WithStats(k.Target()), nil)
 	t0 := time.Now()
 	p, err := s.VPlot(fig.ID, fig.Program)
 	if err != nil {
@@ -73,7 +73,7 @@ func MeasureFigure(k *kernelsim.Kernel, fig vclstdlib.Figure) (Row, error) {
 // charges for.
 func MeasureFigureKGDB(k *kernelsim.Kernel, fig vclstdlib.Figure, model target.LatencyModel) (Row, error) {
 	lt := target.WithLatency(k.Target(), model)
-	return measureKGDB(k, fig, lt, target.NewSnapshot(lt), nil)
+	return measureKGDB(fig, lt, target.NewSnapshot(lt), nil)
 }
 
 // MeasureFigureKGDBTraced is MeasureFigureKGDB with the obs tap inserted
@@ -83,8 +83,8 @@ func MeasureFigureKGDB(k *kernelsim.Kernel, fig vclstdlib.Figure, model target.L
 // model_ns tags summing to the modeled KGDB wait. o must be non-nil.
 func MeasureFigureKGDBTraced(k *kernelsim.Kernel, fig vclstdlib.Figure, model target.LatencyModel, o *obs.Observer) (Row, *obs.SpanExport, error) {
 	lt := target.WithLatency(k.Target(), model)
-	inst := target.Instrument(lt, o, obs.Tag{Key: "figure", Value: fig.ID})
-	row, err := measureKGDB(k, fig, lt, target.NewSnapshot(inst).Instrument(o), o)
+	snap := target.NewObservedSnapshot(lt, o, obs.Tag{Key: "figure", Value: fig.ID})
+	row, err := measureKGDB(fig, lt, snap, o)
 	if err != nil {
 		return Row{}, nil, err
 	}
@@ -97,13 +97,13 @@ func MeasureFigureKGDBTraced(k *kernelsim.Kernel, fig vclstdlib.Figure, model ta
 // the cached path is compared against (BenchmarkTable4KGDBUncached).
 func MeasureFigureKGDBUncached(k *kernelsim.Kernel, fig vclstdlib.Figure, model target.LatencyModel) (Row, error) {
 	lt := target.WithLatency(k.Target(), model)
-	return measureKGDB(k, fig, lt, lt, nil)
+	return measureKGDB(fig, lt, lt, nil)
 }
 
 // measureKGDB plots fig over top, a chain whose link is lt, observed by o
 // (nil for none), and prices the run from lt's counters and clock.
-func measureKGDB(k *kernelsim.Kernel, fig vclstdlib.Figure, lt *target.Latency, top target.Target, o *obs.Observer) (Row, error) {
-	s := core.SessionOver(k, top).EnableObs(o)
+func measureKGDB(fig vclstdlib.Figure, lt *target.Latency, top target.Target, o *obs.Observer) (Row, error) {
+	s := core.NewSession(top, o)
 	t0 := time.Now()
 	p, err := s.VPlot(fig.ID, fig.Program)
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 // round trips per memory read, sitting between the in-process fast target
 // and the modeled KGDB serial link.
 type RSPSession struct {
-	Kernel *kernelsim.Kernel
 	Server *gdbrsp.Server
 	Client *gdbrsp.Client
 }
@@ -33,7 +32,7 @@ func NewRSPSession(k *kernelsim.Kernel, opts ...gdbrsp.ServerOption) (*RSPSessio
 		srv.Close()
 		return nil, err
 	}
-	return &RSPSession{Kernel: k, Server: srv, Client: client}, nil
+	return &RSPSession{Server: srv, Client: client}, nil
 }
 
 // Close tears the session down.
@@ -44,7 +43,7 @@ func (r *RSPSession) Close() {
 
 // MeasureFigureRSP extracts one figure through the RSP wire.
 func (r *RSPSession) MeasureFigureRSP(fig vclstdlib.Figure) (Row, error) {
-	s := core.SessionOver(r.Kernel, r.Client)
+	s := core.NewSession(r.Client, nil)
 	reads0, bytes0, txns0 := r.Client.Stats().Totals()
 	t0 := time.Now()
 	p, err := s.VPlot(fig.ID, fig.Program)

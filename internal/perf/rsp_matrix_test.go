@@ -46,7 +46,7 @@ func runMatrix(t *testing.T, packetSize int) map[string]figRun {
 	st := sess.Client.Stats()
 	for _, fig := range vclstdlib.Figures() {
 		snap := target.NewSnapshot(sess.Client)
-		s := core.SessionOver(k, snap)
+		s := core.NewSession(snap, nil)
 		_, bytes0, txns0 := st.Totals()
 		conts0 := st.Continuations.Load()
 		p, err := s.VPlot(fig.ID, fig.Program)

@@ -56,6 +56,18 @@ func Instrument(t Target, o *obs.Observer, tags ...obs.Tag) *Instrumented {
 	return in
 }
 
+// NewObservedSnapshot builds the observed chain a session reads through:
+// base → Instrumented → Snapshot, all reporting into o. The tap sits under
+// the cache, so it traces only transactions that cross the link, never
+// cache hits; tags are stamped on every one. A nil o gives a plain
+// snapshot over base.
+func NewObservedSnapshot(base Target, o *obs.Observer, tags ...obs.Tag) *Snapshot {
+	if o == nil {
+		return NewSnapshot(base)
+	}
+	return NewSnapshot(Instrument(base, o, tags...)).Instrument(o)
+}
+
 // SetTracer attaches (or, with nil, detaches) the per-extraction tracer.
 // Implements obs.TracerCarrier.
 func (in *Instrumented) SetTracer(tr *obs.Tracer) { in.tracer.Store(tr) }

@@ -24,9 +24,6 @@ type LatencyModel struct {
 	// page by hash must be much cheaper than refetching it, or the
 	// incremental path would be pointless.
 	PerHashCheck time.Duration
-	// Sleep really sleeps per read instead of accounting on the virtual
-	// clock, turning modeled time into wall time for live demos.
-	Sleep bool
 }
 
 // Cost prices one transaction of n bytes.
@@ -83,15 +80,8 @@ func (l *Latency) ReadMemory(addr uint64, buf []byte) error {
 // pages, so every cache fill above it must pay the link.
 func (l *Latency) PageData(uint64) ([]byte, bool) { return nil, false }
 
-// charge accounts one modeled cost on the virtual clock (or the wall
-// clock in Sleep mode).
-func (l *Latency) charge(cost time.Duration) {
-	if l.model.Sleep {
-		time.Sleep(cost)
-	} else {
-		l.virtual.Add(int64(cost))
-	}
-}
+// charge accounts one modeled cost on the virtual clock.
+func (l *Latency) charge(cost time.Duration) { l.virtual.Add(int64(cost)) }
 
 // HashBlocks implements PageHasher when the chain below does, charging the
 // metadata round trip plus the wire cost of the returned hashes.
@@ -117,8 +107,7 @@ func (l *Latency) DirtySince(mark uint64) ([]Range, uint64, bool) {
 	return ranges, next, ok
 }
 
-// VirtualElapsed returns the modeled time accumulated so far. In Sleep
-// mode it stays zero: the cost was already paid in wall time.
+// VirtualElapsed returns the modeled time accumulated so far.
 func (l *Latency) VirtualElapsed() time.Duration {
 	return time.Duration(l.virtual.Load())
 }

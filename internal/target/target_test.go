@@ -164,18 +164,6 @@ func TestLatencyAccounting(t *testing.T) {
 	}
 }
 
-func TestLatencySleepModeKeepsVirtualZero(t *testing.T) {
-	s, base := fixture(t)
-	lt := WithLatency(s, LatencyModel{PerRead: time.Microsecond, Sleep: true})
-	var b8 [8]byte
-	if err := lt.ReadMemory(base, b8[:]); err != nil {
-		t.Fatal(err)
-	}
-	if lt.VirtualElapsed() != 0 {
-		t.Fatal("Sleep mode must not also accumulate virtual time (double count)")
-	}
-}
-
 // TestSnapshotOverLatency is the Table 4 layering: cache hits must cost
 // zero modeled link time.
 func TestSnapshotOverLatency(t *testing.T) {
