@@ -30,10 +30,8 @@ func TestDiagnosisEndToEnd(t *testing.T) {
 	paneID := out[0].Pane.ID
 	o.History.Snapshot(o.Registry)
 
-	// stop → mutate (the pipe write lands in fig 3-6's object set) → resume
-	if err := k.PipeWrite(k.DirtyPipe, 64); err != nil {
-		t.Fatalf("PipeWrite: %v", err)
-	}
+	// stop → mutate (renaming init changes a row fig 3-6 shows) → resume
+	k.ByPID[1].SetStr("comm", "renamed")
 	x.Advance()
 	out2, err := x.Round()
 	if err != nil {
@@ -122,9 +120,7 @@ func TestDiagnosisSlowestAndChanges(t *testing.T) {
 	if _, err := x.Round(); err != nil {
 		t.Fatalf("cold round: %v", err)
 	}
-	if err := k.PipeWrite(k.DirtyPipe, 64); err != nil {
-		t.Fatalf("PipeWrite: %v", err)
-	}
+	k.ByPID[1].SetStr("comm", "renamed") // a row of fig 3-6, nothing of 7-1
 	x.Advance()
 	if _, err := x.Round(); err != nil {
 		t.Fatalf("round: %v", err)
@@ -140,7 +136,7 @@ func TestDiagnosisSlowestAndChanges(t *testing.T) {
 	}
 
 	// "what changed" needs two retained rounds for the pane; fig 3-6 was
-	// re-extracted both rounds (cold + dirty), so its pane qualifies.
+	// re-extracted both rounds (cold + rename), so its pane qualifies.
 	d, err := s.DiagnoseSlowest()
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,9 @@ import (
 //	x.Round()            // delta: untouched figures return their prior VPlot,
 //	                     // touched figures re-extract only dirty-overlapping boxes
 //
+// A figure counts as untouched when the bytes it read are unchanged, even
+// if the pages holding them were written (see Round).
+//
 // Rounds run figures sequentially: the memo and snapshot accounting stay
 // deterministic, and steady-state rounds are dominated by link revalidation,
 // not CPU, so worker fan-out buys nothing once the cache is warm.
@@ -44,7 +47,11 @@ type figState struct {
 	interp *viewcl.Interp
 	prior  *viewcl.Result
 	gen    uint64 // snapshot generation prior was validated at
-	paneID int
+	// witness is target.SumRanges over prior.Reads at the generation prior
+	// ran at; witnessOK is false when that sum could not be taken.
+	witness   uint64
+	witnessOK bool
+	paneID    int
 }
 
 // RoundResult reports one figure's outcome in a round.
@@ -97,17 +104,25 @@ func (x *IncrementalExtractor) PaneFor(figID string) (int, bool) {
 }
 
 // Round extracts every figure once. The first round is cold: each figure is
-// extracted and attached as a pane. Later rounds are deltas: a figure whose
-// page-granular read set is provably unchanged since its last validation is
+// extracted and attached as a pane. Later rounds are deltas: a figure is
 // served whole from its prior result (its pane keeps its version — the
-// server's ETag path then answers 304); anything else re-extracts through
-// its memo, which reuses every clean box. A pane's version moves only when
-// its content moves: a re-extraction whose graph is Equal to the displayed
-// one leaves the pane alone (same version, graph and ViewQL engine) and is
-// kept as the figure's prior result with the new run's read set, so the
-// displayed graph's stats describe the extraction that produced its
-// content. A re-extraction that changed something replaces the pane's graph
-// in place with a version bump.
+// server's ETag path then answers 304) when the prior result provably still
+// holds. The free first check is page-granular: its ReadSet is unchanged
+// since its last validation. When a page it read was written, the content
+// witness decides: the exact bytes it read (Result.Reads), re-read through
+// the snapshot, must sum to what they summed to when it ran — the check the
+// memo makes per box, one level up. An extraction is a deterministic
+// function of those bytes, so a write elsewhere in the page cannot change
+// its output. The witness reads pages the page check just revalidated, or
+// that a re-extraction would revalidate anyway, so it adds no link traffic.
+//
+// Anything else re-extracts through its memo, which reuses every clean box.
+// A pane's version moves only when its content moves: a re-extraction
+// whose graph is Equal to the displayed one leaves the pane alone (same
+// version, graph and ViewQL engine) and is kept as the figure's prior
+// result with the new run's read set, so the displayed graph's stats
+// describe the extraction that produced its content. A re-extraction that
+// changed something replaces the pane's graph in place with a version bump.
 //
 // One failing figure never discards the others: the failures come back
 // joined in the error.
@@ -116,7 +131,7 @@ func (x *IncrementalExtractor) Round() ([]RoundResult, error) {
 	errs := make([]error, len(x.states))
 	for i, st := range x.states {
 		out[i].Fig = st.fig
-		if st.prior != nil && x.snap.RangesUnchangedSince(st.prior.ReadSet, st.gen) {
+		if st.prior != nil && x.priorHolds(st) {
 			st.gen = x.snap.Generation()
 			if x.o != nil {
 				x.o.FigureReuses.Inc()
@@ -137,6 +152,8 @@ func (x *IncrementalExtractor) Round() ([]RoundResult, error) {
 		}
 		st.prior = res
 		st.gen = x.snap.Generation()
+		sum, err := target.SumRanges(x.snap, res.Reads)
+		st.witness, st.witnessOK = sum, err == nil
 		if st.paneID == 0 {
 			p, err := x.Session.attachPane("fig"+st.fig.ID, st.fig.Program, res)
 			if err != nil {
@@ -168,4 +185,18 @@ func (x *IncrementalExtractor) Round() ([]RoundResult, error) {
 	}
 	x.rounds++
 	return out, errors.Join(errs...)
+}
+
+// priorHolds reports whether st's prior result still describes the target:
+// its pages are unchanged since st.gen, or the bytes it read sum to its
+// witness. A witness read that fails counts as changed.
+func (x *IncrementalExtractor) priorHolds(st *figState) bool {
+	if x.snap.RangesUnchangedSince(st.prior.ReadSet, st.gen) {
+		return true
+	}
+	if !st.witnessOK {
+		return false
+	}
+	sum, err := target.SumRanges(x.snap, st.prior.Reads)
+	return err == nil && sum == st.witness
 }

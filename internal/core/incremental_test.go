@@ -31,7 +31,7 @@ func TestIncrementalRoundsMatchColdExtraction(t *testing.T) {
 
 	mutate := []func() error{
 		nil, // round 1: quiet — everything must be figure-level reused
-		func() error { return k.PipeWrite(k.DirtyPipe, 64) },
+		func() error { scribbleComm(k, 1); return nil },
 		func() error { _, err := k.SpawnTask(9001, "incrtest", 1); return err },
 		nil, // final quiet round: back to full reuse
 	}
@@ -112,23 +112,22 @@ func TestIncrementalPaneVersions(t *testing.T) {
 	v0 := []int{out[0].Pane.Version, out[1].Pane.Version}
 	g0 := out[0].Pane.Graph
 
-	if err := k.PipeWrite(k.DirtyPipe, 64); err != nil {
-		t.Fatalf("PipeWrite: %v", err)
-	}
+	scribbleComm(k, 1)
 	x.Advance()
 	out, err = x.Round()
 	if err != nil {
 		t.Fatalf("steady round: %v", err)
 	}
-	// 3-6 is the PID table: the pipe write dirties a page it reads, so it
-	// re-extracts, but no PID changed, so the pane keeps its version and
-	// its graph. 7-1 (the CFS runqueue) reads nothing the write touches.
+	// 3-6 is the PID table: it reads init's comm whole, so the byte past
+	// the NUL changes what it read and it re-extracts, but the name it
+	// shows is the same, so the pane keeps its version and its graph. 7-1
+	// (the CFS runqueue) does not read init's comm.
 	if out[0].Reused || out[0].Pane.Version != v0[0] || out[0].Pane.Graph != g0 || out[0].Res.Graph != g0 {
-		t.Errorf("PID table after PipeWrite: reused=%v version %d→%d, graph kept %v, want re-extracted, same version and graph",
+		t.Errorf("PID table after a comm scribble: reused=%v version %d→%d, graph kept %v, want re-extracted, same version and graph",
 			out[0].Reused, v0[0], out[0].Pane.Version, out[0].Pane.Graph == g0)
 	}
 	if !out[1].Reused || out[1].Pane.Version != v0[1] {
-		t.Errorf("runqueue after PipeWrite: reused=%v version %d→%d, want reused with stable version",
+		t.Errorf("runqueue after a comm scribble: reused=%v version %d→%d, want reused with stable version",
 			out[1].Reused, v0[1], out[1].Pane.Version)
 	}
 	if o.FigureUnchanged.Value() != 1 {
@@ -168,6 +167,13 @@ func TestSteadyRoundAllocs(t *testing.T) {
 	if allocs > 16 {
 		t.Errorf("steady round allocates %.0f objects/op, want <= 16", allocs)
 	}
+}
+
+// scribbleComm writes one byte past the NUL of pid's comm. Every figure that
+// shows the task's name reads the 16-byte array whole, so the write changes
+// bytes those figures read, but not the name they show.
+func scribbleComm(k *kernelsim.Kernel, pid int) {
+	k.Mem.Write(k.ByPID[pid].FieldAddr("comm")+15, []byte{'x'})
 }
 
 func mustFigure(t *testing.T, id string) vclstdlib.Figure {

@@ -218,7 +218,10 @@ func RegisterHelpers(env *expr.Env) {
 		}
 		head := initSym.Addr + tasksF.Offset
 		cur := head
-		for i := 0; i < 65536; i++ {
+		// One budget bounds both walks: a corrupted list that cycles
+		// without returning to its head costs at most this many steps.
+		budget := 65536
+		for ; budget > 0; budget-- {
 			task := cur - tasksF.Offset
 			if pid, err := check(task); err == nil && pid == want {
 				return expr.MakePointer(taskT, task), nil
@@ -227,7 +230,7 @@ func RegisterHelpers(env *expr.Env) {
 			tgHead := cur - tasksF.Offset + tgF.Offset
 			tg, err := target.ReadU64(e.Target, tgHead)
 			if err == nil {
-				for j := 0; j < 4096 && tg != tgHead && tg != 0; j++ {
+				for ; budget > 0 && tg != tgHead && tg != 0; budget-- {
 					tTask := tg - tgF.Offset
 					if pid, err := check(tTask); err == nil && pid == want {
 						return expr.MakePointer(taskT, tTask), nil

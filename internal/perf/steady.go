@@ -1,10 +1,12 @@
 // Steady-state personality: the incremental re-extraction experiment. One
 // cold round extracts the full figure workspace over the modeled KGDB link;
-// the kernel then performs one small mutation (a Dirty-Pipe write step), the
-// snapshot advances a generation, and a second round re-extracts everything
-// through the incremental pipeline. The headline number is the steady round's
-// link cost as a fraction of the cold round's — the price of staying live
-// across stop events instead of re-pulling the world.
+// the kernel then performs one small mutation (init renames itself, as
+// prctl(PR_SET_NAME) would: a row of the PID table and of the parenthood
+// tree changes), the snapshot advances a generation, and a second round
+// re-extracts everything through the incremental pipeline. The headline
+// number is the steady round's link cost as a fraction of the cold round's —
+// the price of staying live across stop events instead of re-pulling the
+// world.
 package perf
 
 import (
@@ -53,7 +55,7 @@ type SteadyReport struct {
 }
 
 // MeasureSteadyState runs the experiment: attach (cold extraction of every
-// figure), apply one kernelsim mutation (PipeWrite on the Dirty-Pipe pipe),
+// figure), apply one kernelsim mutation (renaming init's comm),
 // stop, advance the snapshot generation, re-extract. The kernel's simulated
 // target advertises both the write journal and content hashes, so this
 // measures the best path; withoutJournal disables the journal poll and
@@ -95,9 +97,7 @@ func MeasureSteadyState(opts kernelsim.Options, model target.LatencyModel, witho
 	}
 
 	// One small mutation while the target "runs", then the stop boundary.
-	if err := k.PipeWrite(k.DirtyPipe, 64); err != nil {
-		return nil, err
-	}
+	k.ByPID[1].SetStr("comm", "renamed")
 	x.Advance()
 
 	last = lt.VirtualElapsed()

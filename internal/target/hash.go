@@ -46,6 +46,29 @@ func HashSum(h uint64, b []byte) uint64 {
 // NewHashSum returns the FNV-1a 64 offset basis for use with HashSum.
 func NewHashSum() uint64 { return fnvOffset64 }
 
+// SumRanges re-reads each range through t, in order, and returns the FNV-1a
+// 64 sum of the bytes: the content witness of a recorded read list. The
+// extraction memo compares it against a box's recorded sum, and the
+// incremental extractor against a figure's, so both decide "the bytes are
+// unchanged" the same way. A failed read returns its error; the caller must
+// then treat the content as changed.
+func SumRanges(t Target, ranges []Range) (uint64, error) {
+	var longest uint64
+	for _, rg := range ranges {
+		longest = max(longest, rg.Size)
+	}
+	buf := make([]byte, longest)
+	sum := NewHashSum()
+	for _, rg := range ranges {
+		b := buf[:rg.Size]
+		if err := t.ReadMemory(rg.Addr, b); err != nil {
+			return 0, err
+		}
+		sum = HashSum(sum, b)
+	}
+	return sum, nil
+}
+
 // PageHasher is implemented by targets that can hash guest memory on the
 // stub side: SubPage-granular FNV-1a 64 hashes of [addr, addr+size), which
 // must be SubPage-aligned. ok=false means the capability is absent (then the

@@ -245,12 +245,15 @@ func (s *Snapshot) Generation() uint64 {
 	return s.gen
 }
 
-// RangesUnchangedSince revalidates every page covering the given ranges and
+// RangesUnchangedSince revalidates the pages covering the given ranges and
 // reports whether all of their content is unchanged since generation
-// `since`. This is the figure-level delta check: a figure whose recorded
-// read set is clean needs no re-extraction at all. The revalidation work is
-// the cheap kind (journal promotion or hash exchange) and is shared with any
-// extraction that does run afterwards.
+// `since`; it stops at the first page that changed. This is the free first
+// check of the figure-level delta (a figure whose page-granular read set is
+// clean needs no re-extraction at all) and of the memo's box verification.
+// It is page-granular: one write anywhere in a page fails it, and callers
+// then compare content sums over their exact ranges (SumRanges). The
+// revalidation work is the cheap kind (journal promotion or hash exchange)
+// and is shared with any read that follows.
 func (s *Snapshot) RangesUnchangedSince(ranges []Range, since uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -258,3 +258,38 @@ func TestSnapshotConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// SumRanges is FNV-1a over the ranges' bytes in list order, so splitting a
+// range in two or coalescing two contiguous ones leaves it unchanged, while
+// reordering changes it; an unreadable range fails the sum.
+func TestSumRanges(t *testing.T) {
+	s, base := fixture(t)
+	sum := func(rs ...Range) uint64 {
+		t.Helper()
+		h, err := SumRanges(s, rs)
+		if err != nil {
+			t.Fatalf("SumRanges(%v): %v", rs, err)
+		}
+		return h
+	}
+	buf := make([]byte, 48)
+	if err := s.ReadMemory(base+100, buf); err != nil {
+		t.Fatal(err)
+	}
+	whole := sum(Range{Addr: base + 100, Size: 48})
+	if want := HashSum(NewHashSum(), buf); whole != want {
+		t.Fatalf("sum %#x, want FNV-1a of the bytes %#x", whole, want)
+	}
+	if split := sum(Range{Addr: base + 100, Size: 20}, Range{Addr: base + 120, Size: 28}); split != whole {
+		t.Errorf("split range sums to %#x, whole to %#x", split, whole)
+	}
+	if swapped := sum(Range{Addr: base + 120, Size: 28}, Range{Addr: base + 100, Size: 20}); swapped == whole {
+		t.Error("reordered ranges sum the same")
+	}
+	if sum() != NewHashSum() {
+		t.Error("empty list does not sum to the offset basis")
+	}
+	if _, err := SumRanges(s, []Range{{Addr: base, Size: 8}, {Addr: base + 64*PageSize, Size: 8}}); err == nil {
+		t.Error("unreadable range summed without error")
+	}
+}

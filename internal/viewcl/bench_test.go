@@ -60,9 +60,11 @@ func BenchmarkSteadyRoundInterpreted(b *testing.B) {
 
 // benchSteadyMutating keeps what core.IncrementalExtractor keeps for its
 // figures — one snapshot, one memoizing interpreter per figure, and each
-// figure's last result, served whole while its read set is unchanged — and
-// drives the same pipe write and stop boundary per iteration for both
-// engines.
+// figure's last result, served whole while its page read set is unchanged —
+// and drives the same pipe write and stop boundary per iteration for both
+// engines. It leaves out the extractor's content witness on purpose: the
+// pipe write changes no byte a figure reads, so with the witness nothing
+// would re-extract and the engines would have no work to compare.
 func benchSteadyMutating(b *testing.B, interpret bool) {
 	k := kernelsim.Build(kernelsim.Options{})
 	snap := target.NewSnapshot(k.Target())

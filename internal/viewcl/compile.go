@@ -84,12 +84,13 @@ type compiledProgram struct {
 	topLayout *frameLayout
 	stmts     []cstmt
 
-	// lastBoxes/lastViews/lastItems remember the previous run's output
-	// sizes so the next run pre-sizes its graph and output arenas exactly.
-	// Atomic: concurrent runs may share the program.
+	// lastBoxes/lastViews/lastItems/lastReads remember the previous run's
+	// output sizes so the next run pre-sizes its graph, output arenas and
+	// read list exactly. Atomic: concurrent runs may share the program.
 	lastBoxes atomic.Int64
 	lastViews atomic.Int64
 	lastItems atomic.Int64
+	lastReads atomic.Int64
 }
 
 func (in *Interp) lower(prog *Program) (*compiledProgram, error) {

@@ -477,6 +477,12 @@ func (r *runState) iterPipeRing(pipe expr.Value, line int) ([]expr.Value, error)
 // order and collect all boxes of the given ViewCL type — the paper's
 // distill of an ordered set (e.g. maple tree -> sorted VMA list).
 func (r *runState) selectFromVal(src vval, boxType string, line int) (vval, error) {
+	// The result comes from boxes already in the graph, not from bytes the
+	// current frame read: a memo entry would replay a stale element list
+	// after those boxes changed, so the frame is never reused.
+	if n := len(r.frames); n > 0 {
+		r.frames[n-1].taint()
+	}
 	var seeds []string
 	switch src.kind {
 	case vBox:

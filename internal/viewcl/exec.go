@@ -173,9 +173,10 @@ func (in *Interp) acquireExec() *execState {
 	return e
 }
 
-// releaseExec drops the per-run references (graph, trace, recorder target)
-// so the pooled state never pins a finished run's output, then returns the
-// state to the pool.
+// releaseExec drops the per-run references (graph, read list, trace,
+// recorder target) so the pooled state never pins a finished run's output,
+// then returns the state to the pool. The next run pre-sizes a fresh read
+// list from the program's last count.
 func (in *Interp) releaseExec(e *execState) {
 	r := &e.run
 	r.in = nil
@@ -183,6 +184,7 @@ func (in *Interp) releaseExec(e *execState) {
 	r.errs = nil
 	r.tr = nil
 	r.rec = nil
+	r.reads = nil
 	r.curFrame = nil
 	r.viewArena, r.itemArena = nil, nil
 	clear(r.memo)
@@ -227,6 +229,7 @@ func (in *Interp) runCompiled(cp *compiledProgram) (*Result, error) {
 	if in.Memo != nil {
 		e.rec = recorder{Layer: target.Layer{Target: in.Env.Target}, run: run}
 		run.rec = &e.rec
+		run.reads = make([]target.Range, 0, int(cp.lastReads.Load()))
 		if run.pages == nil {
 			run.pages = make(map[uint64]bool)
 		} else {
@@ -235,6 +238,7 @@ func (in *Interp) runCompiled(cp *compiledProgram) (*Result, error) {
 	} else {
 		run.rec = nil
 		run.pages = nil
+		run.reads = nil
 	}
 	if in.Obs != nil {
 		run.tr = in.Obs.NewTrace("vplot:" + cp.prog.Source)
@@ -280,6 +284,9 @@ func (in *Interp) runCompiled(cp *compiledProgram) (*Result, error) {
 	cp.lastBoxes.Store(int64(len(run.g.Boxes)))
 	cp.lastViews.Store(int64(run.nviews))
 	cp.lastItems.Store(int64(run.nitems))
+	if in.Memo != nil {
+		cp.lastReads.Store(int64(len(run.reads)))
+	}
 
 	return in.finishRun(run, t0, reads0, bytes0)
 }

@@ -100,8 +100,18 @@ type Result struct {
 
 	// ReadSet is the page-granular, merged set of target ranges this run's
 	// output depends on (nil unless Interp.Memo is set). Callers use it
-	// with a snapshot's RangesUnchangedSince to reuse entire figures.
+	// with a snapshot's RangesUnchangedSince as the free first check before
+	// reusing an entire figure.
 	ReadSet []target.Range
+	// Reads are the exact byte ranges this run's output depends on, in read
+	// order (nil unless Interp.Memo is set): every read through the run's
+	// target, and for each memo entry the run reused, the ranges that entry
+	// recorded. Contiguous reads are coalesced, which leaves their byte
+	// sequence as it was. An extraction is a deterministic function of these
+	// bytes, so equal target.SumRanges over them at two generations proves
+	// the output unchanged even when ReadSet's pages were written. A read
+	// that failed is listed too, so the sum fails while it stays unreadable.
+	Reads []target.Range
 	// BoxesReused / BoxesBuilt split the run's boxes into memo clones vs
 	// fresh materializations.
 	BoxesReused int
@@ -160,7 +170,7 @@ func (in *Interp) finishRun(run *runState, t0 time.Time, reads0, bytes0 uint64) 
 		Bytes:      bytes1 - bytes0,
 		DurationNS: time.Since(t0).Nanoseconds(),
 	}
-	res := &Result{Graph: run.g, Errors: run.errs,
+	res := &Result{Graph: run.g, Errors: run.errs, Reads: run.reads,
 		BoxesReused: run.reused, BoxesBuilt: run.built}
 	if run.pages != nil {
 		rs := make([]target.Range, 0, len(run.pages))
@@ -245,6 +255,7 @@ type runState struct {
 	rec    *recorder       // read-recording target wrapper
 	frames []*memoFrame    // materialization recording stack
 	pages  map[uint64]bool // page bases the run's output depends on
+	reads  []target.Range  // exact ranges the output depends on (Result.Reads)
 	reused int
 	built  int
 
@@ -316,15 +327,32 @@ func (r *runState) nextVboxN() int {
 	return n
 }
 
-// recordRead mirrors one successful target read into the innermost frame
-// (ordered ranges + running content sum) and the run-level page set.
-func (r *runState) recordRead(addr uint64, buf []byte) {
+// recordRead mirrors one target read into the innermost frame (ordered
+// ranges + running content sum of the bytes read), the run-level read list
+// and the run-level page set. A failed read (ok false) adds its range but no
+// bytes to the sum.
+func (r *runState) recordRead(addr uint64, buf []byte, ok bool) {
+	rg := target.Range{Addr: addr, Size: uint64(len(buf))}
 	if n := len(r.frames); n > 0 {
 		fr := r.frames[n-1]
-		fr.reads = append(fr.reads, target.Range{Addr: addr, Size: uint64(len(buf))})
-		fr.sum = target.HashSum(fr.sum, buf)
+		fr.reads = append(fr.reads, rg)
+		if ok {
+			fr.sum = target.HashSum(fr.sum, buf)
+		}
 	}
-	r.notePages(addr, uint64(len(buf)))
+	r.reads = appendRead(r.reads, rg)
+	r.notePages(addr, rg.Size)
+}
+
+// appendRead appends rg to an ordered read list, extending the last range
+// instead when rg starts where it ends. FNV-1a is a byte stream, so the
+// list's content sum is the same either way.
+func appendRead(reads []target.Range, rg target.Range) []target.Range {
+	if n := len(reads); n > 0 && reads[n-1].Addr+reads[n-1].Size == rg.Addr {
+		reads[n-1].Size += rg.Size
+		return reads
+	}
+	return append(reads, rg)
 }
 
 // noteChild records a direct materialization in the innermost frame.
@@ -353,10 +381,14 @@ func (r *runState) notePages(addr, size uint64) {
 	}
 }
 
-// noteRanges adds a reused entry's ranges to the run-level page set, so
-// ReadSet stays complete even when no read actually happened.
-func (r *runState) noteRanges(ranges []target.Range) {
-	for _, rg := range ranges {
+// noteReused adds a reused entry's ranges to the run-level read list and
+// page set, so Reads and ReadSet stay complete even when no read actually
+// happened: the memo just verified those bytes.
+func (r *runState) noteReused(e *memoEntry) {
+	for _, rg := range e.reads {
+		r.reads = appendRead(r.reads, rg)
+	}
+	for _, rg := range e.merged {
 		r.notePages(rg.Addr, rg.Size)
 	}
 }
@@ -471,7 +503,7 @@ func (r *runState) reuseBox(key memoKey) (string, bool, error) {
 	if r.in.Obs != nil {
 		r.in.Obs.BoxReuses.Inc()
 	}
-	r.noteRanges(e.merged)
+	r.noteReused(e)
 	r.frames = append(r.frames, &memoFrame{tainted: true})
 	defer func() { r.frames = r.frames[:len(r.frames)-1] }()
 	for _, c := range e.children {

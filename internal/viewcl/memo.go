@@ -157,20 +157,7 @@ func (m *Memo) verify(key memoKey, e *memoEntry) bool {
 	m.mu.Lock()
 	m.stats.HashVerifies++
 	m.mu.Unlock()
-	sum := target.NewHashSum()
-	var buf []byte
-	for _, rg := range e.reads {
-		if uint64(cap(buf)) < rg.Size {
-			buf = make([]byte, rg.Size)
-		}
-		b := buf[:rg.Size]
-		if err := m.base.ReadMemory(rg.Addr, b); err != nil {
-			m.reject(key)
-			return false
-		}
-		sum = target.HashSum(sum, b)
-	}
-	if sum != e.sum {
+	if sum, err := target.SumRanges(m.base, e.reads); err != nil || sum != e.sum {
 		m.reject(key)
 		return false
 	}
@@ -194,10 +181,13 @@ func (m *Memo) noteReuse() {
 }
 
 // recorder wraps the extraction target during a memoizing run, mirroring
-// every successful read into the innermost recording frame and the
-// run-level page set. It declares nothing else: prefetch, the memory map and
-// every other capability are found below it (target.Find), so the coalesced
-// fill paths the cold-run numbers depend on stay reachable.
+// every read into the innermost recording frame, the run-level read list
+// and the run-level page set. A failed read is recorded too: the output
+// depends on its failure, and its range cannot verify while it stays
+// unreadable, so nothing built on it is reused. It declares nothing else:
+// prefetch, the memory map and every other capability are found below it
+// (target.Find), so the coalesced fill paths the cold-run numbers depend on
+// stay reachable.
 type recorder struct {
 	target.Layer
 	run *runState
@@ -205,8 +195,8 @@ type recorder struct {
 
 func (t *recorder) ReadMemory(addr uint64, buf []byte) error {
 	err := t.Target.ReadMemory(addr, buf)
-	if err == nil && len(buf) > 0 {
-		t.run.recordRead(addr, buf)
+	if len(buf) > 0 {
+		t.run.recordRead(addr, buf, err == nil)
 	}
 	return err
 }

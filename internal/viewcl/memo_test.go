@@ -1,6 +1,7 @@
 package viewcl_test
 
 import (
+	"slices"
 	"testing"
 
 	"visualinux/internal/expr"
@@ -159,5 +160,68 @@ func TestMemoServesClones(t *testing.T) {
 		if b.Label == "CORRUPTED" {
 			t.Fatal("cache returned the caller-mutated box")
 		}
+	}
+}
+
+// Array.selectFrom reads the materialized subgraph, not target bytes, so
+// the box whose view uses it must never be served from the memo: after two
+// maple-tree slots swap, the mm_struct's own bytes are unchanged, but the
+// address-space list it distills from the tree is not.
+func TestMemoSelectFromNotReused(t *testing.T) {
+	k, snap, in := memoInterp(t)
+	fig, _ := vclstdlib.FigureByID("9-2")
+	res, err := in.RunSource("fig9-2", fig.Program)
+	if err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	slot, err := k.Reg.MustLookup("maple_node").ResolvePath("mr64.slot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swap the first two adjacent VMA slots of a leaf.
+	var a, va, vb uint64
+	for _, b := range res.Graph.Boxes {
+		if b.Label != "MapleLeaf" {
+			continue
+		}
+		for i := uint64(0); i+1 < slot.Type.Strip().Count && a == 0; i++ {
+			p := b.Addr + slot.Offset + 8*i
+			x, _ := k.Mem.ReadU64(p)
+			y, _ := k.Mem.ReadU64(p + 8)
+			if x != 0 && y != 0 {
+				a, va, vb = p, x, y
+			}
+		}
+	}
+	if a == 0 {
+		t.Fatal("no leaf holds two adjacent VMAs")
+	}
+	k.Mem.WriteU64(a, vb)
+	k.Mem.WriteU64(a+8, va)
+	snap.Advance()
+
+	addrSpace := func(res *viewcl.Result) []string {
+		t.Helper()
+		for _, b := range res.Graph.Boxes {
+			if b.Label == "MMStruct" {
+				return b.Views["show_addrspace"].Items[len(b.Views["show_addrspace"].Items)-1].Elems
+			}
+		}
+		t.Fatal("no mm_struct in the figure")
+		return nil
+	}
+	warm, err := in.RunSource("fig9-2", fig.Program)
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	cold, err := interpOver(k.Target()).RunSource("fig9-2", fig.Program)
+	if err != nil {
+		t.Fatalf("cold run after the swap: %v", err)
+	}
+	if got, want := addrSpace(warm), addrSpace(cold); !slices.Equal(got, want) {
+		t.Fatalf("memoized address space %v, cold %v", got, want)
+	}
+	if warm.BoxesReused == 0 {
+		t.Fatal("warm run reused nothing")
 	}
 }
