@@ -77,7 +77,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("\nExtra: KGDB behind the snapshot read cache (one page fetch per page per stop):")
+	fmt.Println("\nExtra: KGDB behind the snapshot read cache (one fetch per 1 KiB window per stop):")
 	fmt.Printf("%-12s | %12s %12s %8s | %6s %6s\n",
 		"figure", "uncached(ms)", "cached(ms)", "speedup", "txns", "was")
 	for i, p := range cached {

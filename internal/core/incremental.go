@@ -107,8 +107,8 @@ func (x *IncrementalExtractor) PaneFor(figID string) (int, bool) {
 // extracted and attached as a pane. Later rounds are deltas: a figure is
 // served whole from its prior result (its pane keeps its version — the
 // server's ETag path then answers 304) when the prior result provably still
-// holds. The free first check is page-granular: its ReadSet is unchanged
-// since its last validation. When a page it read was written, the content
+// holds. The free first check is the snapshot's page check over its ReadSet
+// (the fill windows it read): unchanged since its last validation. When a page it read was written, the content
 // witness decides: the exact bytes it read (Result.Reads), re-read through
 // the snapshot, must sum to what they summed to when it ran — the check the
 // memo makes per box, one level up. An extraction is a deterministic

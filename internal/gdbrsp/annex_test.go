@@ -1,6 +1,7 @@
 package gdbrsp_test
 
 import (
+	"sync"
 	"testing"
 
 	"visualinux/internal/gdbrsp"
@@ -172,4 +173,105 @@ func TestSnapshotOverWireSubPageRevalidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The client's memory map must follow the kernel: after a stop whose
+// journal writes land in a page mapped since the map was fetched, a read of
+// that page is served by one snapshot fill and then from the cache, like
+// any other page. A map fetched once per connection would clip the fill
+// away as unmapped and send every read of the page across the link.
+func TestMemoryMapFollowsGrowth(t *testing.T) {
+	k, c := dialKernel(t)
+	snap := target.NewSnapshot(c)
+	var b8 [8]byte
+	if err := snap.ReadMemory(pageOf(t, k), b8[:]); err != nil {
+		t.Fatal(err)
+	}
+	before := c.MemoryMap()
+	if len(before) == 0 {
+		t.Fatal("stub served no memory map")
+	}
+
+	_, mark, ok := c.DirtySince(^uint64(0))
+	if !ok {
+		t.Fatal("stub journal unavailable")
+	}
+
+	// Step the workload until the kernel maps a page the client's map lacks.
+	wl := kernelsim.NewWorkload(k)
+	var fresh uint64
+	for i := 0; i < 64 && fresh == 0; i++ {
+		wl.Step()
+		for _, r := range k.Target().MappedRanges() {
+			for pb := r.Addr; pb < r.End(); pb += target.PageSize {
+				if !mapHolds(before, pb) {
+					fresh = pb
+					break
+				}
+			}
+			if fresh != 0 {
+				break
+			}
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("64 workload steps mapped no new page")
+	}
+	snap.Advance()
+
+	reads0 := c.Stats().Reads.Load()
+	_, misses0 := snap.CacheStats()
+	if err := snap.ReadMemory(fresh, b8[:]); err != nil {
+		t.Fatalf("read of newly mapped page %#x: %v", fresh, err)
+	}
+	if got := c.Stats().Reads.Load() - reads0; got != 1 {
+		t.Errorf("first read of %#x: %d link reads, want 1 fill", fresh, got)
+	}
+	if _, misses := snap.CacheStats(); misses != misses0+1 {
+		t.Errorf("first read of %#x: %d fills, want 1", fresh, misses-misses0)
+	}
+	hits0, _ := snap.CacheStats()
+	if err := snap.ReadMemory(fresh+8, b8[:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Reads.Load() - reads0; got != 1 {
+		t.Errorf("second read of %#x reached the link (%d link reads in all)", fresh, got)
+	}
+	if hits, _ := snap.CacheStats(); hits != hits0+1 {
+		t.Errorf("second read of %#x: %d cache hits, want 1", fresh, hits-hits0)
+	}
+	if !mapHolds(c.MemoryMap(), fresh) {
+		t.Errorf("client map still lacks %#x after the stop", fresh)
+	}
+
+	// Every reader of the client shares its map: concurrent journal polls
+	// and clips must agree on the grown map.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				if _, _, ok := c.DirtySince(mark); !ok {
+					t.Error("journal poll failed")
+					return
+				}
+				if rs, ok := c.ClipMapped(fresh, target.PageSize); !ok || len(rs) != 1 || rs[0].Addr != fresh {
+					t.Errorf("ClipMapped(%#x) = %v, %v", fresh, rs, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// mapHolds reports whether the ranges contain addr.
+func mapHolds(ranges []target.Range, addr uint64) bool {
+	for _, r := range ranges {
+		if addr >= r.Addr && addr-r.Addr < r.Size {
+			return true
+		}
+	}
+	return false
 }

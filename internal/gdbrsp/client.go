@@ -69,8 +69,10 @@ var ErrDesync = errors.New("client out of sync after an earlier link failure; di
 // memory walk. Plain $m short replies (a stub serving less than asked —
 // packet bound or mapped-prefix end) are treated as partial progress and
 // resumed from the next byte, never a hard error. When the stub serves a
-// memory-map annex, the client loads it once and answers ClipMapped locally,
-// so batch prefetch passes can clip fills to mapped ranges without probing.
+// memory-map annex, the client loads it on first use and answers ClipMapped
+// locally, so batch prefetch passes can clip fills to mapped ranges without
+// probing; a journal poll that names bytes outside the map marks it stale,
+// so memory the kernel mapped since is cached like the rest.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -101,9 +103,12 @@ type Client struct {
 	// frame, and the reply payload (valid until the next round trip).
 	req, frame, reply []byte
 
-	memMapOnce   sync.Once
-	memMap       []target.Range // sorted, merged; nil until fetched
-	memMapLoaded bool
+	// The memory-map annex, fetched on first use and again after a journal
+	// poll names bytes outside it (the kernel mapped memory since).
+	mapMu      sync.Mutex
+	mapFetched bool           // an attempt was made for the current map
+	memMap     []target.Range // sorted, merged; valid when mapOK
+	mapOK      bool
 
 	o *obs.Observer // optional: continuation accounting for /debug/metrics
 }
@@ -454,16 +459,13 @@ func errUnmappedTail(got, want, addr uint64) error {
 }
 
 // ClipMapped implements target.RangeProber from the stub's memory-map
-// annex. The map is fetched once per connection (metadata, like symbols)
-// and intersected locally, so batch prefetch passes clip for free. Without
-// the annex, ok is false and callers treat everything as potentially
-// mapped.
+// annex. The map is fetched on first use (metadata, like symbols) and
+// intersected locally, so batch prefetch passes clip for free; it is fetched
+// again only after DirtySince saw a write outside it. Without the annex, ok
+// is false and callers treat everything as potentially mapped.
 func (c *Client) ClipMapped(addr, size uint64) ([]target.Range, bool) {
-	if !c.hasMemMap {
-		return nil, false
-	}
-	c.memMapOnce.Do(c.fetchMemMap)
-	if !c.memMapLoaded {
+	memMap, ok := c.loadMemMap()
+	if !ok {
 		return nil, false
 	}
 	if size == 0 {
@@ -474,9 +476,9 @@ func (c *Client) ClipMapped(addr, size uint64) ([]target.Range, bool) {
 	}
 	end := addr + size
 	var out []target.Range
-	i := sort.Search(len(c.memMap), func(i int) bool { return c.memMap[i].End() > addr })
-	for ; i < len(c.memMap) && c.memMap[i].Addr < end; i++ {
-		lo, hi := c.memMap[i].Addr, c.memMap[i].End()
+	i := sort.Search(len(memMap), func(i int) bool { return memMap[i].End() > addr })
+	for ; i < len(memMap) && memMap[i].Addr < end; i++ {
+		lo, hi := memMap[i].Addr, memMap[i].End()
 		if lo < addr {
 			lo = addr
 		}
@@ -491,28 +493,57 @@ func (c *Client) ClipMapped(addr, size uint64) ([]target.Range, bool) {
 }
 
 // MemoryMap returns the stub's merged mapped ranges (nil without the
-// annex), fetching them on first use.
+// annex), fetching them when no current copy is held.
 func (c *Client) MemoryMap() []target.Range {
-	if !c.hasMemMap {
-		return nil
-	}
-	c.memMapOnce.Do(c.fetchMemMap)
-	return c.memMap
+	memMap, _ := c.loadMemMap()
+	return memMap
 }
 
-// fetchMemMap pulls the memory-map annex ("addr,size;..." hex text) over
-// m/l continuation chunks and parses it.
-func (c *Client) fetchMemMap() {
-	blob, err := c.fetchTextAnnex("memory-map", "")
-	if err != nil {
-		return // no usable map; leave memMapLoaded false
+// loadMemMap returns the current memory map, fetching the annex when the
+// held copy is missing or stale. ok is false without a usable map. A failed
+// fetch is not retried until the map is marked stale again.
+func (c *Client) loadMemMap() ([]target.Range, bool) {
+	if !c.hasMemMap {
+		return nil, false
 	}
-	ranges, err := parseMemMap(blob)
-	if err != nil {
+	c.mapMu.Lock()
+	defer c.mapMu.Unlock()
+	if !c.mapFetched {
+		c.mapFetched = true
+		c.memMap, c.mapOK = nil, false
+		if blob, err := c.fetchTextAnnex("memory-map", ""); err == nil {
+			if ranges, err := parseMemMap(blob); err == nil {
+				c.memMap, c.mapOK = target.MergeRanges(ranges), true
+			}
+		}
+	}
+	return c.memMap, c.mapOK
+}
+
+// noteWrites marks the held memory map stale when a journaled write falls
+// outside it: the kernel mapped memory after the map was fetched, and fills
+// clipped against the old map would skip it.
+func (c *Client) noteWrites(writes []target.Range) {
+	c.mapMu.Lock()
+	defer c.mapMu.Unlock()
+	if !c.mapOK {
 		return
 	}
-	c.memMap = ranges
-	c.memMapLoaded = true
+	for _, w := range writes {
+		if !covers(c.memMap, w) {
+			c.mapFetched = false
+			return
+		}
+	}
+}
+
+// covers reports whether the sorted, merged ranges hold all of r.
+// Inclusive last addresses keep a range that ends at the top of the
+// address space from wrapping.
+func covers(ranges []target.Range, r target.Range) bool {
+	last := func(r target.Range) uint64 { return r.Addr + r.Size - 1 }
+	i := sort.Search(len(ranges), func(i int) bool { return last(ranges[i]) >= r.Addr })
+	return i < len(ranges) && ranges[i].Addr <= r.Addr && last(r) <= last(ranges[i])
 }
 
 // fetchTextAnnex pulls one plain-text annex blob (qXfer:<annex>:read:<arg>)
@@ -625,7 +656,9 @@ func (c *Client) DirtySince(mark uint64) ([]target.Range, uint64, bool) {
 		out = append(out, target.Range{Addr: a, Size: sz})
 	}
 	c.stats.HashChecks.Add(1)
-	return target.MergeRanges(out), next, true
+	out = target.MergeRanges(out)
+	c.noteWrites(out)
+	return out, next, true
 }
 
 // parseMemMap parses "addr,size;addr,size;...;" into sorted ranges.

@@ -47,11 +47,19 @@ func TestEnsureOverflowClamp(t *testing.T) {
 		t.Fatalf("misses = %d, want the top page cached once", misses)
 	}
 	var b8 [8]byte
-	if err := snap.ReadMemory(top, b8[:]); err != nil {
+	if err := snap.ReadMemory(top+PageSize-8, b8[:]); err != nil {
 		t.Fatal(err)
 	}
 	if reads, _ := s.Stats().Snapshot(); reads != 1 {
 		t.Fatalf("underlying reads = %d, want 1 (clamped prefetch then hit)", reads)
+	}
+	// The prefetch filled only the top window; the page's first window is
+	// one more fill.
+	if err := snap.ReadMemory(top, b8[:]); err != nil {
+		t.Fatal(err)
+	}
+	if reads, _ := s.Stats().Snapshot(); reads != 2 {
+		t.Fatalf("underlying reads = %d, want 2 (the first window filled on demand)", reads)
 	}
 
 	// The batch path clamps too.
@@ -100,8 +108,9 @@ func TestBatchPrefetchClipsUnmappedHole(t *testing.T) {
 }
 
 // TestBatchPrefetchMergesAdjacentElements checks that element-sized ranges
-// on neighboring pages merge into one coalesced fill — the cross-element
-// win: N small element reads become one link transaction.
+// in neighboring fill windows merge into one coalesced fill — the
+// cross-element win: N small element reads become one link transaction —
+// while elements a page apart fill only their own windows.
 func TestBatchPrefetchMergesAdjacentElements(t *testing.T) {
 	m := mem.New()
 	base := uint64(0x5000_0000)
@@ -109,11 +118,12 @@ func TestBatchPrefetchMergesAdjacentElements(t *testing.T) {
 	s := NewSim(m, ctypes.NewRegistry())
 	snap := NewSnapshot(s)
 
-	// Four 64-byte "elements", one per page: separately they would cost four
-	// fills; merged (each within one page-step of the next) they cost one.
+	// Four 64-byte "elements", one per window: separately they would cost
+	// four fills; merged (each within one window-step of the next) they cost
+	// one.
 	var ranges []Range
 	for i := uint64(0); i < 4; i++ {
-		ranges = append(ranges, Range{Addr: base + i*PageSize + 128, Size: 64})
+		ranges = append(ranges, Range{Addr: base + i*FillWindow + 128, Size: 64})
 	}
 	snap.PrefetchRanges(ranges)
 	if runs := snap.BatchRuns(); runs != 1 {
@@ -123,8 +133,23 @@ func TestBatchPrefetchMergesAdjacentElements(t *testing.T) {
 	if reads != 1 {
 		t.Fatalf("underlying reads = %d, want 1 coalesced fill", reads)
 	}
-	if bytes != 4*PageSize {
-		t.Fatalf("underlying bytes = %d, want %d", bytes, 4*PageSize)
+	if bytes != 4*FillWindow {
+		t.Fatalf("underlying bytes = %d, want %d", bytes, 4*FillWindow)
+	}
+
+	// Four elements one per page: three windows lie between neighbors, so
+	// each fills its own window instead of the whole stretch.
+	var sparse []Range
+	for i := uint64(0); i < 4; i++ {
+		sparse = append(sparse, Range{Addr: base + i*PageSize + 128, Size: 64})
+	}
+	snap2 := NewSnapshot(s)
+	snap2.PrefetchRanges(sparse)
+	if runs := snap2.BatchRuns(); runs != 4 {
+		t.Fatalf("sparse batch runs = %d, want 4", runs)
+	}
+	if r, b := s.Stats().Snapshot(); r-reads != 4 || b-bytes != 4*FillWindow {
+		t.Fatalf("sparse fills = %d reads, %d bytes; want 4, %d", r-reads, b-bytes, 4*FillWindow)
 	}
 
 	// Resident ranges cost nothing on a second pass: no new batch run.

@@ -72,7 +72,7 @@ func SumRanges(t Target, ranges []Range) (uint64, error) {
 // PageHasher is implemented by targets that can hash guest memory on the
 // stub side: SubPage-granular FNV-1a 64 hashes of [addr, addr+size), which
 // must be SubPage-aligned. ok=false means the capability is absent (then the
-// snapshot falls back to refetching whole pages).
+// snapshot falls back to refetching the resident blocks of stale pages).
 type PageHasher interface {
 	HashBlocks(addr, size uint64) (hashes []uint64, ok bool)
 }

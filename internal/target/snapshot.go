@@ -10,26 +10,76 @@ import (
 	"visualinux/internal/obs"
 )
 
-// PageSize is the granularity of the snapshot read cache: 4 KiB, the guest
-// page size, which also matches the simulated memory's mapping granularity
-// (so a page is either fully readable or fully absent).
+// PageSize is the key of the snapshot read cache: 4 KiB, the guest page
+// size, which also matches the simulated memory's mapping granularity (so a
+// page is either fully readable or fully absent). A cached page need not be
+// whole: copy fills read FillWindow units, and each page records which of
+// its SubPage blocks hold target bytes.
 const PageSize = 4096
+
+// FillWindow is the unit of a snapshot copy fill: 1 KiB, aligned. A read
+// fills the windows it touches, not its whole page. On a slow link the bytes
+// of a page that no figure reads cost more than the extra transactions of
+// filling by window: over the kgdb_attach shape, 1 KiB windows move half the
+// bytes and 40% fewer packets of a 512-byte stub than 4 KiB pages, for a
+// third more transactions. Zero-copy fills stay whole pages; they move
+// nothing.
+const FillWindow = 1024
+
+// allBlocks marks every SubPage block of a page; windowBlocks the blocks of
+// the fill window at offset 0.
+const (
+	allBlocks    = 1<<BlocksPerPage - 1
+	windowBlocks = 1<<(FillWindow/SubPage) - 1
+)
+
+// blockSpan is the mask of the SubPage blocks covering the n > 0 bytes at
+// page offset off.
+func blockSpan(off, n uint64) uint16 {
+	lo, hi := off/SubPage, (off+n-1)/SubPage
+	return uint16(uint32(1)<<(hi+1) - uint32(1)<<lo)
+}
+
+// windowSpan widens blockSpan to whole fill windows: the blocks a fill of
+// the n > 0 bytes at page offset off brings resident.
+func windowSpan(off, n uint64) uint16 {
+	lo := off &^ (FillWindow - 1)
+	return blockSpan(lo, ((off+n-1)|(FillWindow-1))-lo+1)
+}
+
+// inPage clips [addr, last] (inclusive) to the page at base, as a page
+// offset and a length.
+func inPage(base, addr, last uint64) (off, n uint64) {
+	off, hi := uint64(0), uint64(PageSize-1)
+	if addr > base {
+		off = addr - base
+	}
+	if last < base+PageSize-1 {
+		hi = last - base
+	}
+	return off, hi - off + 1
+}
 
 // spage is one cached page plus its incremental-validation state.
 type spage struct {
+	// data is PageSize bytes; only the resident blocks hold target memory.
 	data []byte
+	// resident flags the SubPage blocks that were filled. A copy fill sets
+	// whole windows; a zero-copy alias sets every block. Revalidation and the
+	// change generation concern resident blocks only.
+	resident uint16
 	// gen is the snapshot generation this page was last known valid for.
 	// A page whose gen lags the snapshot's is stale: its bytes are kept but
 	// must be revalidated (by dirty-range journal or content hash) before
 	// they may be served again.
 	gen uint64
-	// changed is the generation at which this page's content last actually
-	// differed — the figure-level delta check compares it against the
-	// generation a figure was extracted at.
+	// changed is the generation at which this page's resident content last
+	// differed, or last grew by a filled window — the figure-level delta
+	// check compares it against the generation a figure was extracted at.
 	changed uint64
-	// dirty flags SubPage blocks the write journal reported mutated since
-	// the page was last validated; they are refetched (just those blocks,
-	// not the page) on next access.
+	// dirty flags resident SubPage blocks the write journal reported mutated
+	// since the page was last validated; they are refetched (just those
+	// blocks, not the page) before the page is served again.
 	dirty uint16
 	// aliased marks data as a zero-copy reference into the sim's immutable
 	// CoW page store rather than cache-owned bytes. Aliased data must never
@@ -46,27 +96,31 @@ func (p *spage) unalias() {
 	}
 }
 
-// Snapshot is a page-granular read-through cache over any Target. Within one
-// stop event every page needs at most one fetch; across stop events the
-// cache is generation-tagged: Advance (the incremental resume boundary)
-// makes pages stale instead of dropping them, and stale pages are
-// revalidated lazily on next access —
+// Snapshot is a read-through cache over any Target, keyed by 4 KiB page
+// and filled by 1 KiB window (FillWindow). Within one stop event every
+// window needs at most one fetch; across stop events the cache is
+// generation-tagged: Advance (the incremental resume boundary) makes pages
+// stale instead of dropping them, and stale pages are revalidated lazily on
+// next access —
 //
 //   - pages the target's write journal (DirtySince) covers are promoted for
-//     free, with only journal-flagged SubPage blocks refetched;
+//     free, with only journal-flagged resident SubPage blocks refetched;
 //   - otherwise content hashes (HashBlocks) are exchanged and only
-//     mismatching blocks refetched;
-//   - a chain with neither capability refetches whole stale pages, which is
-//     still never worse than the old drop-everything Invalidate.
+//     mismatching resident blocks refetched;
+//   - a chain with neither capability refetches the resident blocks of
+//     stale pages, which is still never worse than the old drop-everything
+//     Invalidate.
 //
 // Invalidate keeps its wholesale semantics for callers that really want a
 // cold cache.
 //
 // Layered over a Latency (or a real RSP link), a Snapshot converts the
-// many small field reads of an extraction into a few page-sized
+// many small field reads of an extraction into a few window-sized
 // transactions: cache hits cost zero modeled link time. Contiguous missing
-// pages are fetched in one coalesced transaction, so Prefetch of a
-// multi-page object costs one round trip, not one per page.
+// windows are fetched in one coalesced transaction, across page boundaries,
+// so Prefetch of a multi-page object costs one round trip, not one per page.
+// When the chain can lend its pages (PageProvider), a fill aliases the
+// whole page instead of copying any window.
 //
 // A Snapshot is safe for concurrent readers (parallel pane extraction over
 // one stop event).
@@ -100,13 +154,13 @@ type Snapshot struct {
 	tracer atomic.Pointer[obs.Tracer]
 
 	hits          atomic.Uint64 // page lookups served from cache
-	misses        atomic.Uint64 // pages fetched cold from the underlying target
+	misses        atomic.Uint64 // pages a fill touched (copied windows or aliased)
 	invalidations atomic.Uint64 // Invalidate calls (wholesale drops)
 	batchRuns     atomic.Uint64 // coalesced batch-prefetch fills issued
 	advances      atomic.Uint64 // Advance calls (incremental stop boundaries)
 	revalidations atomic.Uint64 // stale pages revalidated by content hash
 	promotions    atomic.Uint64 // stale pages promoted clean by the write journal
-	staleRefetch  atomic.Uint64 // stale pages refetched whole (no hash capability)
+	staleRefetch  atomic.Uint64 // stale pages' resident blocks refetched (no hash capability)
 	subFills      atomic.Uint64 // sub-page block-run refetches issued
 	subBytes      atomic.Uint64 // bytes moved by sub-page refetches
 	zeroCopy      atomic.Uint64 // pages filled by aliasing store pages (no copy)
@@ -175,8 +229,9 @@ func (s *Snapshot) Invalidate() {
 // stopped again. Cached pages become stale rather than gone. When the
 // chain's write journal can answer "what changed since the last stop",
 // untouched pages are promoted to the new generation immediately (zero link
-// traffic) and touched pages have exactly the mutated SubPage blocks
-// flagged for refetch; otherwise every page stays stale and is lazily
+// traffic) and touched pages have exactly the mutated resident SubPage
+// blocks flagged for refetch (a block that was never filled has nothing to
+// refetch); otherwise every page stays stale and is lazily
 // revalidated by content hash on next access.
 func (s *Snapshot) Advance() {
 	s.mu.Lock()
@@ -229,7 +284,7 @@ func (s *Snapshot) Advance() {
 			continue
 		}
 		p.gen = s.gen
-		if bits, hit := flagged[base]; hit {
+		if bits := flagged[base] & p.resident; bits != 0 {
 			p.dirty |= bits
 		} else {
 			s.promotions.Add(1)
@@ -245,13 +300,17 @@ func (s *Snapshot) Generation() uint64 {
 	return s.gen
 }
 
-// RangesUnchangedSince revalidates the pages covering the given ranges and
-// reports whether all of their content is unchanged since generation
-// `since`; it stops at the first page that changed. This is the free first
-// check of the figure-level delta (a figure whose page-granular read set is
-// clean needs no re-extraction at all) and of the memo's box verification.
-// It is page-granular: one write anywhere in a page fails it, and callers
-// then compare content sums over their exact ranges (SumRanges). The
+// RangesUnchangedSince revalidates the resident blocks of the pages
+// covering the given ranges and reports whether all of the ranges' bytes
+// are unchanged since generation `since`; it stops at the first page that
+// changed. This is the free first check of the figure-level delta (a figure
+// whose window-granular read set is clean needs no re-extraction at all) and
+// of the memo's box verification. It is page-granular in what it detects:
+// one changed resident block anywhere in a page, or a window filled into the
+// page since, fails it, and callers then compare content sums over their
+// exact ranges (SumRanges). It never fills: a range byte whose block is not
+// resident was not read through this cache since the page was cached (the
+// read failed, or the page was dropped), so it reports changed. The
 // revalidation work is the cheap kind (journal promotion or hash exchange)
 // and is shared with any read that follows.
 func (s *Snapshot) RangesUnchangedSince(ranges []Range, since uint64) bool {
@@ -261,20 +320,19 @@ func (s *Snapshot) RangesUnchangedSince(ranges []Range, since uint64) bool {
 		if r.Size == 0 {
 			continue
 		}
-		if r.Addr+r.Size-1 < r.Addr {
-			r.Size = -r.Addr
+		last := r.Addr + r.Size - 1
+		if last < r.Addr {
+			last = ^uint64(0)
 		}
-		first := r.Addr &^ (PageSize - 1)
-		last := (r.Addr + r.Size - 1) &^ (PageSize - 1)
-		if err := s.validateLocked(first, last); err != nil {
-			return false
-		}
+		first, lastPage := r.Addr&^(PageSize-1), last&^(PageSize-1)
+		s.revalidateStaleLocked(first, lastPage)
 		for base := first; ; base += PageSize {
 			p := s.pages[base]
-			if p == nil || p.changed > since {
+			need := blockSpan(inPage(base, r.Addr, last))
+			if p == nil || p.resident&need != need || p.changed > since {
 				return false
 			}
-			if base == last {
+			if base == lastPage {
 				break
 			}
 		}
@@ -282,7 +340,8 @@ func (s *Snapshot) RangesUnchangedSince(ranges []Range, since uint64) bool {
 	return true
 }
 
-// CacheStats returns page-granular hit/miss counts.
+// CacheStats returns page-granular hit/miss counts: hits are page lookups
+// served from the cache, misses pages a fill touched.
 func (s *Snapshot) CacheStats() (hits, misses uint64) {
 	return s.hits.Load(), s.misses.Load()
 }
@@ -299,7 +358,8 @@ func (s *Snapshot) Revalidations() uint64 { return s.revalidations.Load() }
 // Promotions reports stale pages promoted clean by the write journal.
 func (s *Snapshot) Promotions() uint64 { return s.promotions.Load() }
 
-// StaleRefetches reports stale pages refetched whole (no hash capability).
+// StaleRefetches reports stale pages whose resident blocks were refetched
+// (no hash capability).
 func (s *Snapshot) StaleRefetches() uint64 { return s.staleRefetch.Load() }
 
 // SubpageFills returns the count of sub-page block-run refetches and the
@@ -325,33 +385,39 @@ func (s *Snapshot) HitRatio() float64 {
 	return float64(h) / float64(h+m)
 }
 
-// current reports whether p may be served at generation gen without
-// revalidation.
-func (p *spage) current(gen uint64) bool { return p != nil && p.gen == gen && p.dirty == 0 }
+// ready reports whether p may serve the blocks need at generation gen
+// without a fill or revalidation: they are resident, the page is current,
+// and the journal flagged none of them.
+func (p *spage) ready(gen uint64, need uint16) bool {
+	return p != nil && p.gen == gen && p.resident&need == need && p.dirty&need == 0
+}
 
 // ReadMemory implements Target, serving from cached pages and filling
-// misses through the underlying target.
+// missing windows through the underlying target.
 func (s *Snapshot) ReadMemory(addr uint64, buf []byte) error {
 	s.stats.CountRead(len(buf))
 	if len(buf) == 0 {
 		return nil
 	}
-	if err := s.ensure(addr, uint64(len(buf))); err != nil {
-		// A page in the range is unreadable. Degrade to a direct read of
+	if err := s.ensure(addr, uint64(len(buf)), false); err != nil {
+		// A window in the range is unreadable. Degrade to a direct read of
 		// exactly the requested range so error semantics match the
 		// underlying target (partial ranges fail there too).
 		return s.Target.ReadMemory(addr, buf)
 	}
 	s.mu.RLock()
 	resident := true
-	for n := 0; n < len(buf) && resident; {
+	for n := 0; n < len(buf); {
 		cur := addr + uint64(n)
-		p := s.pages[cur&^(PageSize-1)]
-		if !p.current(s.gen) {
+		base := cur &^ (PageSize - 1)
+		off := cur - base
+		m := min(PageSize-off, uint64(len(buf)-n))
+		p := s.pages[base]
+		if !p.ready(s.gen, blockSpan(off, m)) {
 			resident = false // raced with Invalidate/Advance
 			break
 		}
-		n += copy(buf[n:], p.data[cur&(PageSize-1):])
+		n += copy(buf[n:], p.data[off:off+m])
 	}
 	s.mu.RUnlock()
 	if !resident {
@@ -360,15 +426,12 @@ func (s *Snapshot) ReadMemory(addr uint64, buf []byte) error {
 	return nil
 }
 
-// Prefetch implements Prefetcher: it pulls the page range covering
-// [addr, addr+size) into the cache, coalescing adjacent missing pages into
+// Prefetch implements Prefetcher: it pulls the windows covering
+// [addr, addr+size) into the cache, coalescing adjacent missing windows into
 // single large transactions. Errors are swallowed — unreadable stretches
 // simply stay uncached and fail later at the precise read that needs them.
 func (s *Snapshot) Prefetch(addr, size uint64) {
-	if size == 0 {
-		return
-	}
-	_ = s.ensure(addr, size)
+	_ = s.ensure(addr, size, false)
 }
 
 // maxBatchRun bounds one coalesced batch-prefetch fill: merged element runs
@@ -377,13 +440,14 @@ func (s *Snapshot) Prefetch(addr, size uint64) {
 const maxBatchRun = 256 << 10
 
 // PrefetchRanges implements BatchPrefetcher: the cross-element batch pass.
-// Every range a container walk yielded is page-aligned, sorted, and merged —
-// adjacent elements' page runs (array slots, contiguous slab objects) become
-// single fills — and each merged run is then filled like Prefetch would,
-// clipped to the target's memory map when it exposes one. One unmapped page
-// inside a merged run therefore costs only itself, never the whole fill.
+// Every range a container walk yielded is widened to fill windows, sorted,
+// and merged — adjacent elements' window runs (array slots, contiguous slab
+// objects) become single fills — and each merged run is then filled like
+// Prefetch would, clipped to the target's memory map when it exposes one.
+// One unmapped page inside a merged run therefore costs only itself, never
+// the whole fill.
 func (s *Snapshot) PrefetchRanges(ranges []Range) {
-	type span struct{ first, last uint64 } // inclusive page bases
+	type span struct{ first, last uint64 } // window base, inclusive last byte
 	spans := make([]span, 0, len(ranges))
 	for _, r := range ranges {
 		if r.Size == 0 {
@@ -392,7 +456,7 @@ func (s *Snapshot) PrefetchRanges(ranges []Range) {
 		if r.Addr+r.Size-1 < r.Addr {
 			r.Size = -r.Addr // clamp a wrapping range at the top
 		}
-		spans = append(spans, span{r.Addr &^ (PageSize - 1), (r.Addr + r.Size - 1) &^ (PageSize - 1)})
+		spans = append(spans, span{r.Addr &^ (FillWindow - 1), (r.Addr + r.Size - 1) | (FillWindow - 1)})
 	}
 	if len(spans) == 0 {
 		return
@@ -401,10 +465,8 @@ func (s *Snapshot) PrefetchRanges(ranges []Range) {
 	merged := spans[:1]
 	for _, sp := range spans[1:] {
 		cur := &merged[len(merged)-1]
-		if cur.last+PageSize > cur.last && sp.first <= cur.last+PageSize {
-			if sp.last > cur.last {
-				cur.last = sp.last
-			}
+		if sp.first == 0 || sp.first-1 <= cur.last {
+			cur.last = max(cur.last, sp.last)
 		} else {
 			merged = append(merged, sp)
 		}
@@ -413,97 +475,66 @@ func (s *Snapshot) PrefetchRanges(ranges []Range) {
 		for base := sp.first; ; {
 			end := sp.last
 			if end-base >= maxBatchRun {
-				end = base + maxBatchRun - PageSize
+				end = base + maxBatchRun - 1
 			}
-			s.prefetchRun(base, end)
+			_ = s.ensure(base, end-base+1, true)
 			if end == sp.last {
 				break
 			}
-			base = end + PageSize
+			base = end + 1
 		}
 	}
 }
 
-// prefetchRun is one batch fill of the pages [first, last]: residency is
-// checked under the read lock, and only a run that actually misses (or needs
-// revalidation) counts as a batch run and reaches the link.
-func (s *Snapshot) prefetchRun(first, last uint64) {
-	s.mu.RLock()
-	missing := false
-	for base := first; ; base += PageSize {
-		if s.pages[base].current(s.gen) {
-			s.hits.Add(1)
-			s.mHits.Inc()
-		} else {
-			missing = true
-		}
-		if base == last {
-			break
-		}
-	}
-	s.mu.RUnlock()
-	if !missing {
-		return
-	}
-	s.batchRuns.Add(1)
-	s.mBatchRuns.Inc()
-	s.mu.Lock()
-	_ = s.validateLocked(first, last)
-	s.mu.Unlock()
-}
-
-// ensure makes every page covering [addr, addr+size) cache-resident and
-// current, fetching runs of contiguous missing pages in one read each and
-// revalidating stale ones. Ranges that wrap past the top of the address
-// space (a garbage or poisoned pointer fed to Prefetch) are clamped: without
-// the clamp, last wraps below first and the page loops never terminate.
-func (s *Snapshot) ensure(addr, size uint64) error {
+// ensure makes every window covering [addr, addr+size) cache-resident and
+// current, fetching runs of contiguous missing windows in one read each and
+// revalidating stale pages. Residency is checked under the read lock; a
+// batch fill (PrefetchRanges) that actually misses counts as a batch run.
+// Ranges that wrap past the top of the address space (a garbage or poisoned
+// pointer fed to Prefetch) are clamped: without the clamp, the last address
+// wraps below the first and the window loops never terminate.
+func (s *Snapshot) ensure(addr, size uint64, batch bool) error {
 	if size == 0 {
 		return nil
 	}
-	if addr+size-1 < addr {
-		size = -addr
+	last := addr + size - 1
+	if last < addr {
+		last = ^uint64(0)
 	}
-	first := addr &^ (PageSize - 1)
-	last := (addr + size - 1) &^ (PageSize - 1)
 
 	// Fast path: everything already resident and current.
 	s.mu.RLock()
-	missing := false
-	for base := first; ; base += PageSize {
-		if s.pages[base].current(s.gen) {
+	ready := true
+	for base := addr &^ (PageSize - 1); ; base += PageSize {
+		if s.pages[base].ready(s.gen, windowSpan(inPage(base, addr, last))) {
 			s.hits.Add(1)
 			s.mHits.Inc()
 		} else {
-			missing = true
+			ready = false
 		}
-		if base == last {
+		if base == last&^(PageSize-1) {
 			break
 		}
 	}
 	s.mu.RUnlock()
-	if !missing {
+	if ready {
 		return nil
+	}
+	if batch {
+		s.batchRuns.Add(1)
+		s.mBatchRuns.Inc()
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.validateLocked(first, last)
-}
-
-// validateLocked brings every page of [first, last] (inclusive page bases)
-// resident and current: journal-flagged blocks are refetched sub-page,
-// remaining stale pages are revalidated by content hash (whole-page refetch
-// when the chain cannot hash), and missing pages are filled in coalesced
-// runs. Caller holds s.mu.
-func (s *Snapshot) validateLocked(first, last uint64) error {
-	s.revalidateStaleLocked(first, last)
-	return s.fillLocked(first, last)
+	s.revalidateStaleLocked(addr&^(PageSize-1), last&^(PageSize-1))
+	return s.fillLocked(addr&^(FillWindow-1), last&^(FillWindow-1))
 }
 
 // revalidateStaleLocked resolves every stale or dirty-flagged page in
-// [first, last]. Pages whose refetch fails are deleted so the fill pass
-// retries them whole and reports the error. Caller holds s.mu.
+// [first, last] (inclusive page bases). Pages whose refetch fails are
+// deleted so a fill retries their windows and reports the error. Caller
+// holds s.mu.
 func (s *Snapshot) revalidateStaleLocked(first, last uint64) {
 	// Pass A — journal fast path: pages current by generation but carrying
 	// dirty block flags refetch exactly those blocks.
@@ -542,28 +573,42 @@ func (s *Snapshot) revalidateStaleLocked(first, last uint64) {
 	}
 }
 
-// pageScratch pools the page-sized scratch buffers the refetch paths read
-// through. Steady-state revalidation rounds run these paths on every stop
-// event; per-call make([]byte, ...) here was a top allocation site once the
-// extraction itself stopped allocating.
-var pageScratch = sync.Pool{New: func() any {
+// scratch pools the buffers fills and refetches read through before the
+// bytes are copied into their pages. Steady-state revalidation rounds run
+// these paths on every stop event; per-call make([]byte, ...) here was a top
+// allocation site once the extraction itself stopped allocating.
+var scratch = sync.Pool{New: func() any {
 	b := make([]byte, PageSize)
 	return &b
 }}
 
-// refetchBlocksLocked refetches the flagged SubPage blocks of one page,
-// coalescing adjacent flagged blocks into single reads, and promotes the
-// page. The fresh bytes are diffed against the cached ones so `changed` only
-// moves when content really moved (a journaled write of identical bytes does
-// not dirty dependent figures), and a zero-copy page is privatized before the
-// first in-place update — never written through. On read failure the page is
-// deleted; the fill pass will retry it whole. Caller holds s.mu.
-func (s *Snapshot) refetchBlocksLocked(base uint64, p *spage, bits uint16) {
-	sp := s.span("snapshot.subpage")
-	sp.TagHex("page", base)
-	defer sp.End()
-	scratch := pageScratch.Get().(*[]byte)
-	defer pageScratch.Put(scratch)
+// getScratch returns a pooled buffer of n bytes; putScratch returns it.
+func getScratch(n uint64) *[]byte {
+	bp := scratch.Get().(*[]byte)
+	if uint64(cap(*bp)) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+func putScratch(bp *[]byte) {
+	if cap(*bp) <= maxBatchRun {
+		scratch.Put(bp)
+	}
+}
+
+// refreshBlocksLocked re-reads the SubPage blocks `bits` of page p,
+// coalescing adjacent blocks into single reads, and brings the page current.
+// The fresh bytes are diffed against the cached ones so `changed` only moves
+// when content really moved (a journaled write of identical bytes does not
+// dirty dependent figures), and a zero-copy page is privatized before the
+// first in-place update — never written through. It returns the reads it
+// issued and the bytes they moved; on a read failure the page is deleted and
+// ok is false, so a later fill retries its windows. Caller holds s.mu.
+func (s *Snapshot) refreshBlocksLocked(base uint64, p *spage, bits uint16) (runs, moved uint64, ok bool) {
+	bp := getScratch(PageSize)
+	defer putScratch(bp)
 	contentChanged := false
 	for i := 0; i < BlocksPerPage; {
 		if bits&(1<<i) == 0 {
@@ -576,14 +621,13 @@ func (s *Snapshot) refetchBlocksLocked(base uint64, p *spage, bits uint16) {
 		}
 		off := uint64(i) * SubPage
 		n := uint64(j-i+1) * SubPage
-		tmp := (*scratch)[:n]
+		tmp := (*bp)[:n]
 		if err := s.Target.ReadMemory(base+off, tmp); err != nil {
 			delete(s.pages, base)
-			return
+			return runs, moved, false
 		}
-		s.subFills.Add(1)
-		s.mSubFill.Inc()
-		s.subBytes.Add(n)
+		runs++
+		moved += n
 		if !bytes.Equal(tmp, p.data[off:off+n]) {
 			contentChanged = true
 			p.unalias()
@@ -596,12 +640,25 @@ func (s *Snapshot) refetchBlocksLocked(base uint64, p *spage, bits uint16) {
 	if contentChanged {
 		p.changed = s.gen
 	}
+	return runs, moved, true
+}
+
+// refetchBlocksLocked refetches the flagged resident blocks of one page (a
+// journal flag or a hash mismatch) and promotes the page. Caller holds s.mu.
+func (s *Snapshot) refetchBlocksLocked(base uint64, p *spage, bits uint16) {
+	sp := s.span("snapshot.subpage")
+	sp.TagHex("page", base)
+	defer sp.End()
+	runs, moved, _ := s.refreshBlocksLocked(base, p, bits)
+	s.subFills.Add(runs)
+	s.mSubFill.Add(runs)
+	s.subBytes.Add(moved)
 }
 
 // revalidateRunLocked revalidates the generation-stale pages [base, end] by
-// one stub-side hash exchange, refetching only mismatching blocks. Without a
-// hasher in the chain each page is refetched whole (still diffed, so
-// `changed` stays accurate). Caller holds s.mu.
+// one stub-side hash exchange, refetching only mismatching resident blocks.
+// Without a hasher in the chain each page's resident blocks are refetched
+// (still diffed, so `changed` stays accurate). Caller holds s.mu.
 func (s *Snapshot) revalidateRunLocked(base, end uint64) {
 	size := end - base + PageSize
 	sp := s.span("snapshot.revalidate")
@@ -623,7 +680,7 @@ func (s *Snapshot) revalidateRunLocked(base, end uint64) {
 		hs := hashes[(pb-base)/SubPage:][:BlocksPerPage]
 		var mismatch uint16
 		for i := 0; i < BlocksPerPage; i++ {
-			if HashBlock(p.data[i*SubPage:(i+1)*SubPage]) != hs[i] {
+			if p.resident&(1<<i) != 0 && HashBlock(p.data[i*SubPage:(i+1)*SubPage]) != hs[i] {
 				mismatch |= 1 << i
 			}
 		}
@@ -641,176 +698,192 @@ func (s *Snapshot) revalidateRunLocked(base, end uint64) {
 	}
 }
 
-// refetchPageLocked refetches one stale page whole (the no-capability
-// fallback), diffing content to keep `changed` accurate. Caller holds s.mu.
+// refetchPageLocked refetches the resident blocks of one stale page (the
+// no-capability fallback), diffing content to keep `changed` accurate.
+// Caller holds s.mu.
 func (s *Snapshot) refetchPageLocked(pb uint64) {
 	sp := s.span("snapshot.refetch")
 	sp.TagHex("page", pb)
 	defer sp.End()
 	p := s.pages[pb]
-	scratch := pageScratch.Get().(*[]byte)
-	defer pageScratch.Put(scratch)
-	tmp := *scratch
-	if err := s.Target.ReadMemory(pb, tmp); err != nil {
-		delete(s.pages, pb)
-		return
+	if _, _, ok := s.refreshBlocksLocked(pb, p, p.resident); ok {
+		s.staleRefetch.Add(1)
+		s.mStaleRef.Inc()
 	}
-	s.staleRefetch.Add(1)
-	s.mStaleRef.Inc()
-	if !bytes.Equal(tmp, p.data) {
-		p.changed = s.gen
-		p.unalias()
-		copy(p.data, tmp)
-	}
-	p.dirty = 0
-	p.gen = s.gen
 }
 
-// fillLocked fetches every missing page in [first, last] (inclusive page
-// bases), coalescing runs of contiguous missing pages into one read each.
-// Caller holds s.mu.
+// hasWindow reports whether the fill window at w is cached. Caller holds
+// s.mu.
+func (s *Snapshot) hasWindow(w uint64) bool {
+	p := s.pages[w&^(PageSize-1)]
+	bits := uint16(windowBlocks) << (w & (PageSize - 1) / SubPage)
+	return p != nil && p.resident&bits == bits
+}
+
+// fillLocked fetches every missing window in [first, last] (inclusive
+// window bases), coalescing runs of contiguous missing windows into one
+// read each, across page boundaries. Pages in the range have been
+// revalidated. Caller holds s.mu.
 func (s *Snapshot) fillLocked(first, last uint64) error {
 	var firstErr error
-	for base := first; ; base += PageSize {
-		if _, ok := s.pages[base]; !ok {
-			// Extend the run over every contiguous missing page.
-			end := base
-			for end != last {
-				if _, ok := s.pages[end+PageSize]; ok {
-					break
-				}
-				end += PageSize
+	for w := first; ; w += FillWindow {
+		if !s.hasWindow(w) {
+			// Extend the run over every contiguous missing window.
+			end := w
+			for end != last && !s.hasWindow(end+FillWindow) {
+				end += FillWindow
 			}
-			if err := s.fillRun(base, end); err != nil && firstErr == nil {
+			if err := s.fillRun(w, end); err != nil && firstErr == nil {
 				firstErr = err
 			}
-			base = end
+			w = end
 		}
-		if base >= last {
+		if w == last {
 			break
 		}
 	}
 	return firstErr
 }
 
-// fillRun reads the pages [base, end] (inclusive bases) into the cache.
+// fillRun reads the windows [first, last] (inclusive bases) into the cache.
 // When the target chain exposes a memory map, the run is clipped to mapped
 // ranges before any read is issued — unmapped stretches are skipped, not
 // attempted — and an error is still reported so ReadMemory keeps its
-// fail-on-unreadable contract. Without a map, a failed multi-page run is
-// retried page by page so the mapped pages around a hole land in the cache
-// anyway.
-func (s *Snapshot) fillRun(base, end uint64) error {
-	size := end - base + PageSize
-	if clipped, ok := ClipMapped(s.Target, base, size); ok {
+// fail-on-unreadable contract. Without a map, a failed run that spans pages
+// is retried page by page so the mapped pages around a hole land in the
+// cache anyway.
+func (s *Snapshot) fillRun(first, last uint64) error {
+	size := last - first + FillWindow
+	if clipped, ok := ClipMapped(s.Target, first, size); ok {
 		var firstErr error
 		covered := uint64(0)
 		for _, r := range clipped {
-			// Defensive page alignment: the query is page-aligned, so a sane
-			// prober answers in whole pages; re-align and clamp regardless.
-			lo := r.Addr &^ (PageSize - 1)
-			hi := (r.End() - 1) &^ (PageSize - 1)
-			if lo < base {
-				lo = base
+			if r.Size == 0 {
+				continue
 			}
-			if hi > end {
-				hi = end
-			}
+			// Defensive window alignment: a sane prober answers in whole
+			// pages; re-align and clamp regardless.
+			lo := max(r.Addr&^(FillWindow-1), first)
+			hi := min((r.Addr+r.Size-1)&^(FillWindow-1), last)
 			if lo > hi {
 				continue
 			}
-			if err := s.readRun(lo, hi-lo+PageSize); err != nil && firstErr == nil {
+			if err := s.readRun(lo, hi-lo+FillWindow); err != nil && firstErr == nil {
 				firstErr = err
 			}
-			covered += hi - lo + PageSize
+			covered += hi - lo + FillWindow
 		}
 		if firstErr != nil {
 			return firstErr
 		}
 		if covered < size {
 			return fmt.Errorf("target: %d of %d bytes unmapped in fill %#x+%#x",
-				size-covered, size, base, size)
+				size-covered, size, first, size)
 		}
 		return nil
 	}
-	err := s.readRun(base, size)
-	if err == nil || size == PageSize {
+	err := s.readRun(first, size)
+	if err == nil || first&^(PageSize-1) == last&^(PageSize-1) {
 		return err
 	}
 	// No memory map to clip against: degrade to per-page fills so one
 	// unmapped page no longer fails the whole multi-page fill.
 	var firstErr error
-	for off := uint64(0); off < size; off += PageSize {
-		if perr := s.readRun(base+off, PageSize); perr != nil && firstErr == nil {
+	for lo := first; ; {
+		hi := min(lo|(PageSize-FillWindow), last) // last window of lo's page
+		if perr := s.readRun(lo, hi-lo+FillWindow); perr != nil && firstErr == nil {
 			firstErr = perr
 		}
+		if hi == last {
+			break
+		}
+		lo = hi + FillWindow
 	}
 	return firstErr
 }
 
-// readRun caches every page of a page-aligned run at the current generation.
-// When the chain exposes a PageProvider, pages still shared with the CoW
-// store are installed as zero-copy aliases — no read, no allocation, no link
-// traffic — and only the gaps (privatized or store-less pages) are read.
+// readRun caches every window of a window-aligned run at the current
+// generation. When the chain exposes a PageProvider, a page not yet cached
+// and still shared with the CoW store is installed whole as a zero-copy
+// alias — no read, no allocation, no link traffic — and only the rest
+// (privatized or store-less pages, windows of partly cached pages) is read.
 // Caller holds s.mu.
-func (s *Snapshot) readRun(base, size uint64) error {
+func (s *Snapshot) readRun(lo, size uint64) error {
 	if s.provider == nil {
-		return s.copyRun(base, size)
+		return s.copyRun(lo, size)
 	}
 	var firstErr error
-	pending := uint64(0) // pages since pendBase awaiting a copy fill
-	pendBase := base
-	for off := uint64(0); off < size; off += PageSize {
-		if data, ok := s.provider.PageData(base + off); ok && len(data) == PageSize {
-			if pending > 0 {
-				if err := s.copyRun(pendBase, pending*PageSize); err != nil && firstErr == nil {
-					firstErr = err
+	pending := uint64(0) // bytes since pendLo awaiting a copy fill
+	pendLo := lo
+	for off := uint64(0); off < size; {
+		a := lo + off
+		base := a &^ (PageSize - 1)
+		n := min(PageSize-(a-base), size-off)
+		off += n
+		if s.pages[base] == nil {
+			if data, ok := s.provider.PageData(base); ok && len(data) == PageSize {
+				if pending > 0 {
+					if err := s.copyRun(pendLo, pending); err != nil && firstErr == nil {
+						firstErr = err
+					}
+					pending = 0
 				}
-				pending = 0
+				s.pages[base] = &spage{
+					data:     data,
+					resident: allBlocks,
+					gen:      s.gen,
+					changed:  s.gen,
+					aliased:  true,
+				}
+				s.zeroCopy.Add(1)
+				s.mZeroCopy.Inc()
+				s.misses.Add(1)
+				s.mMisses.Inc()
+				continue
 			}
-			s.pages[base+off] = &spage{
-				data:    data,
-				gen:     s.gen,
-				changed: s.gen,
-				aliased: true,
-			}
-			s.zeroCopy.Add(1)
-			s.mZeroCopy.Inc()
-			s.misses.Add(1)
-			s.mMisses.Inc()
-		} else {
-			if pending == 0 {
-				pendBase = base + off
-			}
-			pending++
 		}
+		if pending == 0 {
+			pendLo = a
+		}
+		pending += n
 	}
 	if pending > 0 {
-		if err := s.copyRun(pendBase, pending*PageSize); err != nil && firstErr == nil {
+		if err := s.copyRun(pendLo, pending); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// copyRun issues one coalesced read of a page-aligned run and caches every
-// page of it. The run buffer is retained as the pages' backing (one
-// allocation per run, not per page), so it is deliberately not pooled.
-// Caller holds s.mu.
-func (s *Snapshot) copyRun(base, size uint64) error {
-	run := make([]byte, size)
-	if err := s.Target.ReadMemory(base, run); err != nil {
+// copyRun issues one coalesced read of a window-aligned run and copies each
+// page's part into its cached page, creating the page on first fill. A
+// window added to a page already cached moves the page's `changed`
+// generation: a figure whose read of that window failed before must not be
+// served from the page check once the window reads. Caller holds s.mu.
+func (s *Snapshot) copyRun(lo, size uint64) error {
+	bp := getScratch(size)
+	defer putScratch(bp)
+	run := *bp
+	if err := s.Target.ReadMemory(lo, run); err != nil {
 		return err
 	}
 	s.mFills.Inc()
-	for off := uint64(0); off < size; off += PageSize {
-		s.pages[base+off] = &spage{
-			data:    run[off : off+PageSize : off+PageSize],
-			gen:     s.gen,
-			changed: s.gen,
+	for off := uint64(0); off < size; {
+		a := lo + off
+		base := a &^ (PageSize - 1)
+		po := a - base
+		n := min(PageSize-po, size-off)
+		p := s.pages[base]
+		if p == nil {
+			p = &spage{data: make([]byte, PageSize), gen: s.gen}
+			s.pages[base] = p
 		}
+		p.changed = s.gen
+		copy(p.data[po:], run[off:off+n])
+		p.resident |= blockSpan(po, n)
 		s.misses.Add(1)
 		s.mMisses.Inc()
+		off += n
 	}
 	return nil
 }

@@ -11,8 +11,9 @@
 //     so any number of extraction goroutines can share one target;
 //   - Latency (WithLatency) models the KGDB serial link on a virtual clock,
 //     charging per transaction and per byte;
-//   - Snapshot is a page-granular read-through cache valid for the lifetime
-//     of a stop event — cache hits never reach the modeled link;
+//   - Snapshot is a read-through cache keyed by page and filled by 1 KiB
+//     window, valid for the lifetime of a stop event — cache hits never
+//     reach the modeled link;
 //   - Prefetch/ReadStruct coalesce a whole object into one transaction,
 //     which the snapshot cache then serves field by field for free.
 package target

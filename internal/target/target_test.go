@@ -71,11 +71,11 @@ func TestSnapshotHitMissInvalidate(t *testing.T) {
 	}
 	underReads, _ := s.Stats().Snapshot()
 	if underReads != 1 {
-		t.Fatalf("first read: underlying reads = %d, want 1 page fill", underReads)
+		t.Fatalf("first read: underlying reads = %d, want 1 window fill", underReads)
 	}
-	// Every subsequent read inside the page is a cache hit: no new
+	// Every subsequent read inside the filled window is a cache hit: no new
 	// underlying traffic.
-	for off := uint64(8); off < PageSize; off += 512 {
+	for off := uint64(8); off < FillWindow; off += 128 {
 		if err := snap.ReadMemory(base+off, b8[:]); err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +83,20 @@ func TestSnapshotHitMissInvalidate(t *testing.T) {
 	if r, _ := s.Stats().Snapshot(); r != underReads {
 		t.Fatalf("cache hits leaked to underlying target: %d reads", r)
 	}
+	// The page's other windows fill once each, then hit.
+	for pass := 0; pass < 2; pass++ {
+		for off := uint64(FillWindow + 8); off < PageSize; off += 512 {
+			if err := snap.ReadMemory(base+off, b8[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	underReads += PageSize/FillWindow - 1
+	if r, _ := s.Stats().Snapshot(); r != underReads {
+		t.Fatalf("underlying reads = %d, want %d (one per window)", r, underReads)
+	}
 	hits, misses := snap.CacheStats()
-	if misses != 1 || hits == 0 {
+	if misses != PageSize/FillWindow || hits == 0 {
 		t.Fatalf("CacheStats = %d hits, %d misses", hits, misses)
 	}
 	// Logical reads are still counted on the snapshot itself.

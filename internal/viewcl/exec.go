@@ -230,14 +230,14 @@ func (in *Interp) runCompiled(cp *compiledProgram) (*Result, error) {
 		e.rec = recorder{Layer: target.Layer{Target: in.Env.Target}, run: run}
 		run.rec = &e.rec
 		run.reads = make([]target.Range, 0, int(cp.lastReads.Load()))
-		if run.pages == nil {
-			run.pages = make(map[uint64]bool)
+		if run.windows == nil {
+			run.windows = make(map[uint64]bool)
 		} else {
-			clear(run.pages)
+			clear(run.windows)
 		}
 	} else {
 		run.rec = nil
-		run.pages = nil
+		run.windows = nil
 		run.reads = nil
 	}
 	if in.Obs != nil {

@@ -46,7 +46,7 @@ type Interp struct {
 	// recorded per box, and a later run reuses any box whose recorded
 	// bytes are provably unchanged (snapshot generations or content
 	// hashes) instead of re-reading and re-rendering it. Runs also report
-	// their page-granular ReadSet so callers can skip whole figures.
+	// their window-granular ReadSet so callers can skip whole figures.
 	Memo *Memo
 
 	defs map[string]*boxDef
@@ -98,8 +98,9 @@ type Result struct {
 	// Trace is the extraction's span tree (nil unless Interp.Obs is set).
 	Trace *obs.SpanExport
 
-	// ReadSet is the page-granular, merged set of target ranges this run's
-	// output depends on (nil unless Interp.Memo is set). Callers use it
+	// ReadSet is the merged set of target ranges this run's output depends
+	// on, widened to snapshot fill windows (target.FillWindow; nil unless
+	// Interp.Memo is set). Callers use it
 	// with a snapshot's RangesUnchangedSince as the free first check before
 	// reusing an entire figure.
 	ReadSet []target.Range
@@ -109,7 +110,7 @@ type Result struct {
 	// recorded. Contiguous reads are coalesced, which leaves their byte
 	// sequence as it was. An extraction is a deterministic function of these
 	// bytes, so equal target.SumRanges over them at two generations proves
-	// the output unchanged even when ReadSet's pages were written. A read
+	// the output unchanged even when ReadSet's windows were written. A read
 	// that failed is listed too, so the sum fails while it stays unreadable.
 	Reads []target.Range
 	// BoxesReused / BoxesBuilt split the run's boxes into memo clones vs
@@ -172,10 +173,10 @@ func (in *Interp) finishRun(run *runState, t0 time.Time, reads0, bytes0 uint64) 
 	}
 	res := &Result{Graph: run.g, Errors: run.errs, Reads: run.reads,
 		BoxesReused: run.reused, BoxesBuilt: run.built}
-	if run.pages != nil {
-		rs := make([]target.Range, 0, len(run.pages))
-		for p := range run.pages {
-			rs = append(rs, target.Range{Addr: p, Size: target.PageSize})
+	if run.windows != nil {
+		rs := make([]target.Range, 0, len(run.windows))
+		for w := range run.windows {
+			rs = append(rs, target.Range{Addr: w, Size: target.FillWindow})
 		}
 		res.ReadSet = target.MergeRanges(rs)
 	}
@@ -252,12 +253,12 @@ type runState struct {
 	tr    *obs.Tracer // per-run trace (nil = tracing off; all ops nil-safe)
 
 	// Cross-run memoization state (zero-valued unless in.Memo is set).
-	rec    *recorder       // read-recording target wrapper
-	frames []*memoFrame    // materialization recording stack
-	pages  map[uint64]bool // page bases the run's output depends on
-	reads  []target.Range  // exact ranges the output depends on (Result.Reads)
-	reused int
-	built  int
+	rec     *recorder       // read-recording target wrapper
+	frames  []*memoFrame    // materialization recording stack
+	windows map[uint64]bool // fill-window bases the run's output depends on
+	reads   []target.Range  // exact ranges the output depends on (Result.Reads)
+	reused  int
+	built   int
 
 	// Compiled-engine state (nil/zero on the tree walker's runs).
 	exec     *execState // pooled frames, scratch env, reusable run maps
@@ -341,7 +342,7 @@ func (r *runState) recordRead(addr uint64, buf []byte, ok bool) {
 		}
 	}
 	r.reads = appendRead(r.reads, rg)
-	r.notePages(addr, rg.Size)
+	r.noteWindows(addr, rg.Size)
 }
 
 // appendRead appends rg to an ordered read list, extending the last range
@@ -363,33 +364,33 @@ func (r *runState) noteChild(def string, addr uint64) {
 	}
 }
 
-// notePages adds [addr, addr+size) to the run-level page set.
-func (r *runState) notePages(addr, size uint64) {
-	if r.pages == nil || size == 0 {
+// noteWindows adds [addr, addr+size) to the run-level window set.
+func (r *runState) noteWindows(addr, size uint64) {
+	if r.windows == nil || size == 0 {
 		return
 	}
-	first := addr &^ (target.PageSize - 1)
-	last := (addr + size - 1) &^ (target.PageSize - 1)
+	first := addr &^ (target.FillWindow - 1)
+	last := (addr + size - 1) &^ (target.FillWindow - 1)
 	if last < first { // clamp wraparound at the top of the address space
-		last = ^uint64(0) &^ (target.PageSize - 1)
+		last = ^uint64(0) &^ (target.FillWindow - 1)
 	}
-	for p := first; ; p += target.PageSize {
-		r.pages[p] = true
-		if p == last {
+	for w := first; ; w += target.FillWindow {
+		r.windows[w] = true
+		if w == last {
 			break
 		}
 	}
 }
 
 // noteReused adds a reused entry's ranges to the run-level read list and
-// page set, so Reads and ReadSet stay complete even when no read actually
+// window set, so Reads and ReadSet stay complete even when no read actually
 // happened: the memo just verified those bytes.
 func (r *runState) noteReused(e *memoEntry) {
 	for _, rg := range e.reads {
 		r.reads = appendRead(r.reads, rg)
 	}
 	for _, rg := range e.merged {
-		r.notePages(rg.Addr, rg.Size)
+		r.noteWindows(rg.Addr, rg.Size)
 	}
 }
 

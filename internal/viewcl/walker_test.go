@@ -55,7 +55,7 @@ func (in *Interp) runAST(prog *Program) (*Result, error) {
 	r := &walker{runState: run, parsed: make(map[*CExprNode]*expr.Expr)}
 	if in.Memo != nil {
 		run.rec = &recorder{Layer: target.Layer{Target: in.Env.Target}, run: run}
-		run.pages = make(map[uint64]bool)
+		run.windows = make(map[uint64]bool)
 	}
 	if in.Obs != nil {
 		run.tr = in.Obs.NewTrace("vplot:" + prog.Source)
