@@ -5,8 +5,9 @@
 #   make fmt           fail if any Go file is not gofmt-clean (lists them)
 #   make test          fast test sweep (no race detector)
 #   make bench         the root benchmarks (tables, ablations, extraction
-#                      microbenchmarks) and the ViewCL engine pairs in
-#                      internal/viewcl, 1 iteration each
+#                      microbenchmarks), the ViewCL engine pairs in
+#                      internal/viewcl and the pane serializers in
+#                      internal/render, 1 iteration each
 #   make bench-smoke   one Table 2 extraction benchmark, plus vet and the
 #                      smoke tests of the loopback benchmark under bench/
 #                      (its full runs and A/B gate: bench/README.md)
@@ -53,7 +54,7 @@ bench-smoke:
 	$(GO) -C bench test ./...
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x . ./internal/viewcl
+	$(GO) test -run='^$$' -bench=. -benchtime=1x . ./internal/viewcl ./internal/render
 
 table4:
 	$(GO) run ./cmd/perfbench -json BENCH_1.json

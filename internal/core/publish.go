@@ -76,23 +76,23 @@ func (ms *ManagedSession) SerializePane(p *panes.Pane, format string) (*CachedPa
 		ms.RenderStall(p.ID, format)
 	}
 	t0 := time.Now()
+	// Presize from the stale entry: a pane's next version is about as large
+	// as its last, so the writer appends without regrowing.
+	var buf []byte
+	if c != nil {
+		buf = make([]byte, 0, len(c.Body)+len(c.Body)/8)
+	}
 	var body []byte
 	var ctype string
 	switch format {
 	case "text":
 		ctype = "text/plain; charset=utf-8"
-		body = []byte(render.Text(p.Graph))
+		body = render.AppendText(buf, p.Graph)
 	case "dot":
 		ctype = "text/vnd.graphviz"
-		body = []byte(render.DOT(p.Graph))
+		body = render.AppendDOT(buf, p.Graph)
 	default:
 		ctype = "application/json"
-		// Presize from the stale entry: a pane's next version is about as
-		// large as its last, so the encode appends without regrowing.
-		var buf []byte
-		if c != nil {
-			buf = make([]byte, 0, len(c.Body)+len(c.Body)/8)
-		}
 		body = render.AppendJSON(buf, p.Graph)
 	}
 	c = &CachedPane{ETag: etag, CType: ctype, Body: body}

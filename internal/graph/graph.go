@@ -7,7 +7,6 @@
 package graph
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"sort"
@@ -470,9 +469,25 @@ func (g *Graph) Types() []string {
 	return out
 }
 
-// Summary renders a one-line description, for logs and the pane list.
+// Summary renders a one-line description, for logs and the pane list:
+// "<name>: <n> boxes, <n> types, root=<id>". It counts the distinct
+// TypeNames without listing or sorting them, as Types would.
 func (g *Graph) Summary() string {
-	return fmt.Sprintf("%s: %d boxes, %d types, root=%s", g.Name, len(g.Boxes), len(g.Types()), g.RootID)
+	types := make(map[string]struct{})
+	for _, b := range g.Boxes {
+		if b.TypeName != "" {
+			types[b.TypeName] = struct{}{}
+		}
+	}
+	s := make([]byte, 0, 64)
+	s = append(s, g.Name...)
+	s = append(s, ": "...)
+	s = strconv.AppendInt(s, int64(len(g.Boxes)), 10)
+	s = append(s, " boxes, "...)
+	s = strconv.AppendInt(s, int64(len(types)), 10)
+	s = append(s, " types, root="...)
+	s = append(s, g.RootID...)
+	return string(s)
 }
 
 // ParseBoxAddr extracts the address from a canonical box ID; 0 if the ID is

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"fmt"
 	"testing"
 
 	"visualinux/internal/graph"
@@ -118,6 +119,23 @@ func TestByTypeAndTypes(t *testing.T) {
 	types := g.Types()
 	if len(types) != 2 || types[0] != "mm_struct" {
 		t.Errorf("types = %v", types)
+	}
+}
+
+// Summary counts distinct types as Types lists them, in the one-line form
+// the pane list and the text header print.
+func TestSummary(t *testing.T) {
+	g := graph.New("fig 3-4")
+	if got, want := g.Summary(), "fig 3-4: 0 boxes, 0 types, root="; got != want {
+		t.Errorf("empty: %q, want %q", got, want)
+	}
+	for i, ty := range []string{"task_struct", "", "mm_struct", "task_struct", "日本", ""} {
+		g.Add(graph.NewBox(fmt.Sprintf("b%d", i), "L", ty, uint64(i)))
+	}
+	g.RootID = "b0"
+	want := fmt.Sprintf("%s: %d boxes, %d types, root=%s", g.Name, len(g.Boxes), len(g.Types()), g.RootID)
+	if got := g.Summary(); got != want || want != "fig 3-4: 6 boxes, 3 types, root=b0" {
+		t.Errorf("Summary() = %q, want %q", got, want)
 	}
 }
 

@@ -21,18 +21,24 @@ func checkAppendJSON(t *testing.T, what string, g *graph.Graph) {
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", what, err)
 	}
-	want = append(want, '\n')
-	if got := render.AppendJSON(nil, g); !bytes.Equal(got, want) {
+	checkWriter(t, what, "AppendJSON", render.AppendJSON, g, append(want, '\n'))
+}
+
+// checkWriter holds an append writer to its oracle's bytes, written onto a
+// nil buffer and onto a non-empty one whose prefix it must leave intact.
+func checkWriter(t *testing.T, what, name string, write func([]byte, *graph.Graph) []byte, g *graph.Graph, want []byte) {
+	t.Helper()
+	if got := write(nil, g); !bytes.Equal(got, want) {
 		i := 0
 		for i < len(got) && i < len(want) && got[i] == want[i] {
 			i++
 		}
-		t.Fatalf("%s: AppendJSON differs from json.Marshal(ToJSON) at byte %d\n got: %q\nwant: %q",
-			what, i, excerpt(got, i), excerpt(want, i))
+		t.Fatalf("%s: %s differs from its oracle at byte %d\n got: %q\nwant: %q",
+			what, name, i, excerpt(got, i), excerpt(want, i))
 	}
-	got := render.AppendJSON([]byte("prefix"), g)
+	got := write([]byte("prefix"), g)
 	if string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want) {
-		t.Fatalf("%s: AppendJSON onto a non-empty buffer disturbed it", what)
+		t.Fatalf("%s: %s onto a non-empty buffer disturbed it", what, name)
 	}
 }
 
@@ -109,7 +115,8 @@ func refineProgram(g *graph.Graph) string {
 
 // Every stdlib figure, over incremental rounds of a live procs 5 / churn 4
 // session and again after ViewQL display updates, encodes byte-identically
-// to the reflection oracle.
+// to the reflection oracle, and renders text and DOT byte-identically to
+// their fmt oracles.
 func TestAppendJSONStdlibFigures(t *testing.T) {
 	m := core.NewSessionManager(core.ManagerOptions{}, nil)
 	ms, err := m.Create("s", core.SessionOptions{Kernel: kernelsim.Options{Processes: 5, Churn: 4}})
@@ -122,7 +129,10 @@ func TestAppendJSONStdlibFigures(t *testing.T) {
 			t.Fatalf("%s: %d panes, want every stdlib figure", stage, len(rr))
 		}
 		for _, r := range rr {
-			checkAppendJSON(t, fmt.Sprintf("%s figure %s", stage, r.Fig.ID), r.Pane.Graph)
+			what := fmt.Sprintf("%s figure %s", stage, r.Fig.ID)
+			checkAppendJSON(t, what, r.Pane.Graph)
+			checkAppendText(t, what, r.Pane.Graph)
+			checkAppendDOT(t, what, r.Pane.Graph)
 		}
 	}
 	rr, err := ms.Round()

@@ -9,8 +9,9 @@ package render
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"visualinux/internal/graph"
 )
@@ -58,163 +59,290 @@ func Visible(g *graph.Graph) map[string]bool {
 }
 
 // Text renders the graph as an ASCII plot.
-func Text(g *graph.Graph) string {
+func Text(g *graph.Graph) string { return string(AppendText(nil, g)) }
+
+// AppendText appends the graph's ASCII plot to dst and returns the extended
+// buffer: a header line with g.Summary, the number of boxes hidden by
+// trim/collapse when there are any, then one framed box per visible box in
+// g.Order. A frame is as wide as its longest line, capped at 100 bytes;
+// lines pad to the frame by rune count, and a line over 100 bytes is cut at
+// byte 97 and ends in "...". Like AppendJSON it makes one pass over
+// g.Order, so a caller that hands in a buffer of the right capacity pays
+// for little beyond Visible and Summary.
+func AppendText(dst []byte, g *graph.Graph) []byte {
 	vis := Visible(g)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "== %s ==\n", g.Summary())
-	order := make([]string, 0, len(vis))
+	dst = append(dst, "== "...)
+	dst = append(dst, g.Summary()...)
+	dst = append(dst, " ==\n"...)
+	shown := 0
 	for _, id := range g.Order {
 		if vis[id] {
-			order = append(order, id)
+			shown++
 		}
 	}
-	hidden := len(g.Boxes) - len(order)
-	if hidden > 0 {
-		fmt.Fprintf(&sb, "(%d boxes hidden by trim/collapse)\n", hidden)
+	if hidden := len(g.Boxes) - shown; hidden > 0 {
+		dst = append(dst, '(')
+		dst = strconv.AppendInt(dst, int64(hidden), 10)
+		dst = append(dst, " boxes hidden by trim/collapse)\n"...)
 	}
-	for _, id := range order {
-		b := g.Boxes[id]
-		writeBox(&sb, g, b)
+	// One box's title and item lines, back to back and already cut to the
+	// frame, and where each ends: a frame's width is known only once all
+	// its lines are. Reused box after box; a line runs long before it is
+	// cut, so the scratch starts well above the frame width.
+	var lineBuf [4096]byte
+	var endBuf [32]int
+	lines, ends := lineBuf[:0], endBuf[:0]
+	for _, id := range g.Order {
+		if vis[id] {
+			dst, lines, ends = appendTextBox(dst, g, g.Boxes[id], lines[:0], ends[:0])
+		}
 	}
-	return sb.String()
+	return dst
 }
 
-func writeBox(sb *strings.Builder, g *graph.Graph, b *graph.Box) {
+// maxLine is the widest a text frame gets, in bytes.
+const maxLine = 100
+
+var dashes = strings.Repeat("-", maxLine+2)
+
+// appendTextBox appends one box's frame, or its collapse button, using lines
+// and ends as scratch for the title and item lines; it returns all three
+// buffers.
+func appendTextBox(dst []byte, g *graph.Graph, b *graph.Box, lines []byte, ends []int) ([]byte, []byte, []int) {
 	v := b.CurrentView()
-	title := b.ID
-	if v.Name != graph.DefaultView {
-		title += " :" + v.Name
-	}
 	if b.Collapsed() {
-		fmt.Fprintf(sb, "[+] %s (collapsed)\n", title)
-		return
+		dst = append(dst, "[+] "...)
+		dst = appendTitle(dst, b, v)
+		return append(dst, " (collapsed)\n"...), lines, ends
 	}
-	width := len(title)
-	lines := make([]string, 0, len(v.Items))
-	for _, it := range v.Items {
-		line := itemLine(g, it)
-		if len(line) > width {
-			width = len(line)
+	lines = appendTitle(lines, b, v) // the one line never cut
+	width := len(lines)
+	ends = append(ends, len(lines))
+	for i := range v.Items {
+		start := len(lines)
+		lines = appendItemLine(lines, g, &v.Items[i])
+		if len(lines)-start > maxLine {
+			// Cut at a byte, not a rune boundary, as the plot always has.
+			lines = append(lines[:start+maxLine-3], "..."...)
 		}
-		lines = append(lines, line)
+		width = max(width, len(lines)-start)
+		ends = append(ends, len(lines))
 	}
-	if width > 100 {
-		width = 100
-	}
-	bar := strings.Repeat("-", width+2)
-	fmt.Fprintf(sb, "+%s+\n| %-*s |\n+%s+\n", bar, width, title, bar)
-	for _, l := range lines {
-		if len(l) > 100 {
-			l = l[:97] + "..."
+	width = min(width, maxLine)
+	dst = appendBar(dst, width)
+	start := 0
+	for i, end := range ends {
+		dst = appendCell(dst, lines[start:end], width)
+		start = end
+		if i == 0 {
+			dst = appendBar(dst, width)
 		}
-		fmt.Fprintf(sb, "| %-*s |\n", width, l)
 	}
-	fmt.Fprintf(sb, "+%s+\n", bar)
+	return appendBar(dst, width), lines, ends
 }
 
-func itemLine(g *graph.Graph, it graph.Item) string {
+// appendTitle appends a box's title: its ID, and the current view's name
+// when that is not the default view.
+func appendTitle(dst []byte, b *graph.Box, v *graph.View) []byte {
+	dst = append(dst, b.ID...)
+	if v.Name != graph.DefaultView {
+		dst = append(dst, " :"...)
+		dst = append(dst, v.Name...)
+	}
+	return dst
+}
+
+// appendBar appends a frame's top or bottom edge.
+func appendBar(dst []byte, width int) []byte {
+	dst = append(dst, '+')
+	dst = append(dst, dashes[:width+2]...)
+	return append(dst, "+\n"...)
+}
+
+// appendCell appends one line of a frame, its cell padded with spaces to
+// width runes as fmt's %-*s pads a string.
+func appendCell(dst, cell []byte, width int) []byte {
+	dst = append(dst, "| "...)
+	dst = append(dst, cell...)
+	for n := utf8.RuneCount(cell); n < width; n++ {
+		dst = append(dst, ' ')
+	}
+	return append(dst, " |\n"...)
+}
+
+// appendItemLine appends the text form of one item.
+func appendItemLine(dst []byte, g *graph.Graph, it *graph.Item) []byte {
 	switch it.Kind {
 	case graph.ItemText:
-		return fmt.Sprintf("%s: %s", it.Name, it.Value)
+		dst = append(dst, it.Name...)
+		dst = append(dst, ": "...)
+		return append(dst, it.Value...)
 	case graph.ItemLink:
-		if it.TargetID == "" {
-			return fmt.Sprintf("%s -> NULL", it.Name)
+		dst = append(dst, it.Name...)
+		switch {
+		case it.TargetID == "":
+			return append(dst, " -> NULL"...)
+		case trimmed(g, it.TargetID):
+			return append(dst, " -> (trimmed)"...)
 		}
-		if tb, ok := g.Get(it.TargetID); ok && tb.Trimmed() {
-			return fmt.Sprintf("%s -> (trimmed)", it.Name)
-		}
-		return fmt.Sprintf("%s -> %s", it.Name, it.TargetID)
+		dst = append(dst, " -> "...)
+		return append(dst, it.TargetID...)
 	case graph.ItemBox:
-		return fmt.Sprintf("%s: [%s]", it.Name, it.TargetID)
+		dst = append(dst, it.Name...)
+		dst = append(dst, ": ["...)
+		dst = append(dst, it.TargetID...)
+		return append(dst, ']')
 	case graph.ItemContainer:
-		n := 0
-		for _, e := range it.Elems {
-			if e != "" {
-				n++
-			}
-		}
+		n := int64(nonNull(it.Elems))
+		dst = append(dst, it.Name...)
 		if it.Collapsed() {
-			return fmt.Sprintf("%s: [+%d collapsed]", it.Name, n)
+			dst = append(dst, ": [+"...)
+			dst = strconv.AppendInt(dst, n, 10)
+			return append(dst, " collapsed]"...)
 		}
 		dir := it.Attrs[graph.AttrDirection]
 		if dir == "" {
 			dir = it.Direction
 		}
-		shown := make([]string, 0, len(it.Elems))
-		for i, e := range it.Elems {
-			if e == "" {
-				shown = append(shown, fmt.Sprintf("[%d]=NULL", i))
-				continue
-			}
-			if tb, ok := g.Get(e); ok && tb.Trimmed() {
-				continue
-			}
-			shown = append(shown, e)
-		}
 		sep := ", "
 		if dir == "vertical" {
 			sep = " / "
 		}
-		return fmt.Sprintf("%s(%d): {%s}", it.Name, n, strings.Join(shown, sep))
+		dst = append(dst, '(')
+		dst = strconv.AppendInt(dst, n, 10)
+		dst = append(dst, "): {"...)
+		first := true
+		for i, e := range it.Elems {
+			if e != "" && trimmed(g, e) {
+				continue
+			}
+			if !first {
+				dst = append(dst, sep...)
+			}
+			first = false
+			if e == "" {
+				dst = append(dst, '[')
+				dst = strconv.AppendInt(dst, int64(i), 10)
+				dst = append(dst, "]=NULL"...)
+			} else {
+				dst = append(dst, e...)
+			}
+		}
+		return append(dst, '}')
 	}
-	return "?"
+	return append(dst, '?')
+}
+
+// trimmed reports whether id names a trimmed box of g.
+func trimmed(g *graph.Graph, id string) bool {
+	b, ok := g.Get(id)
+	return ok && b.Trimmed()
+}
+
+// nonNull counts a container's non-NULL slots.
+func nonNull(elems []string) int {
+	n := 0
+	for _, e := range elems {
+		if e != "" {
+			n++
+		}
+	}
+	return n
 }
 
 // DOT renders the graph as Graphviz dot source.
-func DOT(g *graph.Graph) string {
+func DOT(g *graph.Graph) string { return string(AppendDOT(nil, g)) }
+
+// AppendDOT appends the graph's Graphviz dot source to dst and returns the
+// extended buffer: one record node per visible box in g.Order (a dashed
+// button for a collapsed box), each followed by its edges to visible
+// targets, container edges dotted. IDs and member names are quoted as Go
+// strings; record labels escape " { } | < > and turn newlines into spaces.
+func AppendDOT(dst []byte, g *graph.Graph) []byte {
 	vis := Visible(g)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n  rankdir=LR;\n  node [shape=record, fontname=\"monospace\"];\n", g.Name)
+	dst = append(dst, "digraph "...)
+	dst = strconv.AppendQuote(dst, g.Name)
+	dst = append(dst, " {\n  rankdir=LR;\n  node [shape=record, fontname=\"monospace\"];\n"...)
 	for _, id := range g.Order {
 		if !vis[id] {
 			continue
 		}
 		b := g.Boxes[id]
+		dst = append(dst, "  "...)
+		dst = strconv.AppendQuote(dst, id)
 		if b.Collapsed() {
-			fmt.Fprintf(&sb, "  %q [label=\"[+] %s\", style=dashed];\n", id, esc(b.Label))
+			dst = append(dst, ` [label="[+] `...)
+			dst = appendEsc(dst, b.Label)
+			dst = append(dst, "\", style=dashed];\n"...)
 			continue
 		}
 		v := b.CurrentView()
-		var fields []string
-		fields = append(fields, esc(b.ID))
-		for _, it := range v.Items {
+		dst = append(dst, ` [label="{`...)
+		dst = appendEsc(dst, b.ID)
+		for i := range v.Items {
+			it := &v.Items[i]
+			dst = append(dst, '|')
 			if it.Kind == graph.ItemText {
-				fields = append(fields, fmt.Sprintf("%s: %s", esc(it.Name), esc(it.Value)))
-			} else if it.Kind == graph.ItemContainer {
-				n := 0
-				for _, e := range it.Elems {
-					if e != "" {
-						n++
-					}
-				}
-				fields = append(fields, fmt.Sprintf("<%s> %s[%d]", esc(it.Name), esc(it.Name), n))
-			} else {
-				fields = append(fields, fmt.Sprintf("<%s> %s", esc(it.Name), esc(it.Name)))
+				dst = appendEsc(dst, it.Name)
+				dst = append(dst, ": "...)
+				dst = appendEsc(dst, it.Value)
+				continue
+			}
+			dst = append(dst, '<')
+			dst = appendEsc(dst, it.Name)
+			dst = append(dst, "> "...)
+			dst = appendEsc(dst, it.Name)
+			if it.Kind == graph.ItemContainer {
+				dst = append(dst, '[')
+				dst = strconv.AppendInt(dst, int64(nonNull(it.Elems)), 10)
+				dst = append(dst, ']')
 			}
 		}
-		fmt.Fprintf(&sb, "  %q [label=\"{%s}\"];\n", id, strings.Join(fields, "|"))
-		for _, it := range v.Items {
+		dst = append(dst, "}\"];\n"...)
+		for i := range v.Items {
+			it := &v.Items[i]
 			switch it.Kind {
 			case graph.ItemLink, graph.ItemBox:
 				if it.TargetID != "" && vis[it.TargetID] {
-					fmt.Fprintf(&sb, "  %q:%q -> %q;\n", id, it.Name, it.TargetID)
+					dst = appendEdge(dst, id, it.Name, it.TargetID, ";\n")
 				}
 			case graph.ItemContainer:
 				for _, e := range it.Elems {
 					if e != "" && vis[e] {
-						fmt.Fprintf(&sb, "  %q:%q -> %q [style=dotted];\n", id, it.Name, e)
+						dst = appendEdge(dst, id, it.Name, e, " [style=dotted];\n")
 					}
 				}
 			}
 		}
 	}
-	sb.WriteString("}\n")
-	return sb.String()
+	return append(dst, "}\n"...)
 }
 
-func esc(s string) string {
-	r := strings.NewReplacer("\"", "\\\"", "{", "\\{", "}", "\\}", "|", "\\|", "<", "\\<", ">", "\\>", "\n", " ")
-	return r.Replace(s)
+// appendEdge appends one edge statement from a box's member port.
+func appendEdge(dst []byte, from, port, to, tail string) []byte {
+	dst = append(dst, "  "...)
+	dst = strconv.AppendQuote(dst, from)
+	dst = append(dst, ':')
+	dst = strconv.AppendQuote(dst, port)
+	dst = append(dst, " -> "...)
+	dst = strconv.AppendQuote(dst, to)
+	return append(dst, tail...)
+}
+
+// appendEsc appends s escaped for a record label: a backslash before each
+// of " { } | < >, and a space for each newline.
+func appendEsc(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '{', '}', '|', '<', '>':
+			dst = append(dst, '\\', c)
+		case '\n':
+			dst = append(dst, ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // --- JSON export ---------------------------------------------------------------
@@ -290,32 +418,4 @@ func ToJSON(g *graph.Graph) *JSONGraph {
 		}
 	}
 	return out
-}
-
-// TypeHistogram summarizes box counts by type, a quick way for tests and
-// the CLI to sanity-check a plot.
-func TypeHistogram(g *graph.Graph) map[string]int {
-	h := make(map[string]int)
-	for _, b := range g.All() {
-		key := b.TypeName
-		if key == "" {
-			key = b.Label
-		}
-		h[key]++
-	}
-	return h
-}
-
-// HistogramString renders the histogram deterministically.
-func HistogramString(h map[string]int) string {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s:%d", k, h[k]))
-	}
-	return strings.Join(parts, " ")
 }

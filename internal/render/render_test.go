@@ -163,18 +163,6 @@ func TestJSONRoundtrip(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	g := build()
-	h := render.TypeHistogram(g)
-	if h["t"] != 6 {
-		t.Errorf("histogram: %v", h)
-	}
-	s := render.HistogramString(h)
-	if s != "t:6" {
-		t.Errorf("string: %q", s)
-	}
-}
-
 func TestNullLinkRendering(t *testing.T) {
 	g := graph.New("nulls")
 	b := graph.NewBox("x", "x", "t", 0x1)

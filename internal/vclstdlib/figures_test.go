@@ -1,6 +1,9 @@
 package vclstdlib_test
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,7 +57,7 @@ func TestAllFiguresExtract(t *testing.T) {
 			if len(g.Boxes) < minBoxes[fig.ID] {
 				t.Errorf("figure %s: only %d boxes (want >= %d)\n%s",
 					fig.ID, len(g.Boxes), minBoxes[fig.ID],
-					render.HistogramString(render.TypeHistogram(g)))
+					typeHistogram(g))
 			}
 			if g.RootID == "" {
 				t.Errorf("figure %s: no root", fig.ID)
@@ -102,6 +105,24 @@ func TestTable3Objectives(t *testing.T) {
 			}
 		})
 	}
+}
+
+// typeHistogram lists a graph's box counts by type (the label when a box
+// has no type), sorted by key, as "key:count key:count ...".
+func typeHistogram(g *graph.Graph) string {
+	h := make(map[string]int)
+	for _, b := range g.Boxes {
+		key := b.TypeName
+		if key == "" {
+			key = b.Label
+		}
+		h[key]++
+	}
+	var parts []string
+	for _, k := range slices.Sorted(maps.Keys(h)) {
+		parts = append(parts, fmt.Sprintf("%s:%d", k, h[k]))
+	}
+	return strings.Join(parts, " ")
 }
 
 func countAttrs(g *graph.Graph) int {
