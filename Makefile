@@ -11,17 +11,18 @@
 #   make bench-smoke   one Table 2 extraction benchmark, plus vet and the
 #                      smoke tests of the loopback benchmark under bench/
 #                      (its full runs and A/B gate: bench/README.md)
-#   make table4        regenerate the paper's Table 4 (+ cache before/after)
-#                      and its JSON record (BENCH_1.json)
-#   make table4-steady regenerate the steady-state incremental report
-#                      (BENCH_4.json, the vlserver -baseline input)
+#   make table4        print the paper's Table 4 (+ cache before/after) and
+#                      run the §5.4 shape checks
+#   make ledger        rewrite LEDGER.json, every host-independent count the
+#                      tests pin (link traffic, steady-state report, wire
+#                      digests, step_look figure ledger)
 #   make fuzz-smoke    every Fuzz* target in the module (found with
 #                      `go test -list`), 5 s each; committed corpus seeds
 #                      always run
 
 GO ?= go
 
-.PHONY: ci fmt test race vet build bench bench-smoke fuzz-smoke table4 table4-steady
+.PHONY: ci fmt test race vet build bench bench-smoke fuzz-smoke table4 ledger
 
 ci: fmt vet build race fuzz-smoke bench-smoke
 
@@ -57,7 +58,7 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x . ./internal/viewcl ./internal/render
 
 table4:
-	$(GO) run ./cmd/perfbench -json BENCH_1.json
+	$(GO) run ./cmd/perfbench
 
-table4-steady:
-	$(GO) run ./cmd/perfbench -steadyjson BENCH_4.json
+ledger:
+	$(GO) test ./internal/perf -run '^TestLedger$$' -update

@@ -4,24 +4,19 @@
 // shape checks of §5.4. The KGDB column is measured twice — with the
 // paper-faithful uncached stub, and with the snapshot read cache the live
 // session uses — so the table doubles as the cache's before/after report.
+// The table's host-independent counts are pinned in LEDGER.json (table4
+// section); `make ledger` rewrites it.
 //
 // Usage:
 //
 //	perfbench                    # virtual-clock KGDB accounting (fast)
 //	perfbench -perread 5ms       # tune the modeled round-trip latency
 //	perfbench -procs 10          # scale the workload population
-//	perfbench -json BENCH_1.json # also write per-figure results as JSON
-//	perfbench -steadyjson BENCH_4.json
-//	                             # also run the steady-state incremental
-//	                             # personality — attach, extract all figures,
-//	                             # one Dirty-Pipe mutation, stop, re-extract —
-//	                             # and write the cold-vs-steady report as JSON
 //	perfbench -trace out.json    # also write a Chrome trace_event profile
 //	                             # of every figure's cached-KGDB extraction
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,25 +29,8 @@ import (
 	"visualinux/internal/vclstdlib"
 )
 
-// benchRecord is one BENCH_1.json entry: the same figure across the
-// target personalities, with the raw traffic counters behind the costs.
-type benchRecord struct {
-	Figure         string  `json:"figure"`
-	Objects        int     `json:"objects"`
-	GDBNsOp        int64   `json:"gdb_ns_op"`
-	BytesRead      uint64  `json:"bytes_read"`
-	Transactions   uint64  `json:"transactions"`
-	KGDBMs         float64 `json:"kgdb_ms"`
-	LinkMs         float64 `json:"link_ms"` // modeled share of kgdb_ms (exact)
-	CPUMs          float64 `json:"cpu_ms"`  // wall share of kgdb_ms
-	KGDBUncachedMs float64 `json:"kgdb_uncached_ms"`
-	CacheSpeedup   float64 `json:"cache_speedup"`
-}
-
 func main() {
 	rsp := flag.Bool("rsp", false, "also measure extraction through a real GDB-RSP loopback socket")
-	jsonOut := flag.String("json", "", "write per-figure results to this JSON file (e.g. BENCH_1.json)")
-	steadyJSONOut := flag.String("steadyjson", "", "write the steady-state incremental re-extraction report to this JSON file (e.g. BENCH_4.json)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of every figure's cached-KGDB extraction (open in chrome://tracing or Perfetto)")
 	perRead := flag.Duration("perread", 5*time.Millisecond, "modeled KGDB round-trip per read")
 	perByte := flag.Duration("perbyte", 2*time.Microsecond, "modeled KGDB cost per byte")
@@ -101,76 +79,12 @@ func main() {
 		fmt.Print(perf.FormatRows("Extra: extraction through a real GDB-RSP loopback socket", rows))
 	}
 
-	if *steadyJSONOut != "" {
-		// The incremental personality: one generation-tagged snapshot, one
-		// cold round, one Dirty-Pipe mutation, one steady round. Costs are
-		// pure virtual link time, so the file is byte-stable across runs.
-		steadyModel := target.LatencyModel{PerRead: *perRead, PerByte: *perByte, PerContinuation: *perCont, PerHashCheck: target.DefaultKGDB.PerHashCheck}
-		rep, err := perf.MeasureSteadyState(opts, steadyModel, false)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: steadyjson: %v\n", err)
-			os.Exit(1)
-		}
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: steadyjson: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*steadyJSONOut, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: steadyjson: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nSteady-state incremental re-extraction (one Dirty-Pipe mutation between rounds):\n")
-		fmt.Printf("%-12s | %10s %10s | %6s %6s %6s\n",
-			"figure", "cold(ms)", "steady(ms)", "reused", "boxes+", "boxes=")
-		for _, r := range rep.Rows {
-			fmt.Printf("%-12s | %10.1f %10.1f | %6v %6d %6d\n",
-				r.FigureID, r.ColdMS, r.SteadyMS, r.Reused, r.BoxBuilds, r.BoxReuses)
-		}
-		fmt.Printf("steady round = %.1f%% of cold; box reuse ratio %.2f; %d/%d figures served whole\n",
-			rep.SteadyFraction*100, rep.ReuseRatio, rep.FiguresReused, rep.Figures)
-		fmt.Printf("wrote %s\n", *steadyJSONOut)
-	}
-
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, opts, model); err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: trace: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("\nwrote %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
-	}
-
-	if *jsonOut != "" {
-		recs := make([]benchRecord, len(cached))
-		for i, p := range cached {
-			u := uncached[i]
-			speedup := 0.0
-			if p.KGDB.TotalMS > 0 {
-				speedup = u.KGDB.TotalMS / p.KGDB.TotalMS
-			}
-			recs[i] = benchRecord{
-				Figure:         p.FigureID,
-				Objects:        p.GDB.Objects,
-				GDBNsOp:        int64(p.GDB.TotalMS * 1e6),
-				BytesRead:      uint64(p.KGDB.KBytes * 1024),
-				Transactions:   p.KGDB.Transactions,
-				KGDBMs:         p.KGDB.TotalMS,
-				LinkMs:         p.KGDB.LinkMS,
-				CPUMs:          p.KGDB.CPUMS,
-				KGDBUncachedMs: u.KGDB.TotalMS,
-				CacheSpeedup:   speedup,
-			}
-		}
-		blob, err := json.MarshalIndent(recs, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: json: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonOut)
 	}
 
 	fmt.Println("\nShape checks (paper §5.4 qualitative claims, uncached stub):")

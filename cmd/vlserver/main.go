@@ -51,7 +51,7 @@ func main() {
 	flag.StringVar(&c.figure, "figure", "7-1", "figure to plot at startup ('' for none)")
 	flag.StringVar(&c.workspace, "workspace", "", "comma-separated figure IDs (or 'all') to extract at startup instead of -figure, each with its own trace")
 	flag.DurationVar(&c.metricsEvery, "metrics-interval", 0, "periodically snapshot the metrics registry into the /debug/metrics/history ring (0 disables)")
-	flag.StringVar(&c.baseline, "baseline", "", "perfbench result file (BENCH_4.json shape) whose steady_kgdb_ms rows become the /debug/diagnose baseline")
+	flag.StringVar(&c.baseline, "baseline", "", "ledger document (LEDGER.json) whose steady section's steady_kgdb_ms rows become the /debug/diagnose baseline")
 	flag.DurationVar(&c.runEvery, "run-interval", 0, "free-run the simulated kernel: every interval, apply one mutation workload step, take a stop event, re-extract incrementally, and push pane deltas to /stream clients (0 disables)")
 	flag.IntVar(&c.maxSessions, "max-sessions", 0, "managed-session admission cap, the default session included (0 = default of 256)")
 	flag.Int64Var(&c.sessionMem, "session-mem", 0, "per-session simulated-kernel footprint cap in bytes; larger creates are rejected (0 = unbounded)")

@@ -22,33 +22,35 @@ func (s *Session) SetBaseline(steadyMS map[string]float64) {
 	s.baseline = steadyMS
 }
 
-// LoadBaselineFile reads a perfbench result file (BENCH_4.json shape:
-// {"rows":[{"figure":"3-6","steady_kgdb_ms":5.5,...},...]}) and installs
-// its steady-state figures as the diagnosis baseline. Rows whose steady
-// round was fully figure-reused (0 ms) are skipped — a zero baseline would
-// make every ratio infinite.
+// LoadBaselineFile reads the steady section of a ledger document
+// (LEDGER.json: {"steady":{"rows":[{"figure":"3-6","steady_kgdb_ms":5.5,...},...]}})
+// and installs its steady-state figures as the diagnosis baseline. Rows
+// whose steady round was fully figure-reused (0 ms) are skipped — a zero
+// baseline would make every ratio infinite.
 func (s *Session) LoadBaselineFile(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
 	var doc struct {
-		Rows []struct {
-			Figure   string  `json:"figure"`
-			SteadyMS float64 `json:"steady_kgdb_ms"`
-		} `json:"rows"`
+		Steady struct {
+			Rows []struct {
+				Figure   string  `json:"figure"`
+				SteadyMS float64 `json:"steady_kgdb_ms"`
+			} `json:"rows"`
+		} `json:"steady"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return fmt.Errorf("baseline %s: %w", path, err)
 	}
 	table := make(map[string]float64)
-	for _, r := range doc.Rows {
+	for _, r := range doc.Steady.Rows {
 		if r.SteadyMS > 0 {
 			table[r.Figure] = r.SteadyMS
 		}
 	}
 	if len(table) == 0 {
-		return fmt.Errorf("baseline %s: no rows with a nonzero steady_kgdb_ms", path)
+		return fmt.Errorf("baseline %s: no steady rows with a nonzero steady_kgdb_ms", path)
 	}
 	s.SetBaseline(table)
 	return nil

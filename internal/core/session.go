@@ -49,7 +49,7 @@ type Session struct {
 	secondarySrc map[int]int    // secondary pane ID -> source pane ID
 
 	baselineMu sync.RWMutex
-	baseline   map[string]float64 // figure -> steady-state ms (e.g. BENCH_4.json)
+	baseline   map[string]float64 // figure -> steady-state ms (e.g. LEDGER.json's steady section)
 }
 
 // NewSession wires a session over t: an expression environment with the

@@ -1,27 +1,238 @@
 package perf_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"maps"
 	"math/rand"
+	"os"
+	"slices"
+	"strings"
 	"testing"
+	"text/tabwriter"
 	"time"
 
 	"visualinux/internal/core"
 	"visualinux/internal/gdbrsp"
 	"visualinux/internal/kernelsim"
+	"visualinux/internal/obs"
 	"visualinux/internal/perf"
 	"visualinux/internal/target"
 	"visualinux/internal/vclstdlib"
 )
+
+// ledgerFile holds every host-independent count the repository pins: one
+// section per ledger, each a pure function of its inputs. `make ledger`
+// rewrites it.
+const ledgerFile = "../../LEDGER.json"
+
+var update = flag.Bool("update", false, "rewrite the sections of "+ledgerFile+" that this run builds")
+
+// ledgerSections builds each section of the ledger from the code that
+// measures it.
+var ledgerSections = []struct {
+	name  string
+	build func(t *testing.T) any
+}{
+	{"table4", table4Ledger},
+	{"steady", func(t *testing.T) any { return steadyLedger(t, false) }},
+	{"rsp512", rsp512Ledger},
+	{"wire512", wire512Ledger},
+	{"kgdb_attach", kgdbAttachLedger},
+	{"step_look", stepLookLedger},
+}
+
+// TestLedger builds every section and compares it with LEDGER.json; with
+// -update it writes the sections it built instead.
+func TestLedger(t *testing.T) {
+	doc := map[string]json.RawMessage{}
+	blob, err := os.ReadFile(ledgerFile)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			t.Fatalf("%s: %v", ledgerFile, err)
+		}
+	case !*update || !os.IsNotExist(err):
+		t.Fatal(err)
+	}
+	built := map[string]bool{}
+	for _, s := range ledgerSections {
+		built[s.name] = true
+		t.Run(s.name, func(t *testing.T) {
+			got, err := json.Marshal(s.build(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *update {
+				doc[s.name] = got
+				return
+			}
+			diffs, err := ledgerDiff(s.name, got, doc[s.name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(diffs) > 0 {
+				t.Errorf("section %s differs from LEDGER.json (re-pin with `make ledger` if the change is intended):\n%s",
+					s.name, formatDiffs(diffs))
+			}
+		})
+	}
+	for name := range doc {
+		if !built[name] {
+			if *update {
+				delete(doc, name)
+			} else {
+				t.Errorf("LEDGER.json section %s has no builder (re-pin with `make ledger` to drop it)", name)
+			}
+		}
+	}
+	if *update && !t.Failed() {
+		out, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ledgerFile, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// fieldDiff is one differing leaf of a section: its path and both values
+// as JSON text.
+type fieldDiff struct{ path, got, want string }
+
+// ledgerDiff compares the encoding of a freshly built section with the
+// committed one byte for byte, so a float stays pinned to its last bit. It
+// returns nil when they match, and otherwise one fieldDiff per differing
+// field path.
+func ledgerDiff(name string, got, want json.RawMessage) ([]fieldDiff, error) {
+	var w bytes.Buffer
+	if want != nil {
+		if err := json.Compact(&w, want); err != nil {
+			return nil, fmt.Errorf("%s: committed section: %w", name, err)
+		}
+	}
+	if bytes.Equal(got, w.Bytes()) {
+		return nil, nil
+	}
+	gv, err := decodeJSON(got)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	wv := any(absent{})
+	if want != nil {
+		if wv, err = decodeJSON(want); err != nil {
+			return nil, fmt.Errorf("%s: committed section: %w", name, err)
+		}
+	}
+	var diffs []fieldDiff
+	diffJSON(name, gv, wv, &diffs)
+	if len(diffs) == 0 {
+		diffs = append(diffs, fieldDiff{name, "same values, encoded differently", "(field order or number format)"})
+	}
+	return diffs, nil
+}
+
+// absent marks a field or element present on one side only.
+type absent struct{}
+
+// decodeJSON keeps numbers as their literal text, so the diff shows them
+// as encoded.
+func decodeJSON(b []byte) (any, error) {
+	d := json.NewDecoder(bytes.NewReader(b))
+	d.UseNumber()
+	var v any
+	err := d.Decode(&v)
+	return v, err
+}
+
+func diffJSON(path string, got, want any, out *[]fieldDiff) {
+	switch w := want.(type) {
+	case map[string]any:
+		if g, ok := got.(map[string]any); ok {
+			keys := slices.Sorted(maps.Keys(w))
+			for k := range g {
+				if _, ok := w[k]; !ok {
+					keys = append(keys, k)
+				}
+			}
+			for _, k := range keys {
+				gk, ok := g[k]
+				if !ok {
+					gk = absent{}
+				}
+				wk, ok := w[k]
+				if !ok {
+					wk = absent{}
+				}
+				diffJSON(path+"."+k, gk, wk, out)
+			}
+			return
+		}
+	case []any:
+		if g, ok := got.([]any); ok {
+			for i := 0; i < max(len(g), len(w)); i++ {
+				gi, wi := any(absent{}), any(absent{})
+				if i < len(g) {
+					gi = g[i]
+				}
+				if i < len(w) {
+					wi = w[i]
+				}
+				diffJSON(fmt.Sprintf("%s[%d]", path, i), gi, wi, out)
+			}
+			return
+		}
+	}
+	if g, w := leafText(got), leafText(want); g != w {
+		*out = append(*out, fieldDiff{path, g, w})
+	}
+}
+
+func leafText(v any) string {
+	if _, ok := v.(absent); ok {
+		return "(absent)"
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Sprint(v)
+	}
+	return string(b)
+}
+
+func formatDiffs(diffs []fieldDiff) string {
+	var sb strings.Builder
+	tw := tabwriter.NewWriter(&sb, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "  field\tgot\twant")
+	for _, d := range diffs {
+		fmt.Fprintf(tw, "  %s\t%s\t%s\n", d.path, d.got, d.want)
+	}
+	tw.Flush()
+	return sb.String()
+}
+
+// steadyLedger is the steady section (withoutJournal false, also the
+// `vlserver -baseline` input): the incremental pipeline's cold and steady
+// round over the modeled KGDB link. Every cost is virtual.
+func steadyLedger(t *testing.T, withoutJournal bool) any {
+	rep, err := perf.MeasureSteadyState(kernelsim.Options{}, target.DefaultKGDB, withoutJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // linkLedger is the link traffic of a set of rounds: opened transfers,
 // continuation packets and bytes read as the RSP client counted them, and
 // the modeled KGDB time the latency layer charged for them (journal polls
 // and hash exchanges included).
 type linkLedger struct {
-	Transactions  uint64
-	Continuations uint64
-	Bytes         uint64
-	Link          time.Duration
+	Transactions  uint64        `json:"transactions"`
+	Continuations uint64        `json:"continuations"`
+	Bytes         uint64        `json:"bytes"`
+	Link          time.Duration `json:"link_ns"`
 }
 
 func (l *linkLedger) add(o linkLedger) {
@@ -29,6 +240,13 @@ func (l *linkLedger) add(o linkLedger) {
 	l.Continuations += o.Continuations
 	l.Bytes += o.Bytes
 	l.Link += o.Link
+}
+
+// attachRow is one stub's row of the kgdb_attach section.
+type attachRow struct {
+	Stub  string     `json:"stub"`
+	Cold  linkLedger `json:"cold"`
+	Stops linkLedger `json:"stops"`
 }
 
 // ledgerStops is the number of stop events after each cold round, as in
@@ -60,13 +278,14 @@ func ledgerCases() []struct {
 	return out
 }
 
-// attachLedger runs one case over a 512-byte RSP stub behind the KGDB
-// model: a cold round, then ledgerStops × (workload step, advance, round).
-func attachLedger(t *testing.T, opts kernelsim.Options, figs []vclstdlib.Figure) (cold, stops linkLedger) {
+// attachLedger runs one case over a 512-byte RSP stub built with stub
+// behind the KGDB model: a cold round, then ledgerStops × (workload step,
+// advance, round).
+func attachLedger(t *testing.T, opts kernelsim.Options, figs []vclstdlib.Figure, stub ...gdbrsp.ServerOption) (cold, stops linkLedger) {
 	t.Helper()
 	k := kernelsim.FromTemplate(opts)
 	defer k.Mem.Release()
-	sess, err := perf.NewRSPSession(k, gdbrsp.WithPacketSize(512))
+	sess, err := perf.NewRSPSession(k, append(stub, gdbrsp.WithPacketSize(512))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,27 +316,65 @@ func attachLedger(t *testing.T, opts kernelsim.Options, figs []vclstdlib.Figure)
 	return cold, stops
 }
 
-// TestKGDBAttachLedger pins the link traffic of the loopback benchmark's
-// kgdb_attach shape exactly: every number is a pure function of the
-// inputs, so a change to the read path that moves link traffic shows here
-// as an exact delta, host-independent, before any wall-clock A/B.
-func TestKGDBAttachLedger(t *testing.T) {
-	var cold, stops linkLedger
+// kgdbAttachLedger is the kgdb_attach section: the link traffic of the
+// loopback benchmark's kgdb_attach shape, summed over ledgerCases, so a
+// change to the read path that moves link traffic shows as an exact delta
+// before any wall-clock A/B.
+func kgdbAttachLedger(t *testing.T) any {
+	row := attachRow{Stub: "both-annexes"}
 	for _, c := range ledgerCases() {
 		cl, sl := attachLedger(t, c.opts, c.figs)
-		cold.add(cl)
-		stops.add(sl)
+		row.Cold.add(cl)
+		row.Stops.add(sl)
 	}
-	// Filling 1 KiB windows instead of 4 KiB pages, the cold rounds open
-	// more transfers but move half the bytes in 36% fewer packets; with the
-	// client's memory map following the kernel, the stops stop re-reading
-	// newly mapped memory uncached.
-	wantCold := linkLedger{Transactions: 514, Continuations: 1044, Bytes: 534528, Link: 3539056 * time.Microsecond}
-	wantStops := linkLedger{Transactions: 195, Continuations: 83, Bytes: 62464, Link: 806432 * time.Microsecond}
-	if cold != wantCold {
-		t.Errorf("cold rounds: got %+v, want %+v", cold, wantCold)
+	return []attachRow{row}
+}
+
+// stepLookStops is the number of stops of the step_look section.
+const stepLookStops = 64
+
+// stepLook is the step_look section: where every figure pass of the
+// step_look shape (procs 5, churn 4, every stdlib figure, one workload step
+// per stop) goes over stepLookStops stops. A pass is either served whole
+// from the prior round (its pages are unchanged, or the bytes it read are)
+// or re-extracted; a re-extraction either changes the pane or comes out
+// Equal to the displayed graph.
+type stepLook struct {
+	Reextracted int `json:"figures_reextracted"`
+	Reused      int `json:"figures_reused"`
+	Unchanged   int `json:"reextracted_equal"`
+}
+
+func stepLookLedger(t *testing.T) any {
+	k := kernelsim.Build(kernelsim.Options{Processes: 5, Churn: 4})
+	w := kernelsim.NewWorkload(k)
+	o := obs.NewObserver()
+	figs := vclstdlib.Figures()
+	x := core.NewIncrementalExtractor(k, k.Target(), figs, o)
+	if _, err := x.Round(); err != nil {
+		t.Fatalf("cold round: %v", err)
 	}
-	if stops != wantStops {
-		t.Errorf("stops: got %+v, want %+v", stops, wantStops)
+	reused0, unchanged0 := o.FigureReuses.Value(), o.FigureUnchanged.Value()
+	var passes int
+	var l stepLook
+	for round := 0; round < stepLookStops; round++ {
+		w.Step()
+		x.Advance()
+		out, err := x.Round()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for _, rr := range out {
+			passes++
+			if !rr.Reused {
+				l.Reextracted++
+			}
+		}
 	}
+	l.Reused = int(o.FigureReuses.Value() - reused0)
+	l.Unchanged = int(o.FigureUnchanged.Value() - unchanged0)
+	if passes != stepLookStops*len(figs) || l.Reused+l.Reextracted != passes {
+		t.Fatalf("ledger does not balance: %d passes, %d reused, %d re-extracted", passes, l.Reused, l.Reextracted)
+	}
+	return l
 }

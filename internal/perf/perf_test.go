@@ -1,8 +1,6 @@
 package perf_test
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 
@@ -96,51 +94,33 @@ func TestSnapshotCacheSpeedup(t *testing.T) {
 	}
 }
 
-// TestTable4MatchesBaseline gates the cached KGDB column against the
-// committed BENCH_1.json (what `perfbench -json` writes). The link traffic is
-// deterministic, so every figure's objects, transactions, bytes and modeled
-// link time (link_ms) must match exactly; kgdb_ms adds the extraction's wall
-// time (cpu_ms) to link_ms, and the 25% + 50 ms slack is for that wall share
-// only.
-func TestTable4MatchesBaseline(t *testing.T) {
-	blob, err := os.ReadFile("../../BENCH_1.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base []struct {
-		Figure       string  `json:"figure"`
-		Objects      int     `json:"objects"`
-		BytesRead    uint64  `json:"bytes_read"`
-		Transactions uint64  `json:"transactions"`
-		KGDBMs       float64 `json:"kgdb_ms"`
-		LinkMS       float64 `json:"link_ms"`
-	}
-	if err := json.Unmarshal(blob, &base); err != nil {
-		t.Fatal(err)
-	}
+type table4Row struct {
+	Figure       string  `json:"figure"`
+	Objects      int     `json:"objects"`
+	BytesRead    uint64  `json:"bytes_read"`
+	Transactions uint64  `json:"transactions"`
+	LinkMS       float64 `json:"link_ms"`
+}
+
+// table4Ledger is the table4 section: the cached KGDB column's objects,
+// transactions, bytes and modeled link time per figure, all exact. The
+// extraction's wall time (cpu_ms) stays out of the ledger; it may add at
+// most 25% + 50 ms to the row's link time, which the ledger pins, so the
+// bound is against the committed link_ms.
+func table4Ledger(t *testing.T) any {
 	pairs, err := perf.Table4(kernelsim.Options{}, target.DefaultKGDB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pairs) != len(base) {
-		t.Fatalf("%d figures, BENCH_1.json has %d", len(pairs), len(base))
-	}
+	rows := make([]table4Row, len(pairs))
 	for i, p := range pairs {
-		b, got := base[i], p.KGDB
-		if p.FigureID != b.Figure || got.Objects != b.Objects || got.Transactions != b.Transactions ||
-			uint64(got.KBytes*1024) != b.BytesRead {
-			t.Errorf("%s: objects/txns/bytes %d/%d/%.0f, BENCH_1.json %s %d/%d/%d (regenerate with `make table4` if intended)",
-				p.FigureID, got.Objects, got.Transactions, got.KBytes*1024,
-				b.Figure, b.Objects, b.Transactions, b.BytesRead)
-		}
-		if got.LinkMS != b.LinkMS {
-			t.Errorf("%s: modeled link %v ms, BENCH_1.json %v ms (regenerate with `make table4` if intended)",
-				p.FigureID, got.LinkMS, b.LinkMS)
-		}
-		if limit := b.KGDBMs*1.25 + 50; got.TotalMS > limit {
-			t.Errorf("%s: kgdb %.1f ms, over BENCH_1.json's %.1f ms + 25%% + 50 ms", p.FigureID, got.TotalMS, b.KGDBMs)
+		got := p.KGDB
+		rows[i] = table4Row{p.FigureID, got.Objects, uint64(got.KBytes * 1024), got.Transactions, got.LinkMS}
+		if limit := got.LinkMS*1.25 + 50; got.TotalMS > limit {
+			t.Errorf("%s: kgdb %.1f ms, over link_ms %.1f ms + 25%% + 50 ms", p.FigureID, got.TotalMS, got.LinkMS)
 		}
 	}
+	return rows
 }
 
 func mustFigure(t *testing.T, id string) vclstdlib.Figure {

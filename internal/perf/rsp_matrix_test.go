@@ -1,9 +1,6 @@
 package perf_test
 
 import (
-	"encoding/json"
-	"flag"
-	"os"
 	"testing"
 
 	"visualinux/internal/core"
@@ -132,15 +129,7 @@ func TestRSPPacketSizeMatrix(t *testing.T) {
 	if conts512 <= conts4096 {
 		t.Errorf("continuations not monotone in aggregate: 512→%d, 4096→%d", conts512, conts4096)
 	}
-	checkRSP512Baseline(t, figs, runs[512])
 }
-
-var update = flag.Bool("update", false, "rewrite "+rsp512Baseline+" from this run")
-
-// rsp512Baseline pins the slow-link cold cost of every figure: a serial KGDB
-// stub at PacketSize 512, each figure behind a fresh snapshot. Regenerate with
-// `go test ./internal/perf -run TestRSPPacketSizeMatrix -update`.
-const rsp512Baseline = "testdata/rsp512.json"
 
 type rsp512Row struct {
 	Figure        string  `json:"figure"`
@@ -150,41 +139,17 @@ type rsp512Row struct {
 	KGDBMs        float64 `json:"kgdb_ms"`
 }
 
-// checkRSP512Baseline compares the PacketSize 512 run with the committed
-// baseline. The modeled cost has no wall-clock part, so it must match
-// exactly: a change that adds link transactions, continuations or bytes to
-// any figure fails here until the baseline is regenerated on purpose.
-func checkRSP512Baseline(t *testing.T, figs []vclstdlib.Figure, run map[string]figRun) {
-	t.Helper()
-	got := make([]rsp512Row, len(figs))
+// rsp512Ledger is the rsp512 section: the slow-link cold cost of every
+// figure, a serial KGDB stub at PacketSize 512, each figure behind a fresh
+// snapshot. The modeled cost has no wall-clock part, so a change that adds
+// link transactions, continuations or bytes to any figure shows here.
+func rsp512Ledger(t *testing.T) any {
+	run := runMatrix(t, 512)
+	figs := vclstdlib.Figures()
+	rows := make([]rsp512Row, len(figs))
 	for i, fig := range figs {
 		r := run[fig.ID]
-		got[i] = rsp512Row{fig.ID, r.txns, r.conts, r.bytes, r.msOp}
+		rows[i] = rsp512Row{fig.ID, r.txns, r.conts, r.bytes, r.msOp}
 	}
-	if *update {
-		blob, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(rsp512Baseline, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	blob, err := os.ReadFile(rsp512Baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []rsp512Row
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d figures, %s has %d", len(got), rsp512Baseline, len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("PacketSize=512 cold cost differs from %s:\n  got  %+v\n  want %+v", rsp512Baseline, got[i], want[i])
-		}
-	}
+	return rows
 }

@@ -1,14 +1,11 @@
-package gdbrsp_test
+package perf_test
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"hash"
 	"io"
 	"net"
-	"os"
-	"slices"
 	"sync"
 	"testing"
 
@@ -18,15 +15,7 @@ import (
 	"visualinux/internal/vclstdlib"
 )
 
-// wireDigestFile pins the exact bytes both ends put on the wire for a
-// PacketSize-512 attach, a cold round of one figure, a workload step, a
-// stop round and a detach: once revalidating through the dirty-ranges
-// annex, once through memory hashes. Any change to packet framing, hex
-// case, checksum digits, request formatting or annex reply text shows up
-// here.
-const wireDigestFile = "testdata/wire512.json"
-
-// wireDigestFigure is the figure the pinned session extracts: large enough
+// wireDigestFigure is the figure the wire512 sessions extract: large enough
 // to need qXfer continuations at PacketSize 512.
 const wireDigestFigure = "3-4"
 
@@ -100,8 +89,11 @@ func teeProxy(t *testing.T, upstream string) (addr string, up, down *countingHas
 	return ln.Addr().String(), up, down, wg.Wait
 }
 
-// wireSession runs the pinned session against a stub built with opts and
-// returns the digest of each direction.
+// wireSession runs a PacketSize-512 attach, a cold round of one figure, a
+// workload step, a stop round and a detach against a stub built with opts,
+// and returns the digest of each direction. Any change to packet framing,
+// hex case, checksum digits, request formatting or annex reply text shows
+// up in it.
 func wireSession(t *testing.T, name string, fig vclstdlib.Figure, opts ...gdbrsp.ServerOption) wireDigest {
 	t.Helper()
 	k := kernelsim.Build(kernelsim.Options{})
@@ -137,32 +129,13 @@ func wireSession(t *testing.T, name string, fig vclstdlib.Figure, opts ...gdbrsp
 	}
 }
 
-// TestWireBytesPinned tees both directions of PacketSize-512 sessions and
-// compares each byte stream with the committed digests.
-func TestWireBytesPinned(t *testing.T) {
-	var fig vclstdlib.Figure
-	for _, f := range vclstdlib.Figures() {
-		if f.ID == wireDigestFigure {
-			fig = f
-		}
-	}
-	if fig.ID == "" {
-		t.Fatalf("figure %s not in the stdlib", wireDigestFigure)
-	}
-	got := []wireDigest{
+// wire512Ledger is the wire512 section: the exact bytes both ends put on
+// the wire, once revalidating through the dirty-ranges annex, once through
+// memory hashes.
+func wire512Ledger(t *testing.T) any {
+	fig := mustFigure(t, wireDigestFigure)
+	return []wireDigest{
 		wireSession(t, "dirty-ranges", fig),
 		wireSession(t, "memory-hash", fig, gdbrsp.WithoutDirtyAnnex()),
-	}
-	blob, err := os.ReadFile(wireDigestFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []wireDigest
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
-		gotJSON, _ := json.MarshalIndent(got, "", "  ")
-		t.Errorf("wire bytes differ from %s:\n got  %s\n want %s", wireDigestFile, gotJSON, blob)
 	}
 }

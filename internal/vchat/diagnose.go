@@ -94,7 +94,8 @@ func parsePane(low string) int {
 type Observations struct {
 	Obs *obs.Observer
 	// Baseline returns the steady-state duration baseline for a figure in
-	// milliseconds (e.g. from BENCH_4.json), ok=false when unknown.
+	// milliseconds (e.g. from LEDGER.json's steady section), ok=false when
+	// unknown.
 	Baseline func(figure string) (float64, bool)
 	// Stream snapshots the serving layer's fan-out broker health; nil when
 	// the session is not being served over HTTP.
