@@ -77,7 +77,7 @@ func TestIncrementalRoundsMatchColdExtraction(t *testing.T) {
 	}
 
 	snap := x.Snapshot()
-	if snap.Advances() == 0 {
+	if o.SnapAdvances.Value() == 0 {
 		t.Error("no advances counted")
 	}
 	if snap.Promotions() == 0 {

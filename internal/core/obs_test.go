@@ -38,7 +38,7 @@ func TestObservedSessionHitRatio(t *testing.T) {
 	if h2 <= h1 {
 		t.Fatalf("repeat extraction produced no cache hits: hits %d -> %d", h1, h2)
 	}
-	if r := snap.HitRatio(); r < 0.5 {
+	if r := float64(h2) / float64(h2+m2); r < 0.5 {
 		t.Fatalf("hit ratio after repeat = %v, want >= 0.5", r)
 	}
 
@@ -57,8 +57,8 @@ func TestObservedSessionHitRatio(t *testing.T) {
 }
 
 // TestSnapshotInvalidations pins the invalidation counter satellite: every
-// Invalidate is counted on the snapshot and in the registry, and the next
-// extraction refills from the link.
+// Invalidate is counted in the registry, and the next extraction refills
+// from the link.
 func TestSnapshotInvalidations(t *testing.T) {
 	o := obs.NewObserver()
 	k := kernelsim.Build(kernelsim.Options{})
@@ -71,9 +71,6 @@ func TestSnapshotInvalidations(t *testing.T) {
 
 	snap.Invalidate()
 	snap.Invalidate()
-	if got := snap.Invalidations(); got != 2 {
-		t.Fatalf("Invalidations = %d, want 2", got)
-	}
 	if got := o.SnapInvalidations.Value(); got != 2 {
 		t.Fatalf("observer invalidations = %d, want 2", got)
 	}

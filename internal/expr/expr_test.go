@@ -328,11 +328,11 @@ func TestParseErrors(t *testing.T) {
 
 func TestStatsCounted(t *testing.T) {
 	f := newFixture(t)
-	f.tgt.Stats().Reset()
+	reads0, bytes0 := f.tgt.Stats().Snapshot()
 	f.eval(t, "head.next->value")
 	reads, bytes := f.tgt.Stats().Snapshot()
-	if reads == 0 || bytes == 0 {
-		t.Errorf("no traffic recorded: %d reads %d bytes", reads, bytes)
+	if reads == reads0 || bytes == bytes0 {
+		t.Errorf("no traffic recorded: %d reads %d bytes", reads-reads0, bytes-bytes0)
 	}
 }
 

@@ -38,6 +38,7 @@ var ledgerSections = []struct {
 }{
 	{"table4", table4Ledger},
 	{"steady", func(t *testing.T) any { return steadyLedger(t, false) }},
+	{"steady_hash_only", func(t *testing.T) any { return steadyLedger(t, true) }},
 	{"rsp512", rsp512Ledger},
 	{"wire512", wire512Ledger},
 	{"kgdb_attach", kgdbAttachLedger},
@@ -149,56 +150,48 @@ func decodeJSON(b []byte) (any, error) {
 }
 
 func diffJSON(path string, got, want any, out *[]fieldDiff) {
-	switch w := want.(type) {
-	case map[string]any:
-		if g, ok := got.(map[string]any); ok {
-			keys := slices.Sorted(maps.Keys(w))
-			for k := range g {
-				if _, ok := w[k]; !ok {
-					keys = append(keys, k)
-				}
-			}
-			for _, k := range keys {
-				gk, ok := g[k]
-				if !ok {
-					gk = absent{}
-				}
-				wk, ok := w[k]
-				if !ok {
-					wk = absent{}
-				}
-				diffJSON(path+"."+k, gk, wk, out)
-			}
-			return
+	gm, gok := got.(map[string]any)
+	wm, wok := want.(map[string]any)
+	if gok && wok {
+		keys := maps.Clone(wm)
+		maps.Copy(keys, gm)
+		for _, k := range slices.Sorted(maps.Keys(keys)) {
+			diffJSON(path+"."+k, member(gm, k), member(wm, k), out)
 		}
-	case []any:
-		if g, ok := got.([]any); ok {
-			for i := 0; i < max(len(g), len(w)); i++ {
-				gi, wi := any(absent{}), any(absent{})
-				if i < len(g) {
-					gi = g[i]
-				}
-				if i < len(w) {
-					wi = w[i]
-				}
-				diffJSON(fmt.Sprintf("%s[%d]", path, i), gi, wi, out)
-			}
-			return
+		return
+	}
+	gs, gok := got.([]any)
+	ws, wok := want.([]any)
+	if gok && wok {
+		for i := range max(len(gs), len(ws)) {
+			diffJSON(fmt.Sprintf("%s[%d]", path, i), elem(gs, i), elem(ws, i), out)
 		}
+		return
 	}
 	if g, w := leafText(got), leafText(want); g != w {
 		*out = append(*out, fieldDiff{path, g, w})
 	}
 }
 
+func member(m map[string]any, k string) any {
+	if v, ok := m[k]; ok {
+		return v
+	}
+	return absent{}
+}
+
+func elem(s []any, i int) any {
+	if i < len(s) {
+		return s[i]
+	}
+	return absent{}
+}
+
 func leafText(v any) string {
 	if _, ok := v.(absent); ok {
 		return "(absent)"
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Sprint(v)
-	}
+	b, _ := json.Marshal(v) // v was decoded from JSON, so it encodes
 	return string(b)
 }
 
@@ -213,9 +206,10 @@ func formatDiffs(diffs []fieldDiff) string {
 	return sb.String()
 }
 
-// steadyLedger is the steady section (withoutJournal false, also the
-// `vlserver -baseline` input): the incremental pipeline's cold and steady
-// round over the modeled KGDB link. Every cost is virtual.
+// steadyLedger is the steady section (also the `vlserver -baseline` input)
+// or, withoutJournal, the steady_hash_only section: the incremental
+// pipeline's cold and steady round over the modeled KGDB link. Every cost
+// is virtual.
 func steadyLedger(t *testing.T, withoutJournal bool) any {
 	rep, err := perf.MeasureSteadyState(kernelsim.Options{}, target.DefaultKGDB, withoutJournal)
 	if err != nil {
@@ -319,15 +313,28 @@ func attachLedger(t *testing.T, opts kernelsim.Options, figs []vclstdlib.Figure,
 // kgdbAttachLedger is the kgdb_attach section: the link traffic of the
 // loopback benchmark's kgdb_attach shape, summed over ledgerCases, so a
 // change to the read path that moves link traffic shows as an exact delta
-// before any wall-clock A/B.
+// before any wall-clock A/B. One row per stub: both revalidation annexes
+// (the stub kgdb_attach runs), the memory-hash annex only, and neither (a
+// stock KGDB stub, the paper's setting).
 func kgdbAttachLedger(t *testing.T) any {
-	row := attachRow{Stub: "both-annexes"}
-	for _, c := range ledgerCases() {
-		cl, sl := attachLedger(t, c.opts, c.figs)
-		row.Cold.add(cl)
-		row.Stops.add(sl)
+	stubs := []struct {
+		name string
+		opts []gdbrsp.ServerOption
+	}{
+		{"both-annexes", nil},
+		{"hash-only", []gdbrsp.ServerOption{gdbrsp.WithoutDirtyAnnex()}},
+		{"stock", []gdbrsp.ServerOption{gdbrsp.WithoutDirtyAnnex(), gdbrsp.WithoutHashAnnex()}},
 	}
-	return []attachRow{row}
+	rows := make([]attachRow, len(stubs))
+	for i, stub := range stubs {
+		rows[i].Stub = stub.name
+		for _, c := range ledgerCases() {
+			cl, sl := attachLedger(t, c.opts, c.figs, stub.opts...)
+			rows[i].Cold.add(cl)
+			rows[i].Stops.add(sl)
+		}
+	}
+	return rows
 }
 
 // stepLookStops is the number of stops of the step_look section.
@@ -338,11 +345,17 @@ const stepLookStops = 64
 // per stop) goes over stepLookStops stops. A pass is either served whole
 // from the prior round (its pages are unchanged, or the bytes it read are)
 // or re-extracted; a re-extraction either changes the pane or comes out
-// Equal to the displayed graph.
+// Equal to the displayed graph. Boxes are counted for the cold round and
+// the stops apart: built from target reads, or reused from the memo.
 type stepLook struct {
-	Reextracted int `json:"figures_reextracted"`
-	Reused      int `json:"figures_reused"`
-	Unchanged   int `json:"reextracted_equal"`
+	Passes         int    `json:"figure_passes"`
+	Reextracted    int    `json:"figures_reextracted"`
+	Reused         int    `json:"figures_reused"`
+	Unchanged      int    `json:"reextracted_equal"`
+	ColdBoxBuilds  uint64 `json:"cold_box_builds"`
+	ColdBoxReuses  uint64 `json:"cold_box_reuses"`
+	StopsBoxBuilds uint64 `json:"stops_box_builds"`
+	StopsBoxReuses uint64 `json:"stops_box_reuses"`
 }
 
 func stepLookLedger(t *testing.T) any {
@@ -354,9 +367,8 @@ func stepLookLedger(t *testing.T) any {
 	if _, err := x.Round(); err != nil {
 		t.Fatalf("cold round: %v", err)
 	}
+	l := stepLook{ColdBoxBuilds: o.BoxBuilds.Value(), ColdBoxReuses: o.BoxReuses.Value()}
 	reused0, unchanged0 := o.FigureReuses.Value(), o.FigureUnchanged.Value()
-	var passes int
-	var l stepLook
 	for round := 0; round < stepLookStops; round++ {
 		w.Step()
 		x.Advance()
@@ -365,7 +377,7 @@ func stepLookLedger(t *testing.T) any {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for _, rr := range out {
-			passes++
+			l.Passes++
 			if !rr.Reused {
 				l.Reextracted++
 			}
@@ -373,8 +385,50 @@ func stepLookLedger(t *testing.T) any {
 	}
 	l.Reused = int(o.FigureReuses.Value() - reused0)
 	l.Unchanged = int(o.FigureUnchanged.Value() - unchanged0)
-	if passes != stepLookStops*len(figs) || l.Reused+l.Reextracted != passes {
-		t.Fatalf("ledger does not balance: %d passes, %d reused, %d re-extracted", passes, l.Reused, l.Reextracted)
+	l.StopsBoxBuilds = o.BoxBuilds.Value() - l.ColdBoxBuilds
+	l.StopsBoxReuses = o.BoxReuses.Value() - l.ColdBoxReuses
+	if l.Passes != stepLookStops*len(figs) || l.Reused+l.Reextracted != l.Passes {
+		t.Fatalf("ledger does not balance: %d passes, %d reused, %d re-extracted", l.Passes, l.Reused, l.Reextracted)
 	}
 	return l
+}
+
+// ledgerDiff on a small synthetic section: an indented committed copy
+// matches, and changing one nested field in its last bit reports exactly
+// that field's path with both values.
+func TestLedgerDiff(t *testing.T) {
+	type at struct {
+		MS float64 `json:"ms"`
+		N  int     `json:"n"`
+	}
+	type row struct {
+		ID string `json:"id"`
+		At at     `json:"at"`
+	}
+	sec := struct {
+		Rows []row `json:"rows"`
+	}{[]row{{"a", at{1.5, 2}}, {"b", at{468.6, 3}}}}
+	want, err := json.MarshalIndent(sec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diffs, err := ledgerDiff("demo", got, want); err != nil || diffs != nil {
+		t.Fatalf("identical section: %v, %v", diffs, err)
+	}
+
+	sec.Rows[1].At.MS = 468.6000000000001
+	if got, err = json.Marshal(sec); err != nil {
+		t.Fatal(err)
+	}
+	diffs, err := ledgerDiff("demo", got, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := []fieldDiff{{"demo.rows[1].at.ms", "468.6000000000001", "468.6"}}; !slices.Equal(diffs, w) {
+		t.Errorf("diffs = %q, want %q", diffs, w)
+	}
 }

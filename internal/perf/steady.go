@@ -36,7 +36,7 @@ type SteadyRow struct {
 	BoxBuilds int `json:"box_builds"`
 }
 
-// SteadyReport is the BENCH_4 document.
+// SteadyReport is the steady and steady_hash_only sections of LEDGER.json.
 type SteadyReport struct {
 	Rows []SteadyRow `json:"rows"` // per figure, plus a "_total" pseudo-row
 

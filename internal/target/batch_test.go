@@ -5,6 +5,7 @@ import (
 
 	"visualinux/internal/ctypes"
 	"visualinux/internal/mem"
+	"visualinux/internal/obs"
 )
 
 // holeFixture maps pages [base, base+2p) and [base+3p, base+4p), leaving
@@ -75,10 +76,11 @@ func TestEnsureOverflowClamp(t *testing.T) {
 // mapped page around the hole — the hole costs only itself, not the fill.
 func TestBatchPrefetchClipsUnmappedHole(t *testing.T) {
 	s, base := holeFixture(t)
-	snap := NewSnapshot(s)
+	o := obs.NewObserver()
+	snap := NewSnapshot(s).Instrument(o)
 
 	snap.PrefetchRanges([]Range{{Addr: base, Size: 4 * PageSize}})
-	if runs := snap.BatchRuns(); runs != 1 {
+	if runs := o.BatchPrefetchRuns.Value(); runs != 1 {
 		t.Fatalf("batch runs = %d, want 1 merged run", runs)
 	}
 	// The sim exposes its memory map, so the fill is clipped into the two
@@ -116,7 +118,8 @@ func TestBatchPrefetchMergesAdjacentElements(t *testing.T) {
 	base := uint64(0x5000_0000)
 	m.Write(base, make([]byte, 4*PageSize))
 	s := NewSim(m, ctypes.NewRegistry())
-	snap := NewSnapshot(s)
+	o := obs.NewObserver()
+	snap := NewSnapshot(s).Instrument(o)
 
 	// Four 64-byte "elements", one per window: separately they would cost
 	// four fills; merged (each within one window-step of the next) they cost
@@ -126,7 +129,7 @@ func TestBatchPrefetchMergesAdjacentElements(t *testing.T) {
 		ranges = append(ranges, Range{Addr: base + i*FillWindow + 128, Size: 64})
 	}
 	snap.PrefetchRanges(ranges)
-	if runs := snap.BatchRuns(); runs != 1 {
+	if runs := o.BatchPrefetchRuns.Value(); runs != 1 {
 		t.Fatalf("batch runs = %d, want 1", runs)
 	}
 	reads, bytes := s.Stats().Snapshot()
@@ -143,9 +146,10 @@ func TestBatchPrefetchMergesAdjacentElements(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		sparse = append(sparse, Range{Addr: base + i*PageSize + 128, Size: 64})
 	}
-	snap2 := NewSnapshot(s)
+	o2 := obs.NewObserver()
+	snap2 := NewSnapshot(s).Instrument(o2)
 	snap2.PrefetchRanges(sparse)
-	if runs := snap2.BatchRuns(); runs != 4 {
+	if runs := o2.BatchPrefetchRuns.Value(); runs != 4 {
 		t.Fatalf("sparse batch runs = %d, want 4", runs)
 	}
 	if r, b := s.Stats().Snapshot(); r-reads != 4 || b-bytes != 4*FillWindow {
@@ -154,7 +158,7 @@ func TestBatchPrefetchMergesAdjacentElements(t *testing.T) {
 
 	// Resident ranges cost nothing on a second pass: no new batch run.
 	snap.PrefetchRanges(ranges)
-	if runs := snap.BatchRuns(); runs != 1 {
+	if runs := o.BatchPrefetchRuns.Value(); runs != 1 {
 		t.Fatalf("resident batch re-run issued a fill (runs = %d)", runs)
 	}
 }

@@ -112,9 +112,6 @@ func (l *Latency) VirtualElapsed() time.Duration {
 	return time.Duration(l.virtual.Load())
 }
 
-// ResetVirtual zeroes the virtual clock (between measurements).
-func (l *Latency) ResetVirtual() { l.virtual.Store(0) }
-
 // Stats implements Target: the counters of transactions that actually
 // crossed the modeled link.
 func (l *Latency) Stats() *Stats { return &l.stats }

@@ -155,9 +155,6 @@ type Snapshot struct {
 
 	hits          atomic.Uint64 // page lookups served from cache
 	misses        atomic.Uint64 // pages a fill touched (copied windows or aliased)
-	invalidations atomic.Uint64 // Invalidate calls (wholesale drops)
-	batchRuns     atomic.Uint64 // coalesced batch-prefetch fills issued
-	advances      atomic.Uint64 // Advance calls (incremental stop boundaries)
 	revalidations atomic.Uint64 // stale pages revalidated by content hash
 	promotions    atomic.Uint64 // stale pages promoted clean by the write journal
 	staleRefetch  atomic.Uint64 // stale pages' resident blocks refetched (no hash capability)
@@ -165,9 +162,10 @@ type Snapshot struct {
 	subBytes      atomic.Uint64 // bytes moved by sub-page refetches
 	zeroCopy      atomic.Uint64 // pages filled by aliasing store pages (no copy)
 
-	// Observer counter handles (nil-safe when uninstrumented): the same
-	// events as the atomic fields above, but aggregated process-wide so
-	// every snapshot in every worker feeds one /debug/metrics view.
+	// Observer counter handles (nil-safe when uninstrumented): the events
+	// above plus invalidations, batch runs and advances, aggregated
+	// process-wide so every snapshot in every worker feeds one
+	// /debug/metrics view.
 	mHits, mMisses, mFills, mInval, mBatchRuns        *obs.Counter
 	mAdvances, mReval, mPromoted, mStaleRef, mSubFill *obs.Counter
 	mZeroCopy                                         *obs.Counter
@@ -221,7 +219,6 @@ func (s *Snapshot) Invalidate() {
 	s.pages = make(map[uint64]*spage)
 	s.gen++
 	s.mu.Unlock()
-	s.invalidations.Add(1)
 	s.mInval.Inc()
 }
 
@@ -237,7 +234,6 @@ func (s *Snapshot) Advance() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++
-	s.advances.Add(1)
 	s.mAdvances.Inc()
 
 	var dirty []Range
@@ -346,12 +342,6 @@ func (s *Snapshot) CacheStats() (hits, misses uint64) {
 	return s.hits.Load(), s.misses.Load()
 }
 
-// Invalidations reports how many times the cache has been dropped wholesale.
-func (s *Snapshot) Invalidations() uint64 { return s.invalidations.Load() }
-
-// Advances reports how many incremental stop boundaries the cache crossed.
-func (s *Snapshot) Advances() uint64 { return s.advances.Load() }
-
 // Revalidations reports stale pages revalidated via content hashes.
 func (s *Snapshot) Revalidations() uint64 { return s.revalidations.Load() }
 
@@ -368,22 +358,9 @@ func (s *Snapshot) SubpageFills() (runs, bytes uint64) {
 	return s.subFills.Load(), s.subBytes.Load()
 }
 
-// BatchRuns reports how many coalesced batch-prefetch fills were issued.
-func (s *Snapshot) BatchRuns() uint64 { return s.batchRuns.Load() }
-
 // ZeroCopyFills reports pages filled by aliasing immutable store pages
 // instead of copying them through the link.
 func (s *Snapshot) ZeroCopyFills() uint64 { return s.zeroCopy.Load() }
-
-// HitRatio reports the fraction of page lookups served from cache
-// (0 when nothing has been looked up yet).
-func (s *Snapshot) HitRatio() float64 {
-	h, m := s.hits.Load(), s.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
 
 // ready reports whether p may serve the blocks need at generation gen
 // without a fill or revalidation: they are resident, the page is current,
@@ -521,7 +498,6 @@ func (s *Snapshot) ensure(addr, size uint64, batch bool) error {
 		return nil
 	}
 	if batch {
-		s.batchRuns.Add(1)
 		s.mBatchRuns.Inc()
 	}
 

@@ -60,15 +60,6 @@ func (s *Stats) CountRead(n int) {
 	s.Transactions.Add(1)
 }
 
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	s.Reads.Store(0)
-	s.BytesRead.Store(0)
-	s.Transactions.Store(0)
-	s.Continuations.Store(0)
-	s.HashChecks.Store(0)
-}
-
 // Snapshot returns the current (reads, bytes) totals.
 func (s *Stats) Snapshot() (reads, bytes uint64) {
 	return s.Reads.Load(), s.BytesRead.Load()
